@@ -25,9 +25,9 @@ from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
 from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
-                       GaussianityReport, SimConfig, cost_oracle, evolve_cloud,
-                       gaussianity_check, mc_tolerance, perturbation_sweep,
-                       simulate_mc)
+                       GaussianityReport, SimConfig, cost_from_cloud,
+                       cost_oracle, evolve_cloud, gaussianity_check,
+                       mc_tolerance, perturbation_sweep, simulate_mc)
 from .partial_obs import (DecompositionReport, PartialObsSpec,
                           PartialTrajectory, analytic_partial_phi,
                           analytic_partial_solution, cost_decomposition_check,
@@ -55,8 +55,8 @@ __all__ = [
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
     # simulate
     "CloudTrajectory", "CostReport", "EM_BIAS_CONST", "GaussianityReport",
-    "SimConfig", "cost_oracle", "evolve_cloud", "gaussianity_check",
-    "mc_tolerance", "perturbation_sweep", "simulate_mc",
+    "SimConfig", "cost_from_cloud", "cost_oracle", "evolve_cloud",
+    "gaussianity_check", "mc_tolerance", "perturbation_sweep", "simulate_mc",
     # partial observation
     "DecompositionReport", "PartialObsSpec", "PartialTrajectory",
     "analytic_partial_phi", "analytic_partial_solution",

@@ -1,49 +1,19 @@
-"""Per-step particle update kernels, jitted with numba when available.
+"""Per-step particle update kernels, vectorized with numpy.
 
-Backend selection happens once at import time via the environment variable
-MFLQG_BACKEND: "numba" forces the jitted path (import error if numba is
-missing), "numpy" forces the vectorized fallback, unset prefers numba.
-
-Both backends consume the exact same pre-drawn standard-normal increments, so
-for a fixed seed they differ only by floating-point reduction order.  All
-random number generation stays outside this module.
+The kernels consume pre-drawn standard-normal increments, one row per step;
+all random number generation stays outside this module.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 __all__ = ["BACKEND", "mc_chunk", "partial_chunk"]
 
+BACKEND = "numpy"
 
-def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
+
+def mc_chunk(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     # One Euler step per row of z.  Moments are recorded for the pre-step
     # state; the caller appends the final state's moments itself.
-    n = x.shape[0]
-    for k in range(z.shape[0]):
-        s1 = 0.0
-        s2 = 0.0
-        for i in range(n):
-            s1 += x[i]
-            s2 += x[i] * x[i]
-        m1 = s1 / n
-        m1_out[k] = m1
-        m2_out[k] = s2 / n
-        ak = a[k]
-        bk = b[k]
-        sk = s_sqdt[k]
-        qk = q_dt[k]
-        alk = al[k]
-        bek = be[k]
-        for i in range(n):
-            u = alk * x[i] + bek * m1
-            run[i] += qk * u * u
-            x[i] += (ak * x[i] + bk * u) * dt + sk * z[k, i]
-
-
-def _mc_chunk_numpy(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
     for k in range(z.shape[0]):
         m1 = x.sum() / n
@@ -54,35 +24,10 @@ def _mc_chunk_numpy(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
         x += (a[k] * x + b[k] * u) * dt + s_sqdt[k] * z[k]
 
 
-def _partial_chunk_loops(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
-                         m1h_out, m2h_out, m2x_out):
+def partial_chunk(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
+                  m1h_out, m2h_out, m2x_out):
     # Prediction process xh carries the control; e accumulates the part of the
     # noise the controller never sees.  The physical state is xh + e.
-    n = xh.shape[0]
-    for k in range(zh.shape[0]):
-        s1 = 0.0
-        s2 = 0.0
-        s2x = 0.0
-        for i in range(n):
-            s1 += xh[i]
-            s2 += xh[i] * xh[i]
-            xi = xh[i] + e[i]
-            s2x += xi * xi
-        m1 = s1 / n
-        m1h_out[k] = m1
-        m2h_out[k] = s2 / n
-        m2x_out[k] = s2x / n
-        alk = al[k]
-        bek = be[k]
-        for i in range(n):
-            u = alk * xh[i] + bek * m1
-            run[i] += dt * u * u
-            xh[i] += u * dt + sh_sqdt * zh[k, i]
-            e[i] += st_sqdt * zt[k, i]
-
-
-def _partial_chunk_numpy(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
-                         m1h_out, m2h_out, m2x_out):
     n = xh.shape[0]
     for k in range(zh.shape[0]):
         m1 = xh.sum() / n
@@ -94,28 +39,3 @@ def _partial_chunk_numpy(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
         run += dt * u * u
         xh += u * dt + sh_sqdt * zh[k]
         e += st_sqdt * zt[k]
-
-
-_requested = os.environ.get("MFLQG_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"MFLQG_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-_use_numba = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-        _use_numba = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError("MFLQG_BACKEND=numba but numba is not importable")
-
-if _use_numba:
-    BACKEND = "numba"
-    mc_chunk = njit(cache=True)(_mc_chunk_loops)
-    partial_chunk = njit(cache=True)(_partial_chunk_loops)
-else:
-    BACKEND = "numpy"
-    mc_chunk = _mc_chunk_numpy
-    partial_chunk = _partial_chunk_numpy

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import load_config, serialize_config
-from .control import (FeedbackLaw, law_to_csv, master_residual, optimal_feedback,
-                      residual_sweep, residual_to_csv, value_function)
+from .config import load_config
+from .control import (law_to_csv, optimal_feedback, residual_sweep,
+                      residual_to_csv, value_function)
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
 from .model import (MatrixProblemSpec, MeasureMoments, ProblemSpec,
@@ -39,14 +39,13 @@ from .partial_obs import (PartialObsSpec, analytic_partial_solution,
                           cost_decomposition_check, error_variance,
                           evolve_partial, optimal_prediction_feedback,
                           partial_trajectory_to_csv, partial_value,
-                          reduced_problem, simulate_partial)
-from .presets import PRESET_NAMES, is_partial_preset, preset
-from .riccati import (MatrixRiccatiSolution, RiccatiSolution, analytic_solution,
-                      matrix_solution_to_csv, sample_solution, solution_to_csv,
-                      solve_matrix_riccati, solve_riccati)
-from .simulate import (CostReport, SimConfig, cost_oracle, evolve_cloud,
-                       gaussianity_check, mc_tolerance, perturbation_sweep,
-                       simulate_mc, trajectory_to_csv)
+                          reduced_problem)
+from .presets import PRESET_NAMES, preset
+from .riccati import (analytic_solution, matrix_solution_to_csv,
+                      solution_to_csv, solve_matrix_riccati, solve_riccati)
+from .simulate import (CostReport, SimConfig, cost_from_cloud, cost_oracle,
+                       evolve_cloud, gaussianity_check, mc_tolerance,
+                       perturbation_sweep, trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
@@ -153,20 +152,28 @@ def _default_steps(horizon: float) -> int:
 def _sim_config(args, from_config: SimConfig | None) -> SimConfig:
     base = from_config if from_config is not None else SimConfig(
         n_paths=_DEFAULT_PATHS, dt=_DEFAULT_DT, seed=_DEFAULT_SEED)
-    return SimConfig(
+    sim = SimConfig(
         n_paths=args.paths if args.paths is not None else base.n_paths,
         dt=args.dt if args.dt is not None else base.dt,
         seed=args.seed if args.seed is not None else base.seed,
     )
+    # One path has a zero standard error, which would leave the Monte Carlo
+    # band as pure bias allowance.
+    if sim.n_paths < 2:
+        raise DomainError(f"n_paths must be >= 2, got {sim.n_paths}")
+    return sim
 
 
 def _scalar_xs(args, default=(1.0,)) -> list[float]:
     if not args.x:
         return list(default)
     try:
-        return [float(s) for s in args.x]
+        xs = [float(s) for s in args.x]
     except ValueError as exc:
         raise DomainError(f"--x expects numbers, got {args.x!r}") from exc
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError(f"--x expects finite numbers, got {args.x!r}")
+    return xs
 
 
 def _vector_xs(args, d: int) -> list[np.ndarray]:
@@ -180,6 +187,8 @@ def _vector_xs(args, d: int) -> list[np.ndarray]:
             raise DomainError(f"--x expects comma-separated numbers, got {s!r}") from exc
         if vec.size != d:
             raise DomainError(f"--x {s!r} has {vec.size} entries, expected {d}")
+        if not np.isfinite(vec).all():
+            raise DomainError(f"--x expects finite numbers, got {s!r}")
         out.append(vec)
     return out
 
@@ -296,8 +305,8 @@ def cmd_simulate(args) -> int:
         m2_0 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
         oracle = cost_oracle(reduced, law, spec.x, m2_0, steps)
         oracle_total = oracle.total + comp
-        mc = simulate_partial(spec, law, sim)
         traj = evolve_partial(spec, law, sim)
+        mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
         partial_trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
         outputs["trajectory"] = "trajectory.csv"
         summary = {
@@ -317,8 +326,8 @@ def cmd_simulate(args) -> int:
         law = optimal_feedback(spec, sol)
         oracle = cost_oracle(spec, law, x0, x0 * x0, steps)
         oracle_total = oracle.total
-        mc = simulate_mc(spec, law, x0, sim)
         traj = evolve_cloud(spec, law, x0, sim)
+        mc = cost_from_cloud(spec, traj.states, traj.run_costs)
         trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
         outputs["trajectory"] = "trajectory.csv"
         summary = {
@@ -363,6 +372,23 @@ def _random_measures(rng, count: int):
     m1 = rng.uniform(-1.0, 1.0, count)
     extra = rng.uniform(0.0, 0.25, count)
     return [MeasureMoments(float(a), float(a * a + b)) for a, b in zip(m1, extra)]
+
+
+def _mc_check(mc: CostReport, oracle_total: float, dt: float) -> _Check:
+    gap = abs(mc.total - oracle_total)
+    tol = mc_tolerance(mc.std_error, dt)
+    return _Check("mc-vs-oracle", gap <= tol, gap, tol,
+                  f"|MC - oracle| = {gap:.3e}, band {tol:.3e}")
+
+
+def _gaussianity_entry(states) -> _Check:
+    gauss = gaussianity_check(states)
+    if gauss.degenerate:
+        return _Check("gaussianity", True, 0.0, 0.0, "degenerate cloud")
+    ok = abs(gauss.skewness) < 0.05 and abs(gauss.excess_kurtosis) < 0.1
+    return _Check("gaussianity", ok, abs(gauss.skewness), 0.05,
+                  f"skew {gauss.skewness:.4f}, excess kurtosis "
+                  f"{gauss.excess_kurtosis:.4f}")
 
 
 def _verify_scalar(spec: ProblemSpec, preset_name: str | None, args,
@@ -451,20 +477,10 @@ def _verify_scalar(spec: ProblemSpec, preset_name: str | None, args,
                          0.0, 0.0, "; ".join(details)))
 
     oracle0 = cost_oracle(spec, law, x0, x0 * x0, oracle_steps)
-    mc = simulate_mc(spec, law, x0, sim)
-    gap = abs(mc.total - oracle0.total)
-    tol_mc = mc_tolerance(mc.std_error, sim.dt)
-    checks.append(_Check("mc-vs-oracle", gap <= tol_mc, gap, tol_mc,
-                         f"|MC - oracle| = {gap:.3e}, band {tol_mc:.3e}"))
-
-    gauss = gaussianity_check(spec, law, x0, sim, spec.T)
-    if gauss.degenerate:
-        checks.append(_Check("gaussianity", True, 0.0, 0.0, "degenerate cloud"))
-    else:
-        ok = abs(gauss.skewness) < 0.05 and abs(gauss.excess_kurtosis) < 0.1
-        checks.append(_Check("gaussianity", ok, abs(gauss.skewness), 0.05,
-                             f"skew {gauss.skewness:.4f}, excess kurtosis "
-                             f"{gauss.excess_kurtosis:.4f}"))
+    traj = evolve_cloud(spec, law, x0, sim)
+    mc = cost_from_cloud(spec, traj.states, traj.run_costs)
+    checks.append(_mc_check(mc, oracle0.total, sim.dt))
+    checks.append(_gaussianity_entry(traj.states))
     return checks
 
 
@@ -526,13 +542,12 @@ def _verify_partial(spec: PartialObsSpec, preset_name: str | None, args,
     checks.append(_Check("oracle-vs-value", gap <= 1e-5, gap, 1e-5,
                          f"|oracle + error compensation - value| = {gap:.3e}"))
 
-    mc = simulate_partial(spec, law, sim)
-    gap = abs(mc.total - (cost_oracle(reduced, law, spec.x, m2_0, oracle_steps).total + comp))
-    tol_mc = mc_tolerance(mc.std_error, sim.dt)
-    checks.append(_Check("mc-vs-oracle", gap <= tol_mc, gap, tol_mc,
-                         f"|MC - oracle| = {gap:.3e}, band {tol_mc:.3e}"))
+    traj = evolve_partial(spec, law, sim)
+    mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
+    oracle_total = cost_oracle(reduced, law, spec.x, m2_0, oracle_steps).total + comp
+    checks.append(_mc_check(mc, oracle_total, sim.dt))
 
-    decomp = cost_decomposition_check(spec, law, sim)
+    decomp = cost_decomposition_check(spec, traj)
     if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0:
         tol_d = 1e-12
     else:
@@ -540,16 +555,8 @@ def _verify_partial(spec: PartialObsSpec, preset_name: str | None, args,
     checks.append(_Check("cost-decomposition", abs(decomp.defect) <= tol_d,
                          abs(decomp.defect), tol_d,
                          f"defect {decomp.defect:.3e}, band {tol_d:.3e}"))
-
-    gauss = gaussianity_check(reduced, law,
-                              (spec.x, spec.eta_hat ** 2 * spec.s), sim, horizon)
-    if gauss.degenerate:
-        checks.append(_Check("gaussianity", True, 0.0, 0.0, "degenerate cloud"))
-    else:
-        ok = abs(gauss.skewness) < 0.05 and abs(gauss.excess_kurtosis) < 0.1
-        checks.append(_Check("gaussianity", ok, abs(gauss.skewness), 0.05,
-                             f"skew {gauss.skewness:.4f}, excess kurtosis "
-                             f"{gauss.excess_kurtosis:.4f}"))
+    # The prediction cloud has the law of the reduced problem's cloud.
+    checks.append(_gaussianity_entry(traj.xhat))
     return checks
 
 

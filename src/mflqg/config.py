@@ -40,6 +40,7 @@ assumptions surface as AssumptionError from the constructed spec itself.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,19 @@ class ResolvedConfig:
         raise ConfigError("configuration contains no problem section")
 
 
+def _finite(text: str) -> float:
+    # nan and inf parse as floats but are no valid problem data.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_float(section: str, field: str, text: str) -> float:
     try:
-        return float(text)
+        return _finite(text)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {field}: not a number: {text!r}") from exc
+        raise ConfigError(f"[{section}] {field}: not a finite number: {text!r}") from exc
 
 
 def _parse_int(section: str, field: str, text: str) -> int:
@@ -105,11 +114,11 @@ def _parse_coefficient(section: str, field: str, text: str) -> Coefficient:
                 raise ConfigError(
                     f"[{section}] {field}: constant takes exactly one value"
                 )
-            return Coefficient.constant(float(tokens[1]))
+            return Coefficient.constant(_finite(tokens[1]))
         if head == "poly":
             if len(tokens) < 2:
                 raise ConfigError(f"[{section}] {field}: poly needs coefficients")
-            return Coefficient.poly([float(tok) for tok in tokens[1:]])
+            return Coefficient.poly([_finite(tok) for tok in tokens[1:]])
         if head == "table":
             knots = []
             for tok in tokens[1:]:
@@ -118,12 +127,12 @@ def _parse_coefficient(section: str, field: str, text: str) -> Coefficient:
                         f"[{section}] {field}: table entries look like t:value, got {tok!r}"
                     )
                 t_text, v_text = tok.split(":", 1)
-                knots.append((float(t_text), float(v_text)))
+                knots.append((_finite(t_text), _finite(v_text)))
             if len(knots) < 2:
                 raise ConfigError(f"[{section}] {field}: table needs at least two knots")
             return Coefficient.table([t for t, _ in knots], [v for _, v in knots])
         if len(tokens) == 1:
-            return Coefficient.constant(float(head))
+            return Coefficient.constant(_finite(head))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -134,7 +143,7 @@ def _parse_coefficient(section: str, field: str, text: str) -> Coefficient:
 def _parse_matrix(section: str, field: str, text: str, d: int) -> np.ndarray:
     rows = [row.strip() for row in text.split(";")]
     try:
-        data = [[float(tok) for tok in row.split()] for row in rows]
+        data = [[_finite(tok) for tok in row.split()] for row in rows]
     except ValueError as exc:
         raise ConfigError(f"[{section}] {field}: bad number in {text!r}") from exc
     if len(data) != d or any(len(row) != d for row in data):

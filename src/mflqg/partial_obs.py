@@ -29,7 +29,8 @@ from .control import FeedbackLaw, optimal_feedback
 from .errors import AssumptionError, DomainError, SimulationDivergedError
 from .model import ProblemSpec
 from .riccati import RiccatiSolution, sample_solution
-from .simulate import CostReport, SimConfig, _CHUNK_ELEMENTS, _steps_for
+from .simulate import (CostReport, SimConfig, _CHUNK_ELEMENTS, _steps_for,
+                       cost_from_cloud)
 
 __all__ = [
     "PartialObsSpec",
@@ -242,20 +243,7 @@ def simulate_partial(spec: PartialObsSpec, law: FeedbackLaw,
     """Monte Carlo cost of a prediction-feedback law, measured on the full
     state X = X_hat + E (running cost plus terminal cost at T)."""
     traj = evolve_partial(spec, law, config)
-    x = traj.xhat + traj.err
-    run = traj.run_costs
-    n = x.size
-    m1_T = float(x.mean())
-    m2_T = float(traj.m2[-1])
-    running = float(run.mean())
-    terminal = spec.D1 * m2_T + spec.D2 * m1_T * m1_T
-    if n >= 2:
-        g = spec.D1 * x * x + 2.0 * spec.D2 * m1_T * x
-        se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
-    else:
-        se = 0.0
-    return CostReport(total=running + terminal, running=running,
-                      terminal=terminal, std_error=se, n_paths=n)
+    return cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
 
 
 @dataclass(frozen=True)
@@ -271,16 +259,15 @@ class DecompositionReport:
     n_paths: int
 
 
-def cost_decomposition_check(spec: PartialObsSpec, law: FeedbackLaw,
-                             config: SimConfig) -> DecompositionReport:
-    """Estimate J and J_hat from the same particles and report the defect
-    J - J_hat - D1 * P_T, which should vanish in expectation.
+def cost_decomposition_check(spec: PartialObsSpec,
+                             traj: PartialTrajectory) -> DecompositionReport:
+    """Estimate J and J_hat from the same particles of one trajectory and
+    report the defect J - J_hat - D1 * P_T, which should vanish in expectation.
 
     The defect's standard error comes from the per-path difference
     D1 (2 X_hat E + E^2) + 2 D2 m1_hat E - D1 P_T, whose sample mean is the
     defect up to the quadratic-in-mean terminal term.
     """
-    traj = evolve_partial(spec, law, config)
     xh = traj.xhat
     e = traj.err
     x = xh + e

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .control import FeedbackLaw
 from .errors import DomainError, FiniteEscapeError, SimulationDivergedError
-from .model import MeasureMoments, ParticleCloud, ProblemSpec
+from .model import ParticleCloud, ProblemSpec
 from .riccati import DIVERGENCE_LIMIT
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "EM_BIAS_CONST",
     "cost_oracle",
     "evolve_cloud",
+    "cost_from_cloud",
     "simulate_mc",
     "gaussianity_check",
     "mc_tolerance",
@@ -248,17 +249,21 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     return CloudTrajectory(times=times, m1=m1, m2=m2, states=x, run_costs=run)
 
 
-def _report_from_cloud(spec: ProblemSpec, traj: CloudTrajectory) -> CostReport:
-    x = traj.states
-    run = traj.run_costs
+def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostReport:
+    """Monte Carlo cost of a terminal cloud and its per-path running costs.
+
+    spec supplies the terminal weights D1 and D2.  The standard error is a
+    delta-method estimate: D1 m2 + D2 m1^2 has influence function
+    D1 x^2 + 2 D2 m1 x.
+    """
+    x = states
+    run = run_costs
     n = x.size
-    m1_T = float(traj.m1[-1])
-    m2_T = float(traj.m2[-1])
+    m1_T = float(x.sum() / n)
+    m2_T = float((x * x).sum() / n)
     running = float(run.mean())
     terminal = spec.D1 * m2_T + spec.D2 * m1_T * m1_T
     if n >= 2:
-        # Delta method for the terminal part: D1 m2 + D2 m1^2 has influence
-        # function D1 x^2 + 2 D2 m1 x.
         g = spec.D1 * x * x + 2.0 * spec.D2 * m1_T * x
         se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
     else:
@@ -271,19 +276,17 @@ def simulate_mc(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
                 config: SimConfig) -> CostReport:
     """Monte Carlo estimate of the cost of a feedback law over [0, T]."""
     traj = evolve_cloud(spec, law, initial, config)
-    return _report_from_cloud(spec, traj)
+    return cost_from_cloud(spec, traj.states, traj.run_costs)
 
 
-def gaussianity_check(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
-                      config: SimConfig, t: float) -> GaussianityReport:
-    """Sample skewness and excess kurtosis of the cloud at time t.
+def gaussianity_check(states: np.ndarray) -> GaussianityReport:
+    """Sample skewness and excess kurtosis of a particle cloud.
 
     Under a linear law started from Gaussian or Dirac data both should vanish;
     a degenerate (numerically zero-variance) cloud is flagged instead of
     producing 0/0 noise.
     """
-    traj = evolve_cloud(spec, law, initial, config, t_stop=t)
-    x = traj.states
+    x = states
     m = x.mean()
     c = x - m
     v = float((c * c).mean())

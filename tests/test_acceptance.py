@@ -12,7 +12,7 @@ import numpy as np
 
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
                    ProblemSpec, SimConfig, analytic_solution, cost_decomposition_check,
-                   cost_oracle, gaussianity_check, master_residual, optimal_feedback,
+                   cost_oracle, evolve_cloud, evolve_partial, gaussianity_check, master_residual, optimal_feedback,
                    optimal_prediction_feedback, partial_value, perturbation_sweep,
                    preset, reduced_problem, simulate_mc, simulate_partial,
                    solve_matrix_riccati, solve_riccati, value_function)
@@ -160,7 +160,7 @@ def test_criterion_07_gaussian_marginals():
     for name in ("example1", "example2"):
         spec = preset(name)
         law = optimal_feedback(spec, solve_riccati(spec, 1000))
-        g = gaussianity_check(spec, law, 1.0, config, spec.T)
+        g = gaussianity_check(evolve_cloud(spec, law, 1.0, config).states)
         ok = ok and not g.degenerate and abs(g.skewness) < 0.05 \
             and abs(g.excess_kurtosis) < 0.1
         parts.append(f"{name} skew {g.skewness:.3f} exkurt {g.excess_kurtosis:.3f}")
@@ -217,7 +217,7 @@ def test_criterion_10_cost_decomposition():
     spec = preset("example3")
     law = optimal_prediction_feedback(
         spec, solve_riccati(reduced_problem(spec), 1000))
-    report = cost_decomposition_check(spec, law, config)
+    report = cost_decomposition_check(spec, evolve_partial(spec, law, config))
     band = 3.0 * report.defect_std_error
     noisy_ok = abs(report.defect) <= band
 
@@ -225,7 +225,7 @@ def test_criterion_10_cost_decomposition():
     clean_law = optimal_prediction_feedback(
         clean, solve_riccati(reduced_problem(clean), 1000))
     clean_report = cost_decomposition_check(
-        clean, clean_law, SimConfig(n_paths=20_000, dt=1e-3, seed=3))
+        clean, evolve_partial(clean, clean_law, SimConfig(n_paths=20_000, dt=1e-3, seed=3)))
     clean_ok = abs(clean_report.defect) <= 1e-12
     ok = noisy_ok and clean_ok
     _verdict(10, ok, f"cost decomposition defect {report.defect:.2e} within "

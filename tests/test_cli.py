@@ -4,6 +4,9 @@ import time
 
 import pytest
 
+import mflqg.cli
+import mflqg.partial_obs
+import mflqg.simulate
 from mflqg.cli import RunManifest, main
 
 SCALAR_CFG = """
@@ -209,6 +212,28 @@ def test_verify_all_presets_pass(tmp_path, capsys):
     assert time.monotonic() - start < 300.0
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, name):
+    # Every Monte Carlo result of one command comes from one seeded trajectory.
+    calls = []
+    for fn_name in ("evolve_cloud", "evolve_partial"):
+        original = getattr(mflqg.cli, fn_name)
+
+        def counted(*args, _original=original, _name=fn_name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (mflqg.cli, mflqg.simulate, mflqg.partial_obs):
+            if getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, counted)
+    rc = main([command, "--preset", name, "--paths", "2000", "--dt", "0.05",
+               "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    assert len(calls) == 1, calls
+
+
 def test_report_merges_runs(tmp_path, capsys):
     solve_dir = tmp_path / "solve"
     sim_dir = tmp_path / "sim"
@@ -241,6 +266,26 @@ def test_exit_code_argument_errors(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: argument:")
     assert list(tmp_path.iterdir()) == []    # bad args leave no partial outputs
+    for bad in ("nan", "inf", "-inf"):
+        rc = main(["solve", "--preset", "example1", "--x", bad,
+                   "--out", str(tmp_path)])
+        assert rc == 2, bad
+        assert capsys.readouterr().err.startswith("error: argument:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_too_few_paths_rejected(tmp_path, capsys, command):
+    # With one path the standard error is zero and the band is all bias.
+    rc = main([command, "--preset", "example1", "--paths", "1", "--dt", "0.1",
+               "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: argument:")
+    cfg = tmp_path / "one_path.ini"
+    cfg.write_text(SIM_CFG.replace("n_paths = 777", "n_paths = 1"))
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: argument:")
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -250,6 +295,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: config:")
+    # Non-finite numbers are refused at parse time, not reported later as a
+    # finite escape.
+    for bad in (SCALAR_CFG.replace("A = 0.0", "A = nan"),
+                SCALAR_CFG.replace("D1 = 1.0", "D1 = inf")):
+        cfg.write_text(bad)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: config:")
 
 
 def test_exit_code_validation_error(tmp_path, capsys):

@@ -136,6 +136,25 @@ def test_bad_numbers_are_config_errors():
         parse_config(SCALAR.replace("n_paths = 5000", "n_paths = many"))
 
 
+@pytest.mark.parametrize("text,old,new", [
+    (SCALAR, "D1 = 1.0", "D1 = nan"),
+    (SCALAR, "T = 1.0", "T = inf"),
+    (SCALAR, "A = 0.0", "A = -inf"),
+    (SCALAR, "Q = 2.0", "Q = constant nan"),
+    (SCALAR, "poly 1.0 0.5", "poly 1.0 inf"),
+    (SCALAR, "table 0:1 1:0.5", "table 0:1 1:nan"),
+    (SCALAR, "table 0:1 1:0.5", "table 0:1 inf:0.5"),
+    (SCALAR, "dt = 0.001", "dt = inf"),
+    (PARTIAL, "x = 1.0", "x = nan"),
+    (MATRIX, "A = 0 0; 0 0", "A = 0 nan; 0 0"),
+    (MATRIX, "D2 = 0 0; 0 0", "D2 = 0 0; 0 inf"),
+], ids=lambda v: {SCALAR: "scalar", PARTIAL: "partial", MATRIX: "matrix"}.get(v, v))
+def test_non_finite_numbers_are_config_errors(text, old, new):
+    assert old in text
+    with pytest.raises(ConfigError):
+        parse_config(text.replace(old, new))
+
+
 def test_malformed_ini_is_config_error():
     with pytest.raises(ConfigError):
         parse_config("problem]\nA = 0\n")

@@ -1,21 +1,59 @@
-import importlib.util
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 from mflqg import SimConfig, optimal_feedback, scalar_preset, simulate_mc, solve_riccati
 from mflqg import _kernels
-from mflqg._kernels import (BACKEND, _mc_chunk_loops, _mc_chunk_numpy,
-                            _partial_chunk_loops, _partial_chunk_numpy,
-                            mc_chunk, partial_chunk)
+from mflqg._kernels import mc_chunk, partial_chunk
 
 
-def test_backend_is_selected():
-    assert BACKEND in ("numba", "numpy")
-    if os.environ.get("MFLQG_BACKEND") == "numpy":
-        assert BACKEND == "numpy"
+# Plain-loop references: one particle at a time, the same arithmetic as the
+# vectorized kernels in mflqg._kernels up to floating-point reduction order.
+
+def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
+    n = x.shape[0]
+    for k in range(z.shape[0]):
+        s1 = 0.0
+        s2 = 0.0
+        for i in range(n):
+            s1 += x[i]
+            s2 += x[i] * x[i]
+        m1 = s1 / n
+        m1_out[k] = m1
+        m2_out[k] = s2 / n
+        ak = a[k]
+        bk = b[k]
+        sk = s_sqdt[k]
+        qk = q_dt[k]
+        alk = al[k]
+        bek = be[k]
+        for i in range(n):
+            u = alk * x[i] + bek * m1
+            run[i] += qk * u * u
+            x[i] += (ak * x[i] + bk * u) * dt + sk * z[k, i]
+
+
+def _partial_chunk_loops(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
+                         m1h_out, m2h_out, m2x_out):
+    n = xh.shape[0]
+    for k in range(zh.shape[0]):
+        s1 = 0.0
+        s2 = 0.0
+        s2x = 0.0
+        for i in range(n):
+            s1 += xh[i]
+            s2 += xh[i] * xh[i]
+            xi = xh[i] + e[i]
+            s2x += xi * xi
+        m1 = s1 / n
+        m1h_out[k] = m1
+        m2h_out[k] = s2 / n
+        m2x_out[k] = s2x / n
+        alk = al[k]
+        bek = be[k]
+        for i in range(n):
+            u = alk * xh[i] + bek * m1
+            run[i] += dt * u * u
+            xh[i] += u * dt + sh_sqdt * zh[k, i]
+            e[i] += st_sqdt * zt[k, i]
 
 
 def _random_mc_inputs(rng, n=64, k=5):
@@ -35,7 +73,7 @@ def test_mc_chunk_implementations_agree():
     _mc_chunk_loops(x1, run1, z, a, b, s, q, al, be, dt, m1a, m2a)
     x2, run2 = x.copy(), run.copy()
     m1b, m2b = np.empty(5), np.empty(5)
-    _mc_chunk_numpy(x2, run2, z, a, b, s, q, al, be, dt, m1b, m2b)
+    mc_chunk(x2, run2, z, a, b, s, q, al, be, dt, m1b, m2b)
     assert np.allclose(x1, x2, rtol=1e-12, atol=1e-14)
     assert np.allclose(run1, run2, rtol=1e-12, atol=1e-14)
     assert np.allclose(m1a, m1b, rtol=1e-12, atol=1e-14)
@@ -75,7 +113,7 @@ def test_partial_chunk_implementations_agree():
     _partial_chunk_loops(xh1, e1, run1, zh, zt, *args, *outs1)
     xh2, e2, run2 = xh.copy(), e.copy(), run.copy()
     outs2 = [np.empty(k) for _ in range(3)]
-    _partial_chunk_numpy(xh2, e2, run2, zh, zt, *args, *outs2)
+    partial_chunk(xh2, e2, run2, zh, zt, *args, *outs2)
     assert np.allclose(xh1, xh2, rtol=1e-12, atol=1e-14)
     assert np.allclose(e1, e2, rtol=1e-12, atol=1e-14)
     assert np.allclose(run1, run2, rtol=1e-12, atol=1e-14)
@@ -101,33 +139,13 @@ def test_partial_chunk_error_accumulates_independently():
 
 
 def test_backends_agree_on_full_simulation(monkeypatch):
-    # Run the same seeded simulation through the other kernel implementation.
-    # The plain-loop kernel is what numba compiles, so running it interpreted
-    # checks the numba backend's arithmetic on every machine; where numba is
-    # importable, a fresh interpreter also runs the other compiled backend.
+    # Rerun the same seeded simulation through the plain-loop reference.
     spec = scalar_preset("example1")
     sol = solve_riccati(spec, 200)
     law = optimal_feedback(spec, sol)
     here = simulate_mc(spec, law, 1.0, SimConfig(5000, 5e-3, 31))
     monkeypatch.setattr(_kernels, "mc_chunk", _mc_chunk_loops)
     loops = simulate_mc(spec, law, 1.0, SimConfig(5000, 5e-3, 31))
-    others = [("loops", loops.total, loops.std_error)]
-    if importlib.util.find_spec("numba") is not None:
-        other = "numpy" if BACKEND == "numba" else "numba"
-        code = (
-            "from mflqg import *\n"
-            "spec = scalar_preset('example1')\n"
-            "law = optimal_feedback(spec, solve_riccati(spec, 200))\n"
-            "r = simulate_mc(spec, law, 1.0, SimConfig(5000, 5e-3, 31))\n"
-            "print(repr(r.total), repr(r.std_error))\n"
-        )
-        env = dict(os.environ, MFLQG_BACKEND=other)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        total, se = (float(tok) for tok in out.stdout.split())
-        others.append((other, total, se))
-    for name, total, se in others:
-        # same increments on both paths; only reduction order differs
-        assert abs(total - here.total) <= 1e-9 * max(1.0, abs(here.total)), name
-        assert abs(se - here.std_error) <= 1e-9, name
+    # same increments on both paths; only reduction order differs
+    assert abs(loops.total - here.total) <= 1e-9 * max(1.0, abs(here.total))
+    assert abs(loops.std_error - here.std_error) <= 1e-9

@@ -194,7 +194,7 @@ def test_decomposition_defect_within_band():
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
     law = optimal_prediction_feedback(spec, sol)
-    d = cost_decomposition_check(spec, law, SimConfig(50_000, 1e-3, 7))
+    d = cost_decomposition_check(spec, evolve_partial(spec, law, SimConfig(50_000, 1e-3, 7)))
     assert d.error_compensation == pytest.approx(
         spec.D1 * error_variance(spec, spec.T))
     assert abs(d.defect) <= 3.0 * d.defect_std_error, \
@@ -209,7 +209,7 @@ def test_decomposition_exact_when_fully_observed():
     spec = partial_preset("example3", sigma_hat2=1.0, eta_hat2=1.0)
     sol = solve_riccati(reduced_problem(spec), 500)
     law = optimal_prediction_feedback(spec, sol)
-    d = cost_decomposition_check(spec, law, SimConfig(5000, 1e-3, 3))
+    d = cost_decomposition_check(spec, evolve_partial(spec, law, SimConfig(5000, 1e-3, 3)))
     assert abs(d.defect) <= 1e-12
     assert d.error_compensation == 0.0
 

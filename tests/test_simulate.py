@@ -152,7 +152,7 @@ def test_t_stop_cuts_horizon():
 
 def test_gaussianity_check_normal_cloud():
     spec, _, law = _optimal()
-    g = gaussianity_check(spec, law, 1.0, SimConfig(50_000, 2e-3, 21), 1.0)
+    g = gaussianity_check(evolve_cloud(spec, law, 1.0, SimConfig(50_000, 2e-3, 21)).states)
     assert not g.degenerate
     assert abs(g.skewness) < 0.05
     assert abs(g.excess_kurtosis) < 0.1
@@ -161,7 +161,7 @@ def test_gaussianity_check_normal_cloud():
 def test_gaussianity_check_degenerate_cloud():
     # no noise, no control: the cloud stays a Dirac and moments are undefined
     spec = ProblemSpec(A=0.0, B=1.0, sigma=0.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
-    g = gaussianity_check(spec, _zero_law(), 1.0, SimConfig(100, 1e-2, 0), 1.0)
+    g = gaussianity_check(evolve_cloud(spec, _zero_law(), 1.0, SimConfig(100, 1e-2, 0)).states)
     assert g.degenerate
     assert math.isnan(g.skewness)
 

@@ -214,11 +214,13 @@ def evolve_partial(spec: PartialObsSpec, law: FeedbackLaw,
     sh_sqdt = spec.sigma_hat * math.sqrt(dt)
     st_sqdt = spec.sigma_tilde * math.sqrt(dt)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, 2 * n))
+    block_hat = np.empty((min(chunk, n_steps), n))
+    block_tilde = np.empty_like(block_hat)
     k0 = 0
     while k0 < n_steps:
         k1 = min(n_steps, k0 + chunk)
-        zh = rng_hat.standard_normal((k1 - k0, n))
-        zt = rng_tilde.standard_normal((k1 - k0, n))
+        zh = rng_hat.standard_normal(out=block_hat[:k1 - k0])
+        zt = rng_tilde.standard_normal(out=block_tilde[:k1 - k0])
         _kernels.partial_chunk(xhat, err, run, zh, zt, sh_sqdt, st_sqdt,
                                al_k[k0:k1], be_k[k0:k1], dt,
                                m1h[k0:k1], m2h[k0:k1], m2x[k0:k1])

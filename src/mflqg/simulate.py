@@ -46,7 +46,8 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Target element count per pre-drawn increment block; caps peak memory at
+# Target element count per pre-drawn increment block.  One block is allocated
+# per run and refilled for every chunk of steps, which caps the increments at
 # ~64 MB of float64 without changing results (the normal stream is consumed
 # in the same order regardless of block shape).
 _CHUNK_ELEMENTS = 8_000_000
@@ -232,10 +233,11 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     m2 = np.empty(n_steps + 1)
 
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n))
+    block = np.empty((min(chunk, n_steps), n))
     k0 = 0
     while k0 < n_steps:
         k1 = min(n_steps, k0 + chunk)
-        z = rng.standard_normal((k1 - k0, n))
+        z = rng.standard_normal(out=block[:k1 - k0])
         _kernels.mc_chunk(x, run, z, a_k[k0:k1], b_k[k0:k1], s_sqdt[k0:k1],
                           q_dt[k0:k1], al_k[k0:k1], be_k[k0:k1], dt,
                           m1[k0:k1], m2[k0:k1])

@@ -56,6 +56,35 @@ def _partial_chunk_loops(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
             e[i] += st_sqdt * zt[k, i]
 
 
+# Whole-array references: the same arithmetic in the same order as the
+# in-place kernels, so those must reproduce them bit for bit.
+
+def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
+    n = x.shape[0]
+    for k in range(z.shape[0]):
+        m1 = x.sum() / n
+        m1_out[k] = m1
+        m2_out[k] = (x * x).sum() / n
+        u = al[k] * x + be[k] * m1
+        run += q_dt[k] * u * u
+        x += (a[k] * x + b[k] * u) * dt + s_sqdt[k] * z[k]
+
+
+def _partial_chunk_expr(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
+                        m1h_out, m2h_out, m2x_out):
+    n = xh.shape[0]
+    for k in range(zh.shape[0]):
+        m1 = xh.sum() / n
+        m1h_out[k] = m1
+        m2h_out[k] = (xh * xh).sum() / n
+        xfull = xh + e
+        m2x_out[k] = (xfull * xfull).sum() / n
+        u = al[k] * xh + be[k] * m1
+        run += dt * u * u
+        xh += u * dt + sh_sqdt * zh[k]
+        e += st_sqdt * zt[k]
+
+
 def _random_mc_inputs(rng, n=64, k=5):
     x = rng.normal(size=n)
     run = np.zeros(n)
@@ -95,6 +124,29 @@ def test_mc_chunk_single_step_formulas():
     u = -1.0 * 2.0 + 0.5 * 2.0  # alpha x + beta m1 = -1
     assert run[0] == 0.2 * u * u
     assert x[0] == 2.0 + (1.0 * 2.0 + 1.0 * u) * dt + 0.3 * 0.5
+
+
+def test_kernels_match_whole_array_expressions():
+    rng = np.random.default_rng(3)
+    x, run, z, coefs = _random_mc_inputs(rng, n=1000, k=6)
+    outs = []
+    for kernel in (_mc_chunk_expr, mc_chunk):
+        xc, runc, m1, m2 = x.copy(), run.copy(), np.empty(6), np.empty(6)
+        kernel(xc, runc, z, *coefs, 1e-2, m1, m2)
+        outs.append((xc, runc, m1, m2))
+    for ref, got in zip(*outs):
+        assert np.array_equal(ref, got)
+
+    zt = rng.normal(size=z.shape)
+    e = rng.normal(size=x.shape)
+    outs = []
+    for kernel in (_partial_chunk_expr, partial_chunk):
+        xc, ec, runc = x.copy(), e.copy(), run.copy()
+        moments = [np.empty(6) for _ in range(3)]
+        kernel(xc, ec, runc, z, zt, 0.6, 0.8, coefs[4], coefs[5], 1e-2, *moments)
+        outs.append((xc, ec, runc, *moments))
+    for ref, got in zip(*outs):
+        assert np.array_equal(ref, got)
 
 
 def test_partial_chunk_implementations_agree():

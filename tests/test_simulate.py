@@ -104,6 +104,33 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     assert r1 == r2
 
 
+def test_one_increment_block_per_run(monkeypatch):
+    # Every chunk refills the same block, so a run holds one block of
+    # increments (two for the partial engine, one per stream) at a time.
+    import tracemalloc
+
+    from mflqg import partial_obs, partial_preset
+    from mflqg.partial_obs import evolve_partial, optimal_prediction_feedback
+
+    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 400_000)
+    monkeypatch.setattr(partial_obs, "_CHUNK_ELEMENTS", 400_000)
+    cfg = SimConfig(2000, 1e-3, 4)
+    block_bytes = 400_000 * 8
+    spec, _, law = _optimal()
+    pspec = partial_preset("example3")
+    plaw = optimal_prediction_feedback(
+        pspec, solve_riccati(partial_obs.reduced_problem(pspec), 1000))
+    for run in (lambda: evolve_cloud(spec, law, 1.0, cfg),
+                lambda: evolve_partial(pspec, plaw, cfg)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block_bytes <= peak < 1.25 * block_bytes
+
+
 def test_initial_law_forms():
     spec, _, law = _optimal(steps=200)
     cfg = SimConfig(200, 1e-2, 5)

@@ -18,9 +18,8 @@ from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
                     as_coefficient, eval_coefficient, moments_of,
                     validate_matrix_spec, validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, MatrixRiccatiSolution, RiccatiSolution,
-                      analytic_riccati, analytic_solution, matrix_riccati_rhs,
-                      riccati_rhs, sample_solution, solve_matrix_riccati,
-                      solve_riccati)
+                      closed_form, matrix_riccati_rhs, riccati_rhs,
+                      sample_solution, solve_matrix_riccati, solve_riccati)
 from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
@@ -29,8 +28,7 @@ from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
                        cost_oracle, evolve_cloud, gaussianity_check,
                        mc_tolerance, perturbation_sweep, simulate_mc)
 from .partial_obs import (DecompositionReport, PartialObsSpec,
-                          PartialTrajectory, analytic_partial_phi,
-                          analytic_partial_solution, cost_decomposition_check,
+                          PartialTrajectory, cost_decomposition_check,
                           error_variance, evolve_partial,
                           optimal_prediction_feedback, partial_value,
                           reduced_problem, simulate_partial)
@@ -48,8 +46,8 @@ __all__ = [
     "moments_of", "validate_matrix_spec", "validate_spec",
     # riccati
     "DIVERGENCE_LIMIT", "MatrixRiccatiSolution", "RiccatiSolution",
-    "analytic_riccati", "analytic_solution", "matrix_riccati_rhs",
-    "riccati_rhs", "sample_solution", "solve_matrix_riccati", "solve_riccati",
+    "closed_form", "matrix_riccati_rhs", "riccati_rhs", "sample_solution",
+    "solve_matrix_riccati", "solve_riccati",
     # control
     "FeedbackLaw", "hamiltonian", "hamiltonian_minimizer", "master_residual",
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
@@ -59,7 +57,6 @@ __all__ = [
     "gaussianity_check", "mc_tolerance", "perturbation_sweep", "simulate_mc",
     # partial observation
     "DecompositionReport", "PartialObsSpec", "PartialTrajectory",
-    "analytic_partial_phi", "analytic_partial_solution",
     "cost_decomposition_check", "error_variance", "evolve_partial",
     "optimal_prediction_feedback", "partial_value", "reduced_problem",
     "simulate_partial",

@@ -14,6 +14,11 @@ touch.  Costs therefore decompose as
 and the optimal value is read off the reduced problem's Riccati solution:
 
     V = phi1(s) (x^2 + eta_hat^2 s) + phi2(s) x^2 + phi3(s) + D1 * P_T.
+
+Simulation follows the same split: the prediction cloud is the fully observed
+particle engine run on the reduced problem, and E, which no cost term reads
+before T, is drawn once at T from its own stream.  The reduced problem's
+closed form is riccati.closed_form(reduced_problem(spec)).
 """
 
 from __future__ import annotations
@@ -24,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .control import FeedbackLaw, optimal_feedback
-from .errors import AssumptionError, DomainError, SimulationDivergedError
+from .errors import AssumptionError, DomainError
 from .model import ProblemSpec
 from .riccati import RiccatiSolution, sample_solution
-from .simulate import (CostReport, SimConfig, _CHUNK_ELEMENTS, _steps_for,
-                       cost_from_cloud)
+from .simulate import CostReport, SimConfig, cost_from_cloud, evolve_cloud
 
 __all__ = [
     "PartialObsSpec",
@@ -39,8 +42,6 @@ __all__ = [
     "error_variance",
     "reduced_problem",
     "partial_value",
-    "analytic_partial_phi",
-    "analytic_partial_solution",
     "optimal_prediction_feedback",
     "evolve_partial",
     "simulate_partial",
@@ -124,36 +125,6 @@ def partial_value(spec: PartialObsSpec, phi: RiccatiSolution) -> float:
     return p1 * m2 + p2 * spec.x * spec.x + p3 + spec.D1 * error_variance(spec, spec.T)
 
 
-def analytic_partial_phi(preset_name: str, t: float,
-                         spec: PartialObsSpec) -> tuple[float, float, float]:
-    """Closed-form reduced-problem phi at original-clock time t in [s, T].
-
-    example3 (D1=1, D2=0): (1/(1+T-t), 0, sigma_hat^2 log(1+T-t)).
-    example4 (D1=0, D2=1): (0, 1/(1+T-t), 0).
-    """
-    t = float(t)
-    if t < spec.s or t > spec.T:
-        raise DomainError(f"t = {t:.6g} outside [{spec.s:.6g}, {spec.T:.6g}]")
-    rem = spec.T - t
-    if preset_name == "example3":
-        return (1.0 / (1.0 + rem), 0.0, spec.sigma_hat ** 2 * math.log(1.0 + rem))
-    if preset_name == "example4":
-        return (0.0, 1.0 / (1.0 + rem), 0.0)
-    raise DomainError(f"no closed form for preset {preset_name!r}")
-
-
-def analytic_partial_solution(preset_name: str, spec: PartialObsSpec,
-                              steps: int = 1000) -> RiccatiSolution:
-    """Closed-form reduced-problem solution on the shifted grid [0, T - s]."""
-    steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
-    grid = np.linspace(0.0, spec.T - spec.s, steps + 1)
-    vals = [analytic_partial_phi(preset_name, spec.s + float(tau), spec) for tau in grid]
-    arr = np.array(vals)
-    return RiccatiSolution(grid=grid, phi1=arr[:, 0], phi2=arr[:, 1], phi3=arr[:, 2])
-
-
 def optimal_prediction_feedback(spec: PartialObsSpec, phi: RiccatiSolution) -> FeedbackLaw:
     """Optimal feedback for the prediction process, on the shifted clock."""
     return optimal_feedback(reduced_problem(spec), phi)
@@ -161,10 +132,12 @@ def optimal_prediction_feedback(spec: PartialObsSpec, phi: RiccatiSolution) -> F
 
 @dataclass(frozen=True, eq=False)
 class PartialTrajectory:
-    """Per-step empirical moments of the prediction cloud and the full state.
+    """Per-step moments of the prediction cloud and of the full state.
 
     times are on the original clock (from s to T).  p is the exact error
-    variance P_t, not an estimate.
+    variance P_t, not an estimate, and m2 = m2_hat + p is the full-state
+    second moment given the prediction cloud.  err holds the estimation
+    error at T only.
     """
 
     times: np.ndarray
@@ -179,65 +152,27 @@ class PartialTrajectory:
 
 def evolve_partial(spec: PartialObsSpec, law: FeedbackLaw,
                    config: SimConfig) -> PartialTrajectory:
-    """Simulate (X_hat, E) jointly with Euler-Maruyama on [s, T].
+    """Simulate X_hat on [s, T] and draw the estimation error E at T.
 
-    The two noise sources use independent child streams spawned from the
-    seed, so changing one side's parameters never shifts the other's draws.
-    The law is consumed on the shifted clock (tau = t - s), matching
-    optimal_prediction_feedback.
+    X_hat is evolve_cloud on the reduced problem from N(x, eta_hat^2 s) (a
+    Dirac at x when s = 0), so the law is consumed on the shifted clock
+    tau = t - s, matching optimal_prediction_feedback.  E_T is the sum of its
+    two independent sources, eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1,
+    drawn on a child stream spawned from the seed, so the error never shifts
+    the prediction's draws.
     """
-    horizon = spec.T - spec.s
-    n_steps = _steps_for(horizon, config.dt)
-    n = config.n_paths
-    dt = config.dt
-    taus = np.linspace(0.0, horizon, n_steps + 1)
-    al_k, be_k = law.gains_on(taus[:-1])
-    al_k = np.ascontiguousarray(al_k)
-    be_k = np.ascontiguousarray(be_k)
-
-    ss_hat, ss_tilde = np.random.SeedSequence(config.seed).spawn(2)
-    rng_hat = np.random.Generator(np.random.Philox(ss_hat))
-    rng_tilde = np.random.Generator(np.random.Philox(ss_tilde))
-
-    if spec.s > 0.0:
-        root_s = math.sqrt(spec.s)
-        xhat = spec.x + spec.eta_hat * root_s * rng_hat.standard_normal(n)
-        err = spec.eta_tilde * root_s * rng_tilde.standard_normal(n)
-    else:
-        xhat = np.full(n, spec.x)
-        err = np.zeros(n)
-    run = np.zeros(n)
-    m1h = np.empty(n_steps + 1)
-    m2h = np.empty(n_steps + 1)
-    m2x = np.empty(n_steps + 1)
-
-    sh_sqdt = spec.sigma_hat * math.sqrt(dt)
-    st_sqdt = spec.sigma_tilde * math.sqrt(dt)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, 2 * n))
-    block_hat = np.empty((min(chunk, n_steps), n))
-    block_tilde = np.empty_like(block_hat)
-    k0 = 0
-    while k0 < n_steps:
-        k1 = min(n_steps, k0 + chunk)
-        zh = rng_hat.standard_normal(out=block_hat[:k1 - k0])
-        zt = rng_tilde.standard_normal(out=block_tilde[:k1 - k0])
-        _kernels.partial_chunk(xhat, err, run, zh, zt, sh_sqdt, st_sqdt,
-                               al_k[k0:k1], be_k[k0:k1], dt,
-                               m1h[k0:k1], m2h[k0:k1], m2x[k0:k1])
-        if not (np.isfinite(xhat).all() and np.isfinite(err).all()):
-            raise SimulationDivergedError(
-                f"particle state became non-finite before t = {spec.s + taus[k1]:.6g}"
-            )
-        k0 = k1
-    m1h[n_steps] = xhat.sum() / n
-    m2h[n_steps] = (xhat * xhat).sum() / n
-    xfull = xhat + err
-    m2x[n_steps] = (xfull * xfull).sum() / n
-
-    times = spec.s + taus
+    initial = (spec.x, spec.eta_hat ** 2 * spec.s) if spec.s > 0.0 else spec.x
+    cloud = evolve_cloud(reduced_problem(spec), law, initial, config)
+    child = np.random.SeedSequence(config.seed).spawn(1)[0]
+    z = np.random.Generator(np.random.Philox(child)).standard_normal(
+        (2, config.n_paths))
+    err = (spec.eta_tilde * math.sqrt(spec.s) * z[0]
+           + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])
+    times = spec.s + cloud.times
     p = np.array([error_variance(spec, float(t)) for t in times])
-    return PartialTrajectory(times=times, m1_hat=m1h, m2_hat=m2h, m2=m2x,
-                             p=p, xhat=xhat, err=err, run_costs=run)
+    return PartialTrajectory(times=times, m1_hat=cloud.m1, m2_hat=cloud.m2,
+                             m2=cloud.m2 + p, p=p, xhat=cloud.states, err=err,
+                             run_costs=cloud.run_costs)
 
 
 def simulate_partial(spec: PartialObsSpec, law: FeedbackLaw,
@@ -265,6 +200,8 @@ def cost_decomposition_check(spec: PartialObsSpec,
                              traj: PartialTrajectory) -> DecompositionReport:
     """Estimate J and J_hat from the same particles of one trajectory and
     report the defect J - J_hat - D1 * P_T, which should vanish in expectation.
+    J reads the per-path full state X_hat + E, never traj.m2, which is built
+    from P_T and would make the defect vanish by construction.
 
     The defect's standard error comes from the per-path difference
     D1 (2 X_hat E + E^2) + 2 D2 m1_hat E - D1 P_T, whose sample mean is the
@@ -276,8 +213,9 @@ def cost_decomposition_check(spec: PartialObsSpec,
     n = x.size
     running = float(traj.run_costs.mean())
     m1x = float(x.mean())
+    m2x = float((x * x).sum() / n)
     m1h = float(xh.mean())
-    total = running + spec.D1 * float(traj.m2[-1]) + spec.D2 * m1x * m1x
+    total = running + spec.D1 * m2x + spec.D2 * m1x * m1x
     pred = running + spec.D1 * float(traj.m2_hat[-1]) + spec.D2 * m1h * m1h
     comp = spec.D1 * error_variance(spec, spec.T)
     defect = total - pred - comp
@@ -292,7 +230,7 @@ def cost_decomposition_check(spec: PartialObsSpec,
 
 
 def partial_trajectory_to_csv(traj: PartialTrajectory, path) -> None:
-    """Write columns t, P_t, m1_hat, m2_hat, m2."""
+    """Write columns t, P_t, m1_hat, m2_hat, m2 (= m2_hat + P_t)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "P_t", "m1_hat", "m2_hat", "m2"])

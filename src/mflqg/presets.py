@@ -6,8 +6,8 @@ example3  partially observed counterpart of example1
 example4  partially observed counterpart of example2
 
 All four use unit coefficients A=0, B=1, Q=1 (and sigma=1 for the fully
-observed pair), which is exactly the regime the closed forms in
-riccati.analytic_riccati and partial_obs.analytic_partial_phi cover.
+observed pair), inside the regime riccati.closed_form covers: the scalar
+presets directly, the partial ones through partial_obs.reduced_problem.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ __all__ = [
     "riccati_rhs",
     "solve_riccati",
     "sample_solution",
-    "analytic_riccati",
-    "analytic_solution",
+    "closed_form",
     "matrix_riccati_rhs",
     "solve_matrix_riccati",
     "solution_to_csv",
@@ -153,33 +152,40 @@ def sample_solution(sol: RiccatiSolution, t: float) -> tuple[float, float, float
     )
 
 
-def analytic_riccati(preset_name: str, t: float, T: float = 1.0) -> tuple[float, float, float]:
-    """Closed-form phi(t) for the built-in unit-coefficient presets.
+def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
+    """Closed-form phi on the solve_riccati grid, for constant coefficients
+    with A = 0 and B != 0.
 
-    example1 (D1=1, D2=0): phi = (1/(1+T-t), 0, log(1+T-t)).
-    example2 (D1=0, D2=1): phi = (0, 1/(1+T-t), 0).
+    With r = B^2/Q and tau = T - t, phi1 and Pi = phi1 + phi2 solve the same
+    equation Pi' = r Pi^2 from D1 and D1 + D2, so
+
+        phi1 = D1 / (1 + r D1 tau)
+        phi2 = (D1 + D2) / (1 + r (D1 + D2) tau) - phi1
+        phi3 = (sigma^2 / r) log(1 + r D1 tau)
+
+    Any other spec raises DomainError; a negative weight that makes a
+    denominator vanish on [0, T] raises FiniteEscapeError.
     """
-    t = float(t)
-    T = float(T)
-    if t < 0.0 or t > T:
-        raise DomainError(f"t = {t:.6g} outside [0, {T:.6g}]")
-    rem = T - t
-    if preset_name == "example1":
-        return (1.0 / (1.0 + rem), 0.0, math.log(1.0 + rem))
-    if preset_name == "example2":
-        return (0.0, 1.0 / (1.0 + rem), 0.0)
-    raise DomainError(f"no closed form for preset {preset_name!r}")
-
-
-def analytic_solution(preset_name: str, T: float = 1.0, steps: int = 1000) -> RiccatiSolution:
-    """Closed-form phi sampled on the same uniform grid solve_riccati uses."""
     steps = int(steps)
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
-    grid = np.linspace(0.0, T, steps + 1)
-    vals = [analytic_riccati(preset_name, float(t), T) for t in grid]
-    arr = np.array(vals)
-    return RiccatiSolution(grid=grid, phi1=arr[:, 0], phi2=arr[:, 1], phi3=arr[:, 2])
+    coefs = (spec.A, spec.B, spec.sigma, spec.Q)
+    if any(c.kind != "constant" for c in coefs) or spec.A(0.0) != 0.0 \
+            or spec.B(0.0) == 0.0 or not spec.Q(0.0) > 0.0:
+        raise DomainError("closed form needs constant coefficients with "
+                          "A = 0, B != 0 and Q > 0")
+    r = spec.B(0.0) ** 2 / spec.Q(0.0)
+    for weight, name in ((spec.D1, "phi1"), (spec.D1 + spec.D2, "phi2")):
+        if 1.0 + r * weight * spec.T <= 0.0:
+            raise FiniteEscapeError(spec.T + 1.0 / (r * weight), name)
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    tau = spec.T - grid
+    d1 = spec.D1
+    pi = spec.D1 + spec.D2
+    phi1 = d1 / (1.0 + r * d1 * tau)
+    phi2 = pi / (1.0 + r * pi * tau) - phi1
+    phi3 = spec.sigma(0.0) ** 2 / r * np.log(1.0 + r * d1 * tau)
+    return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
-                   ProblemSpec, SimConfig, analytic_solution, cost_decomposition_check,
+                   ProblemSpec, SimConfig, closed_form, cost_decomposition_check,
                    cost_oracle, evolve_cloud, evolve_partial, gaussianity_check, master_residual, optimal_feedback,
                    optimal_prediction_feedback, partial_value, perturbation_sweep,
                    preset, reduced_problem, simulate_mc, simulate_partial,
@@ -64,9 +64,9 @@ def test_criterion_03_closed_forms_and_convergence():
     parts = []
     for name in ("example1", "example2"):
         spec = preset(name)
-        err = _phi_gap(solve_riccati(spec, 1000), analytic_solution(name, 1.0, 1000))
+        err = _phi_gap(solve_riccati(spec, 1000), closed_form(preset(name), 1000))
         errs = {steps: _phi_gap(solve_riccati(spec, steps),
-                                analytic_solution(name, 1.0, steps))
+                                closed_form(preset(name), steps))
                 for steps in (125, 250, 500)}
         f1 = errs[125] / errs[250]
         f2 = errs[250] / errs[500]
@@ -265,8 +265,8 @@ def test_criterion_11_matrix_reduction():
                           D1=np.diag([1.0, 0.0]), D2=np.diag([0.0, 1.0]),
                           T=1.0),
         1000)
-    ref1 = analytic_solution("example1", 1.0, 1000)
-    ref2 = analytic_solution("example2", 1.0, 1000)
+    ref1 = closed_form(preset("example1"), 1000)
+    ref2 = closed_form(preset("example2"), 1000)
     diag_gap = max(
         float(np.abs(msol.phi1[:, 0, 0] - ref1.phi1).max()),
         float(np.abs(msol.phi1[:, 1, 1]).max()),

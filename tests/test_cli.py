@@ -179,8 +179,25 @@ def test_verify_scalar_config(tmp_path, capsys):
     assert {"assumptions", "terminal-exactness", "residual-sweep",
             "oracle-vs-value", "perturbation-margin", "mc-vs-oracle",
             "gaussianity"} <= names
+    assert "analytic-phi" not in names  # closed forms are checked on presets
     payload = read_json(tmp_path / "verify.json")
     assert payload["passed"] is True
+    margin = next(c for c in payload["checks"]
+                  if c["name"] == "perturbation-margin")
+    assert 0.0 < margin["measured"] < margin["threshold"] == 0.2
+    assert "smallest margin" in margin["detail"]
+    assert read_json(tmp_path / "manifest.json")["params"]["steps"] == 1000
+
+
+def test_verify_partial_uses_first_x(tmp_path, capsys):
+    rc = main(["verify", "--preset", "example3", "--x", "2", "--paths", "50000",
+               "--dt", "0.01", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    checks = {c["name"]: c for c in read_json(tmp_path / "verify.json")["checks"]}
+    value = float(checks["value-consistency"]["detail"].split()[1].rstrip(","))
+    # x^2 phi1(0) + sigma_hat^2 log 2 + D1 P_T with phi1(0) = 1/2
+    assert value == pytest.approx(2.0 + 0.5 * math.log(2.0) + 0.5, abs=1e-8)
 
 
 def test_verify_matrix_config(tmp_path, capsys):
@@ -215,18 +232,18 @@ def test_verify_all_presets_pass(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, name):
-    # Every Monte Carlo result of one command comes from one seeded trajectory.
+    # Every Monte Carlo result of one command comes from one seeded particle
+    # cloud; a partially observed problem runs it on the reduced problem.
     calls = []
-    for fn_name in ("evolve_cloud", "evolve_partial"):
-        original = getattr(mflqg.cli, fn_name)
+    original = mflqg.simulate.evolve_cloud
 
-        def counted(*args, _original=original, _name=fn_name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
-        for module in (mflqg.cli, mflqg.simulate, mflqg.partial_obs):
-            if getattr(module, fn_name, None) is original:
-                monkeypatch.setattr(module, fn_name, counted)
+    for module in (mflqg.cli, mflqg.simulate, mflqg.partial_obs):
+        if getattr(module, "evolve_cloud", None) is original:
+            monkeypatch.setattr(module, "evolve_cloud", counted)
     rc = main([command, "--preset", name, "--paths", "2000", "--dt", "0.05",
                "--seed", "3", "--out", str(tmp_path)])
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflqg import (AssumptionError, DomainError, FeedbackLaw, MeasureMoments,
-                   ProblemSpec, analytic_solution, hamiltonian,
+                   ProblemSpec, closed_form, hamiltonian,
                    hamiltonian_minimizer, master_residual, mu_derivative,
                    optimal_feedback, residual_sweep, scalar_preset,
                    solve_riccati, value_function)
@@ -21,7 +21,7 @@ def test_value_function_closed_form():
 
 
 def test_value_function_uses_both_moments():
-    sol = analytic_solution("example2", 1.0, 100)
+    sol = closed_form(scalar_preset("example2"), 100)
     # phi = (0, 1/2, 0) at t = 0: value is m1^2 / 2 regardless of m2
     v = value_function(sol, 0.0, MeasureMoments(1.0, 4.0))
     assert v == pytest.approx(0.5)
@@ -29,10 +29,10 @@ def test_value_function_uses_both_moments():
 
 def test_mu_derivative_formula():
     # d_mu v = 2 phi1 x + 2 phi2 m1
-    sol1 = analytic_solution("example1", 1.0, 100)
+    sol1 = closed_form(scalar_preset("example1"), 100)
     mu = MeasureMoments(0.5, 1.0)
     assert mu_derivative(sol1, 0.0, mu, 2.0) == pytest.approx(2.0 * 0.5 * 2.0)
-    sol2 = analytic_solution("example2", 1.0, 100)
+    sol2 = closed_form(scalar_preset("example2"), 100)
     # phi2(0) = 1/2, so the derivative is exactly m1, independent of x
     assert mu_derivative(sol2, 0.0, mu, 2.0) == pytest.approx(0.5)
     assert mu_derivative(sol2, 0.0, mu, -7.0) == pytest.approx(0.5)
@@ -117,7 +117,7 @@ def test_residual_tiny_on_fine_analytic_solution():
     # h^2 phi'''/6 sits around 1e-9, well under 1e-8
     for name in ("example1", "example2"):
         spec = scalar_preset(name)
-        ref = analytic_solution(name, 1.0, 40000)
+        ref = closed_form(scalar_preset(name), 40000)
         for t in (0.1, 0.5, 0.9):
             res = master_residual(spec, ref, t, MeasureMoments(0.3, 1.0))
             assert abs(res) <= 1e-8, f"{name} t={t}: {res:.3e}"
@@ -128,7 +128,7 @@ def test_residual_flags_perturbed_solution():
     # expected leading defect: m2 * (-(2 phi1 dp + dp^2)) + dp from the
     # quadratic term in the phi1 operator and the phi3 operator
     spec = scalar_preset("example1")
-    ref = analytic_solution("example1", 1.0, 2000)
+    ref = closed_form(scalar_preset("example1"), 2000)
     dp = 0.1
     bad = RiccatiSolution(grid=ref.grid, phi1=ref.phi1 + dp,
                           phi2=ref.phi2, phi3=ref.phi3)

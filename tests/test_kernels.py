@@ -2,11 +2,11 @@ import numpy as np
 
 from mflqg import SimConfig, optimal_feedback, scalar_preset, simulate_mc, solve_riccati
 from mflqg import _kernels
-from mflqg._kernels import mc_chunk, partial_chunk
+from mflqg._kernels import mc_chunk
 
 
-# Plain-loop references: one particle at a time, the same arithmetic as the
-# vectorized kernels in mflqg._kernels up to floating-point reduction order.
+# Plain-loop reference: one particle at a time, the same arithmetic as the
+# vectorized kernel in mflqg._kernels up to floating-point reduction order.
 
 def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
@@ -31,33 +31,8 @@ def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
             x[i] += (ak * x[i] + bk * u) * dt + sk * z[k, i]
 
 
-def _partial_chunk_loops(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
-                         m1h_out, m2h_out, m2x_out):
-    n = xh.shape[0]
-    for k in range(zh.shape[0]):
-        s1 = 0.0
-        s2 = 0.0
-        s2x = 0.0
-        for i in range(n):
-            s1 += xh[i]
-            s2 += xh[i] * xh[i]
-            xi = xh[i] + e[i]
-            s2x += xi * xi
-        m1 = s1 / n
-        m1h_out[k] = m1
-        m2h_out[k] = s2 / n
-        m2x_out[k] = s2x / n
-        alk = al[k]
-        bek = be[k]
-        for i in range(n):
-            u = alk * xh[i] + bek * m1
-            run[i] += dt * u * u
-            xh[i] += u * dt + sh_sqdt * zh[k, i]
-            e[i] += st_sqdt * zt[k, i]
-
-
-# Whole-array references: the same arithmetic in the same order as the
-# in-place kernels, so those must reproduce them bit for bit.
+# Whole-array reference: the same arithmetic in the same order as the
+# in-place kernel, so that must reproduce it bit for bit.
 
 def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
@@ -68,21 +43,6 @@ def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
         u = al[k] * x + be[k] * m1
         run += q_dt[k] * u * u
         x += (a[k] * x + b[k] * u) * dt + s_sqdt[k] * z[k]
-
-
-def _partial_chunk_expr(xh, e, run, zh, zt, sh_sqdt, st_sqdt, al, be, dt,
-                        m1h_out, m2h_out, m2x_out):
-    n = xh.shape[0]
-    for k in range(zh.shape[0]):
-        m1 = xh.sum() / n
-        m1h_out[k] = m1
-        m2h_out[k] = (xh * xh).sum() / n
-        xfull = xh + e
-        m2x_out[k] = (xfull * xfull).sum() / n
-        u = al[k] * xh + be[k] * m1
-        run += dt * u * u
-        xh += u * dt + sh_sqdt * zh[k]
-        e += st_sqdt * zt[k]
 
 
 def _random_mc_inputs(rng, n=64, k=5):
@@ -136,58 +96,6 @@ def test_kernels_match_whole_array_expressions():
         outs.append((xc, runc, m1, m2))
     for ref, got in zip(*outs):
         assert np.array_equal(ref, got)
-
-    zt = rng.normal(size=z.shape)
-    e = rng.normal(size=x.shape)
-    outs = []
-    for kernel in (_partial_chunk_expr, partial_chunk):
-        xc, ec, runc = x.copy(), e.copy(), run.copy()
-        moments = [np.empty(6) for _ in range(3)]
-        kernel(xc, ec, runc, z, zt, 0.6, 0.8, coefs[4], coefs[5], 1e-2, *moments)
-        outs.append((xc, ec, runc, *moments))
-    for ref, got in zip(*outs):
-        assert np.array_equal(ref, got)
-
-
-def test_partial_chunk_implementations_agree():
-    rng = np.random.default_rng(1)
-    n, k = 64, 4
-    xh = rng.normal(size=n)
-    e = rng.normal(size=n)
-    run = np.zeros(n)
-    zh = rng.normal(size=(k, n))
-    zt = rng.normal(size=(k, n))
-    al = rng.uniform(-1.0, 0.0, k)
-    be = rng.uniform(-1.0, 0.0, k)
-    args = (0.2, 0.1, al, be, 1e-2)
-    xh1, e1, run1 = xh.copy(), e.copy(), run.copy()
-    outs1 = [np.empty(k) for _ in range(3)]
-    _partial_chunk_loops(xh1, e1, run1, zh, zt, *args, *outs1)
-    xh2, e2, run2 = xh.copy(), e.copy(), run.copy()
-    outs2 = [np.empty(k) for _ in range(3)]
-    partial_chunk(xh2, e2, run2, zh, zt, *args, *outs2)
-    assert np.allclose(xh1, xh2, rtol=1e-12, atol=1e-14)
-    assert np.allclose(e1, e2, rtol=1e-12, atol=1e-14)
-    assert np.allclose(run1, run2, rtol=1e-12, atol=1e-14)
-    for o1, o2 in zip(outs1, outs2):
-        assert np.allclose(o1, o2, rtol=1e-12, atol=1e-14)
-
-
-def test_partial_chunk_error_accumulates_independently():
-    # alpha = beta = 0: xh moves only by its noise, e only by its own
-    n, k = 8, 3
-    rng = np.random.default_rng(2)
-    xh = np.zeros(n)
-    e = np.zeros(n)
-    run = np.zeros(n)
-    zh = rng.normal(size=(k, n))
-    zt = rng.normal(size=(k, n))
-    zeros = np.zeros(k)
-    outs = [np.empty(k) for _ in range(3)]
-    partial_chunk(xh, e, run, zh, zt, 1.0, 2.0, zeros, zeros, 0.25, *outs)
-    assert np.allclose(xh, zh.sum(axis=0))
-    assert np.allclose(e, 2.0 * zt.sum(axis=0))
-    assert run.max() == 0.0
 
 
 def test_backends_agree_on_full_simulation(monkeypatch):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mflqg import (AssumptionError, DomainError, PartialObsSpec, SimConfig,
-                   analytic_partial_phi, analytic_partial_solution,
-                   cost_decomposition_check, cost_oracle, error_variance,
-                   evolve_partial, mc_tolerance, optimal_prediction_feedback,
-                   partial_preset, partial_value, reduced_problem,
-                   simulate_partial, solve_riccati)
+                   closed_form, cost_decomposition_check, cost_oracle,
+                   error_variance, evolve_cloud, evolve_partial, mc_tolerance,
+                   optimal_prediction_feedback, partial_preset, partial_value,
+                   reduced_problem, scalar_preset, simulate_partial,
+                   solve_riccati)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -102,17 +102,18 @@ def test_partial_value_checks_horizon():
 
 
 def test_analytic_partial_phi():
+    # the partial closed form is the scalar one on the reduced problem
     spec = partial_preset("example3", sigma_hat2=0.5)
-    p1, p2, p3 = analytic_partial_phi("example3", 0.0, spec)
+    p1, p2, p3 = closed_form(reduced_problem(spec)).at(0.0)
     assert p1 == pytest.approx(0.5)
     assert p2 == 0.0
     assert p3 == pytest.approx(0.5 * math.log(2.0))
     spec4 = partial_preset("example4")
-    assert analytic_partial_phi("example4", 1.0, spec4) == (0.0, 1.0, 0.0)
+    assert closed_form(reduced_problem(spec4)).at(1.0) == (0.0, 1.0, 0.0)
+    full = closed_form(reduced_problem(partial_preset("example3", sigma_hat2=1.0)))
+    assert np.array_equal(full.phi3, closed_form(scalar_preset("example1")).phi3)
     with pytest.raises(DomainError):
-        analytic_partial_phi("example1", 0.0, spec)
-    with pytest.raises(DomainError):
-        analytic_partial_phi("example3", 1.5, spec)
+        closed_form(reduced_problem(spec)).at(1.5)
 
 
 def test_numeric_solution_matches_analytic_solution():
@@ -120,7 +121,7 @@ def test_numeric_solution_matches_analytic_solution():
         for s in (0.0, 0.25):
             spec = partial_preset(name, s=s, sigma_hat2=0.5)
             sol = solve_riccati(reduced_problem(spec), 1000)
-            ref = analytic_partial_solution(name, spec, 1000)
+            ref = closed_form(reduced_problem(spec), 1000)
             err = max(np.abs(sol.phi1 - ref.phi1).max(),
                       np.abs(sol.phi2 - ref.phi2).max(),
                       np.abs(sol.phi3 - ref.phi3).max())
@@ -147,6 +148,28 @@ def test_evolve_partial_is_reproducible():
     assert t1.times[0] == 0.25 and t1.times[-1] == 1.0
     assert t1.p[0] == pytest.approx(error_variance(spec, 0.25))
     assert t1.p[-1] == pytest.approx(error_variance(spec, 1.0))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25])
+def test_evolve_partial_is_evolve_cloud_on_reduced_problem(s):
+    # X_hat is the fully observed engine on the reduced problem, bit for bit;
+    # E is drawn at T only, and its variance is the closed-form P_T.
+    spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=s)
+    reduced = reduced_problem(spec)
+    law = optimal_prediction_feedback(spec, solve_riccati(reduced, 1000))
+    n = 20_000
+    cfg = SimConfig(n, 1e-2, 13)
+    traj = evolve_partial(spec, law, cfg)
+    initial = (spec.x, spec.eta_hat ** 2 * s) if s > 0.0 else spec.x
+    cloud = evolve_cloud(reduced, law, initial, cfg)
+    assert np.array_equal(traj.xhat, cloud.states)
+    assert np.array_equal(traj.m1_hat, cloud.m1)
+    assert np.array_equal(traj.m2_hat, cloud.m2)
+    assert np.array_equal(traj.run_costs, cloud.run_costs)
+    assert np.array_equal(traj.m2, traj.m2_hat + traj.p)
+    p_T = error_variance(spec, spec.T)
+    se = p_T * math.sqrt(2.0 / (n - 1))
+    assert abs(traj.err.var(ddof=1) - p_T) <= 4.0 * se
 
 
 def test_hidden_noise_stream_is_independent():
@@ -194,7 +217,15 @@ def test_decomposition_defect_within_band():
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
     law = optimal_prediction_feedback(spec, sol)
-    d = cost_decomposition_check(spec, evolve_partial(spec, law, SimConfig(50_000, 1e-3, 7)))
+    traj = evolve_partial(spec, law, SimConfig(50_000, 1e-3, 7))
+    d = cost_decomposition_check(spec, traj)
+    # J is read off the per-path full state; traj.m2 = m2_hat + P_t would
+    # make the defect vanish by construction
+    x = traj.xhat + traj.err
+    assert d.total == pytest.approx(
+        traj.run_costs.mean() + spec.D1 * (x * x).mean()
+        + spec.D2 * x.mean() ** 2, rel=1e-12)
+    assert d.defect != 0.0
     assert d.error_compensation == pytest.approx(
         spec.D1 * error_variance(spec, spec.T))
     assert abs(d.defect) <= 3.0 * d.defect_std_error, \

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (DomainError, FiniteEscapeError, MatrixProblemSpec,
-                   ProblemSpec, analytic_riccati, analytic_solution,
+from mflqg import (Coefficient, DomainError, FiniteEscapeError,
+                   MatrixProblemSpec, ProblemSpec, closed_form,
                    matrix_riccati_rhs, riccati_rhs, sample_solution,
                    scalar_preset, solve_matrix_riccati, solve_riccati)
 from mflqg.riccati import matrix_solution_to_csv, solution_to_csv
@@ -42,7 +42,7 @@ def test_terminal_data_is_exact():
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_matches_closed_form(name):
     sol = solve_riccati(scalar_preset(name), 1000)
-    ref = analytic_solution(name, 1.0, 1000)
+    ref = closed_form(scalar_preset(name), 1000)
     err = max(np.abs(sol.phi1 - ref.phi1).max(),
               np.abs(sol.phi2 - ref.phi2).max(),
               np.abs(sol.phi3 - ref.phi3).max())
@@ -61,7 +61,7 @@ def test_rk4_convergence_order():
     errs = []
     for steps in (125, 250, 500):
         sol = solve_riccati(scalar_preset("example1"), steps)
-        ref = analytic_solution("example1", 1.0, steps)
+        ref = closed_form(scalar_preset("example1"), steps)
         errs.append(max(np.abs(sol.phi1 - ref.phi1).max(),
                         np.abs(sol.phi3 - ref.phi3).max()))
     r1 = errs[0] / errs[1]
@@ -111,15 +111,40 @@ def test_solution_at_terminal_time():
 
 
 def test_analytic_riccati_values_and_errors():
-    p1, p2, p3 = analytic_riccati("example1", 0.0, T=1.0)
+    p1, p2, p3 = closed_form(scalar_preset("example1")).at(0.0)
     assert p1 == pytest.approx(0.5)
     assert p2 == 0.0
     assert p3 == pytest.approx(math.log(2.0))
-    assert analytic_riccati("example2", 0.0) == (0.0, 0.5, 0.0)
+    assert closed_form(scalar_preset("example2")).at(0.0) == (0.0, 0.5, 0.0)
     with pytest.raises(DomainError):
-        analytic_riccati("example1", 2.0, T=1.0)
-    with pytest.raises(DomainError):
-        analytic_riccati("not-a-preset", 0.5)
+        closed_form(scalar_preset("example1")).at(2.0)
+    # outside the closed form's domain: A != 0, B = 0, time-varying data
+    unit = dict(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
+    for bad in (dict(A=0.5), dict(B=0.0), dict(sigma=Coefficient.poly([1.0, 1.0]))):
+        with pytest.raises(DomainError):
+            closed_form(ProblemSpec(**{**unit, **bad}))
+
+
+def test_closed_form_matches_solver_off_unit_coefficients():
+    # constant B, sigma, Q away from 1 and both terminal weights live
+    spec = ProblemSpec(A=0.0, B=2.0, sigma=0.7, Q=0.5, D1=0.8, D2=-0.3, T=1.5)
+    sol = solve_riccati(spec, 3000)
+    ref = closed_form(spec, 3000)
+    err = max(np.abs(sol.phi1 - ref.phi1).max(),
+              np.abs(sol.phi2 - ref.phi2).max(),
+              np.abs(sol.phi3 - ref.phi3).max())
+    assert err <= 1e-8, f"max norm error {err:.3e}"
+
+
+def test_closed_form_reports_finite_escape():
+    # D1 = -2 with r = 1: 1 + r D1 (T - t) vanishes at t = 0.5
+    spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=-2.0, D2=0.0, T=1.0)
+    with pytest.raises(FiniteEscapeError) as err:
+        closed_form(spec)
+    assert err.value.time == pytest.approx(0.5)
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_riccati(spec, 1000)
+    assert err.value.time == pytest.approx(0.5, abs=0.01)
 
 
 def test_steps_domain():
@@ -190,7 +215,7 @@ def test_matrix_solve_diagonal_decouples():
     # problem with D1 = 1; phi3 doubles because the trace sums coordinates
     spec = _matrix_unit(2)
     msol = solve_matrix_riccati(spec, 1000)
-    ref = analytic_solution("example1", 1.0, 1000)
+    ref = closed_form(scalar_preset("example1"), 1000)
     assert np.abs(msol.phi1[:, 0, 0] - ref.phi1).max() <= 1e-8
     assert np.abs(msol.phi1[:, 1, 1] - ref.phi1).max() <= 1e-8
     assert np.abs(msol.phi1[:, 0, 1]).max() == 0.0

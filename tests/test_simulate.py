@@ -106,14 +106,13 @@ def test_chunk_size_does_not_change_results(monkeypatch):
 
 def test_one_increment_block_per_run(monkeypatch):
     # Every chunk refills the same block, so a run holds one block of
-    # increments (two for the partial engine, one per stream) at a time.
+    # increments at a time.
     import tracemalloc
 
     from mflqg import partial_obs, partial_preset
     from mflqg.partial_obs import evolve_partial, optimal_prediction_feedback
 
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 400_000)
-    monkeypatch.setattr(partial_obs, "_CHUNK_ELEMENTS", 400_000)
     cfg = SimConfig(2000, 1e-3, 4)
     block_bytes = 400_000 * 8
     spec, _, law = _optimal()

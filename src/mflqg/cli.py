@@ -37,9 +37,7 @@ from .model import (MatrixProblemSpec, MeasureMoments, ProblemSpec,
                     validate_matrix_spec, validate_spec)
 from .partial_obs import (PartialObsSpec, cost_decomposition_check,
                           error_variance, evolve_partial,
-                          optimal_prediction_feedback,
-                          partial_trajectory_to_csv, partial_value,
-                          reduced_problem)
+                          partial_trajectory_to_csv, reduced_problem)
 from .presets import PRESET_NAMES, preset
 from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
                       solve_matrix_riccati, solve_riccati)
@@ -145,12 +143,11 @@ def _resolve_target(args):
     return resolved.the_problem(), f"config:{args.config}", resolved.simulation
 
 
-def _grid_steps(args, spec) -> int:
+def _grid_steps(args, horizon: float) -> int:
     """--steps, or 1000 intervals per unit of the horizon the Riccati system
     is solved on (T - s for a partially observed problem)."""
     if args.steps is not None:
         return args.steps
-    horizon = spec.T - spec.s if isinstance(spec, PartialObsSpec) else spec.T
     return max(10, int(round(1000.0 * horizon)))
 
 
@@ -220,6 +217,58 @@ def _require_validated(spec) -> None:
         raise AssumptionError(result.message)
 
 
+@dataclass(frozen=True)
+class _Scalar:
+    """The fully observed scalar problem a command runs on.
+
+    A partially observed spec becomes its reduced problem for the prediction
+    process: control starts from N(x, var0) with var0 = eta_hat^2 s, and the
+    estimation error adds the constant comp = D1 P_T to every cost.  From
+    there every command runs the scalar code.
+    """
+
+    problem: ProblemSpec
+    xs: list                # requested initial states; the first is simulated
+    probe_xs: list          # where oracle-vs-value compares
+    partial: PartialObsSpec | None = None   # with x = xs[0]
+    var0: float = 0.0
+    comp: float = 0.0
+
+    @property
+    def kind(self) -> str:
+        return "scalar" if self.partial is None else "partial_obs"
+
+    def moments(self, x: float) -> MeasureMoments:
+        return MeasureMoments(x, x * x + self.var0)
+
+    def value(self, sol, x: float) -> float:
+        return value_function(sol, 0.0, self.moments(x)) + self.comp
+
+    def oracle(self, law, x: float, steps: int) -> CostReport:
+        mu = self.moments(x)
+        return cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
+
+
+def _scalar_view(spec, args) -> _Scalar:
+    if isinstance(spec, PartialObsSpec):
+        xs = _scalar_xs(args, default=(spec.x,))
+        spec = dataclasses.replace(spec, x=xs[0])
+        return _Scalar(reduced_problem(spec), xs, xs, spec,
+                       spec.eta_hat ** 2 * spec.s,
+                       spec.D1 * error_variance(spec, spec.T))
+    return _Scalar(spec, _scalar_xs(args), _scalar_xs(args, default=(0.0, 1.0)))
+
+
+def _particles(view: _Scalar, law, sim: SimConfig):
+    """One seeded particle run from xs[0]: the trajectory, the full-state
+    terminal cloud and the controlled (prediction) terminal cloud."""
+    if view.partial is None:
+        traj = evolve_cloud(view.problem, law, view.xs[0], sim)
+        return traj, traj.states, traj.states
+    traj = evolve_partial(view.partial, law, sim)
+    return traj, traj.xhat + traj.err, traj.xhat
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -229,8 +278,8 @@ def cmd_solve(args) -> int:
     outputs = {}
     summary: dict = {"source": source}
 
-    steps = _grid_steps(args, spec)
     if isinstance(spec, MatrixProblemSpec):
+        steps = _grid_steps(args, spec.T)
         vecs = _vector_xs(args, spec.d)
         _require_validated(spec)
         sol = solve_matrix_riccati(spec, steps)
@@ -242,37 +291,20 @@ def cmd_solve(args) -> int:
             value = float(vec @ p1 @ vec + vec @ p2 @ vec + p3)
             values.append({"x": [float(v) for v in vec], "value": value})
         summary.update(kind="matrix", d=spec.d, T=spec.T, steps=steps, values=values)
-    elif isinstance(spec, PartialObsSpec):
-        xs = _scalar_xs(args, default=(spec.x,))
-        reduced = reduced_problem(spec)
-        _require_validated(reduced)
-        sol = solve_riccati(reduced, steps)
-        law = optimal_prediction_feedback(spec, sol)
-        solution_to_csv(sol, os.path.join(out, "phi.csv"))
-        law_to_csv(law, os.path.join(out, "gains.csv"))
-        outputs["phi"] = "phi.csv"
-        outputs["gains"] = "gains.csv"
-        values = []
-        for x in xs:
-            shifted = dataclasses.replace(spec, x=x)
-            values.append({"x": x, "value": partial_value(shifted, sol)})
-        summary.update(kind="partial_obs", T=spec.T, s=spec.s, steps=steps,
-                       error_compensation=spec.D1 * error_variance(spec, spec.T),
-                       values=values)
     else:
-        xs = _scalar_xs(args)
-        _require_validated(spec)
-        sol = solve_riccati(spec, steps)
-        law = optimal_feedback(spec, sol)
+        view = _scalar_view(spec, args)
+        steps = _grid_steps(args, view.problem.T)
+        _require_validated(view.problem)
+        sol = solve_riccati(view.problem, steps)
         solution_to_csv(sol, os.path.join(out, "phi.csv"))
-        law_to_csv(law, os.path.join(out, "gains.csv"))
+        law_to_csv(optimal_feedback(view.problem, sol),
+                   os.path.join(out, "gains.csv"))
         outputs["phi"] = "phi.csv"
         outputs["gains"] = "gains.csv"
-        values = []
-        for x in xs:
-            mu = MeasureMoments.dirac(x)
-            values.append({"x": x, "value": value_function(sol, 0.0, mu)})
-        summary.update(kind="scalar", T=spec.T, steps=steps, values=values)
+        values = [{"x": x, "value": view.value(sol, x)} for x in view.xs]
+        summary.update(kind=view.kind, T=spec.T, steps=steps, values=values)
+        if view.partial is not None:
+            summary.update(s=spec.s, error_compensation=view.comp)
 
     _write_json(os.path.join(out, "summary.json"), summary)
     outputs["summary"] = "summary.json"
@@ -289,41 +321,29 @@ def cmd_simulate(args) -> int:
     spec, source, config_sim = _resolve_target(args)
     out = _ensure_outdir(args.out)
     sim = _sim_config(args, config_sim)
-    outputs = {}
 
     if isinstance(spec, MatrixProblemSpec):
         raise DomainError("simulate supports scalar and partial_obs problems")
 
-    steps = _grid_steps(args, spec)
-    if isinstance(spec, PartialObsSpec):
-        spec = dataclasses.replace(spec, x=_scalar_xs(args, default=(spec.x,))[0])
-        x0 = spec.x
-        reduced = reduced_problem(spec)
-        _require_validated(reduced)
-        law = optimal_prediction_feedback(spec, solve_riccati(reduced, steps))
-        comp = spec.D1 * error_variance(spec, spec.T)
-        m2_0 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
-        oracle = cost_oracle(reduced, law, spec.x, m2_0, steps)
-        traj = evolve_partial(spec, law, sim)
-        mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
-        partial_trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-        by_kind = {"kind": "partial_obs", "error_compensation": comp,
-                   "oracle": {"total": oracle.total + comp,
-                              "running": oracle.running,
-                              "terminal": oracle.terminal + comp}}
-    else:
-        _require_validated(spec)
-        x0 = _scalar_xs(args)[0]
-        law = optimal_feedback(spec, solve_riccati(spec, steps))
-        oracle = cost_oracle(spec, law, x0, x0 * x0, steps)
-        traj = evolve_cloud(spec, law, x0, sim)
-        mc = cost_from_cloud(spec, traj.states, traj.run_costs)
-        trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-        by_kind = {"kind": "scalar", "oracle": dataclasses.asdict(oracle)}
-    outputs["trajectory"] = "trajectory.csv"
+    view = _scalar_view(spec, args)
+    steps = _grid_steps(args, view.problem.T)
+    x0 = view.xs[0]
+    _require_validated(view.problem)
+    law = optimal_feedback(view.problem, solve_riccati(view.problem, steps))
+    oracle = view.oracle(law, x0, steps)
+    traj, states, _ = _particles(view, law, sim)
+    mc = cost_from_cloud(view.problem, states, traj.run_costs)
+    write = trajectory_to_csv if view.partial is None else partial_trajectory_to_csv
+    write(traj, os.path.join(out, "trajectory.csv"))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
-               "mc": dataclasses.asdict(mc), **by_kind}
+               "mc": dataclasses.asdict(mc), "kind": view.kind,
+               "oracle": dataclasses.asdict(oracle)}
+    if view.partial is not None:
+        summary["error_compensation"] = view.comp
+        summary["oracle"] = {"total": oracle.total + view.comp,
+                             "running": oracle.running,
+                             "terminal": oracle.terminal + view.comp}
 
     discrepancy = abs(mc.total - summary["oracle"]["total"])
     threshold = mc_tolerance(mc.std_error, sim.dt)
@@ -331,11 +351,12 @@ def cmd_simulate(args) -> int:
     summary["threshold"] = threshold
     summary["within_threshold"] = bool(discrepancy <= threshold)
     _write_json(os.path.join(out, "summary.json"), summary)
-    outputs["summary"] = "summary.json"
     RunManifest(command="simulate", source=source,
                 params={"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt,
                         "seed": sim.seed},
-                outputs=outputs).write(os.path.join(out, "manifest.json"))
+                outputs={"trajectory": "trajectory.csv",
+                         "summary": "summary.json"},
+                ).write(os.path.join(out, "manifest.json"))
     return 0
 
 
@@ -397,8 +418,54 @@ def _gaussianity_entry(states) -> _Check:
                   f"{gauss.excess_kurtosis:.4f}")
 
 
-def _verify_scalar(spec: ProblemSpec, preset_name: str | None, args, steps: int,
+def _perturbation_entry(view: _Scalar, law, x0: float, steps: int) -> _Check:
+    """Constant gain offsets around the optimum, all in one oracle pass: every
+    margin over the zero-offset cost must be positive, and each channel's
+    margin must grow with exponent 2 in the offset."""
+    sizes = np.array([0.05, 0.1, 0.2, 0.4])
+    offsets = [sign * d for d in sizes.tolist() for sign in (1.0, -1.0)]
+    deltas = ([(0.0, 0.0)] + [(o, 0.0) for o in offsets]
+              + [(0.0, o) for o in offsets])
+    mu = view.moments(x0)
+    swept = perturbation_sweep(view.problem, law, deltas, mu.m1, mu.m2, steps)
+    totals = np.array([total for _, total in swept])
+    margins = totals[1:] - totals[0]
+    fit_ok = True
+    details = []
+    worst_dev = 0.0
+    for channel, m in zip(("alpha", "beta"), margins.reshape(2, -1)):
+        vals = 0.5 * m[0::2] + 0.5 * m[1::2]
+        if (vals <= 0.0).any():
+            fit_ok = False
+            details.append(f"{channel}: non-positive margin")
+            continue
+        slope = float(np.polyfit(np.log(sizes), np.log(vals), 1)[0])
+        if not 1.8 <= slope <= 2.2:
+            fit_ok = False
+        worst_dev = max(worst_dev, abs(slope - 2.0))
+        details.append(f"{channel} exponent {slope:.3f}")
+    details.append(f"smallest margin {margins.min():.3e}")
+    return _Check("perturbation-margin", bool((margins > 0.0).all()) and fit_ok,
+                  worst_dev, 0.2, "; ".join(details))
+
+
+def _decomposition_entry(spec: PartialObsSpec, traj) -> _Check:
+    decomp = cost_decomposition_check(spec, traj)
+    if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0:
+        tol = 1e-12
+    else:
+        tol = 3.0 * decomp.defect_std_error
+    return _Check("cost-decomposition", abs(decomp.defect) <= tol,
+                  abs(decomp.defect), tol,
+                  f"defect {decomp.defect:.3e}, band {tol:.3e}")
+
+
+def _verify_scalar(view: _Scalar, preset_name: str | None, steps: int,
                    sim: SimConfig, out: str, outputs: dict) -> list[_Check]:
+    """The check battery of a scalar-kind problem; a partially observed one
+    adds cost-decomposition."""
+    spec = view.problem
+    x0 = view.xs[0]
     checks: list[_Check] = []
 
     result = validate_spec(spec)
@@ -417,133 +484,36 @@ def _verify_scalar(spec: ProblemSpec, preset_name: str | None, args, steps: int,
     residual_to_csv(rows, os.path.join(out, "residual.csv"))
     outputs["residual"] = "residual.csv"
     worst = max(abs(r[3]) for r in rows)
-    phimax = max(float(np.abs(sol.phi1).max()), float(np.abs(sol.phi2).max()),
-                 float(np.abs(sol.phi3).max()))
-    # The defect scales with the third time-derivative of phi; for problems
-    # far from unit scale, widen the band with the solution's magnitude.
-    tol = 1e-6 * max(1.0, phimax * phimax)
-    checks.append(_Check("residual-sweep", worst <= tol, worst, tol,
+    checks.append(_Check("residual-sweep", worst <= 1e-6, worst, 1e-6,
                          f"max |residual| = {worst:.3e} over 100 draws"))
+
+    # The value read off a refined grid must agree with the working grid's.
+    v1 = view.value(sol, x0)
+    gap = abs(v1 - view.value(solve_riccati(spec, 2 * steps), x0))
+    checks.append(_Check("value-consistency", gap <= 1e-6, gap, 1e-6,
+                         f"value {v1:.9f}, refined-grid shift {gap:.3e}"))
 
     oracle_steps = max(2000, steps)
     sol_fine = solve_riccati(spec, oracle_steps)
     law_fine = optimal_feedback(spec, sol_fine)
     worst_gap = 0.0
-    for x in _scalar_xs(args, default=(0.0, 1.0)):
-        mu = MeasureMoments.dirac(x)
-        value = value_function(sol_fine, 0.0, mu)
-        oracle = cost_oracle(spec, law_fine, x, x * x, oracle_steps)
-        worst_gap = max(worst_gap, abs(oracle.total - value))
+    for x in view.probe_xs:
+        oracle = view.oracle(law_fine, x, oracle_steps)
+        worst_gap = max(worst_gap,
+                        abs(oracle.total + view.comp - view.value(sol_fine, x)))
+    what = ("max |oracle - ansatz value|" if view.partial is None
+            else "|oracle + error compensation - value|")
     checks.append(_Check("oracle-vs-value", worst_gap <= 1e-5, worst_gap, 1e-5,
-                         f"max |oracle - ansatz value| = {worst_gap:.3e}"))
+                         f"{what} = {worst_gap:.3e}"))
+    checks.append(_perturbation_entry(view, law_fine, x0, oracle_steps))
 
-    x0 = _scalar_xs(args)[0]
-    base_cost = cost_oracle(spec, law_fine, x0, x0 * x0, oracle_steps).total
-    margins_ok = True
-    fit_ok = True
-    details = []
-    worst_dev = 0.0
-    smallest = math.inf
-    for channel in ("alpha", "beta"):
-        sizes = (0.05, 0.1, 0.2, 0.4)
-        deltas = []
-        for d in sizes:
-            for sign in (1.0, -1.0):
-                deltas.append((sign * d, 0.0) if channel == "alpha" else (0.0, sign * d))
-        swept = perturbation_sweep(spec, law_fine, deltas, x0, x0 * x0, oracle_steps)
-        margins = {}
-        for (da, db), total in swept:
-            size = abs(da) if channel == "alpha" else abs(db)
-            margin = total - base_cost
-            smallest = min(smallest, margin)
-            if margin <= 0.0:
-                margins_ok = False
-            margins[size] = margins.get(size, 0.0) + 0.5 * margin
-        sizes_arr = np.array(sorted(margins))
-        vals = np.array([margins[s] for s in sizes_arr])
-        if (vals <= 0.0).any():
-            fit_ok = False
-            details.append(f"{channel}: non-positive margin")
-            continue
-        slope = float(np.polyfit(np.log(sizes_arr), np.log(vals), 1)[0])
-        if not 1.8 <= slope <= 2.2:
-            fit_ok = False
-        worst_dev = max(worst_dev, abs(slope - 2.0))
-        details.append(f"{channel} exponent {slope:.3f}")
-    details.append(f"smallest margin {smallest:.3e}")
-    checks.append(_Check("perturbation-margin", margins_ok and fit_ok,
-                         worst_dev, 0.2, "; ".join(details)))
-
-    oracle0 = cost_oracle(spec, law, x0, x0 * x0, oracle_steps)
-    traj = evolve_cloud(spec, law, x0, sim)
-    mc = cost_from_cloud(spec, traj.states, traj.run_costs)
-    checks.append(_mc_check(mc, oracle0.total, sim.dt))
-    checks.append(_gaussianity_entry(traj.states))
-    return checks
-
-
-def _verify_partial(spec: PartialObsSpec, preset_name: str | None, args,
-                    steps: int, sim: SimConfig, out: str,
-                    outputs: dict) -> list[_Check]:
-    checks: list[_Check] = []
-    horizon = spec.T - spec.s
-    spec = dataclasses.replace(spec, x=_scalar_xs(args, default=(spec.x,))[0])
-    reduced = reduced_problem(spec)
-
-    result = validate_spec(reduced)
-    checks.append(_Check("assumptions", result.ok, 0.0, 0.0, result.message))
-    if not result.ok:
-        return checks
-
-    sol = solve_riccati(reduced, steps)
-    law = optimal_prediction_feedback(spec, sol)
-    checks += _solution_entries(reduced, sol, steps, preset_name)
-
-    rng = np.random.Generator(np.random.Philox(12345))
-    ts = rng.uniform(0.1 * horizon, 0.9 * horizon, 100)
-    mus = _random_measures(rng, 100)
-    rows = residual_sweep(reduced, sol, zip(ts, mus))
-    residual_to_csv(rows, os.path.join(out, "residual.csv"))
-    outputs["residual"] = "residual.csv"
-    worst = max(abs(r[3]) for r in rows)
-    checks.append(_Check("residual-sweep", worst <= 1e-6, worst, 1e-6,
-                         f"max |residual| = {worst:.3e} over 100 draws"))
-
-    # Value consistency: the closed-form value read off a refined grid must
-    # agree with the working grid's.
-    sol2 = solve_riccati(reduced, 2 * steps)
-    v1 = partial_value(spec, sol)
-    v2 = partial_value(spec, sol2)
-    gap = abs(v1 - v2)
-    checks.append(_Check("value-consistency", gap <= 1e-6, gap, 1e-6,
-                         f"value {v1:.9f}, refined-grid shift {gap:.3e}"))
-
-    oracle_steps = max(2000, steps)
-    sol_fine = solve_riccati(reduced, oracle_steps)
-    law_fine = optimal_prediction_feedback(spec, sol_fine)
-    comp = spec.D1 * error_variance(spec, spec.T)
-    m2_0 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
-    oracle = cost_oracle(reduced, law_fine, spec.x, m2_0, oracle_steps)
-    value = partial_value(spec, sol_fine)
-    gap = abs(oracle.total + comp - value)
-    checks.append(_Check("oracle-vs-value", gap <= 1e-5, gap, 1e-5,
-                         f"|oracle + error compensation - value| = {gap:.3e}"))
-
-    traj = evolve_partial(spec, law, sim)
-    mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
-    oracle_total = cost_oracle(reduced, law, spec.x, m2_0, oracle_steps).total + comp
+    oracle_total = view.oracle(law, x0, oracle_steps).total + view.comp
+    traj, states, controlled = _particles(view, law, sim)
+    mc = cost_from_cloud(spec, states, traj.run_costs)
     checks.append(_mc_check(mc, oracle_total, sim.dt))
-
-    decomp = cost_decomposition_check(spec, traj)
-    if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0:
-        tol_d = 1e-12
-    else:
-        tol_d = 3.0 * decomp.defect_std_error
-    checks.append(_Check("cost-decomposition", abs(decomp.defect) <= tol_d,
-                         abs(decomp.defect), tol_d,
-                         f"defect {decomp.defect:.3e}, band {tol_d:.3e}"))
-    # The prediction cloud has the law of the reduced problem's cloud.
-    checks.append(_gaussianity_entry(traj.xhat))
+    checks.append(_gaussianity_entry(controlled))
+    if view.partial is not None:
+        checks.append(_decomposition_entry(view.partial, traj))
     return checks
 
 
@@ -584,21 +554,17 @@ def cmd_verify(args) -> int:
     spec, source, config_sim = _resolve_target(args)
     out = _ensure_outdir(args.out)
     sim = _sim_config(args, config_sim)
-    preset_name = args.preset
-    steps = _grid_steps(args, spec)
     outputs: dict = {}
 
     if isinstance(spec, MatrixProblemSpec):
+        steps = _grid_steps(args, spec.T)
         checks = _verify_matrix(spec, steps, out, outputs)
         kind = "matrix"
-    elif isinstance(spec, PartialObsSpec):
-        checks = _verify_partial(spec, preset_name, args, steps, sim, out,
-                                 outputs)
-        kind = "partial_obs"
     else:
-        checks = _verify_scalar(spec, preset_name, args, steps, sim, out,
-                                outputs)
-        kind = "scalar"
+        view = _scalar_view(spec, args)
+        steps = _grid_steps(args, view.problem.T)
+        checks = _verify_scalar(view, args.preset, steps, sim, out, outputs)
+        kind = view.kind
 
     for check in checks:
         _print_check(check)

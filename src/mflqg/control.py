@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError
+from .errors import DomainError
 from .model import MeasureMoments, ProblemSpec
 from .riccati import RiccatiSolution, sample_solution
 
@@ -107,26 +107,14 @@ def hamiltonian(spec: ProblemSpec, t: float, x: float, dmu_v: float, a: float) -
 
 def hamiltonian_minimizer(spec: ProblemSpec, t: float, dmu_v: float) -> float:
     """argmin over a of the Hamiltonian: -B dmu_v / (2 Q)."""
-    q = spec.Q(t)
-    if not q > 0.0:
-        raise AssumptionError(
-            f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {q:.6g}"
-        )
+    q = float(spec.control_weight_on(t))
     return -spec.B(t) * float(dmu_v) / (2.0 * q)
 
 
 def optimal_feedback(spec: ProblemSpec, sol: RiccatiSolution) -> FeedbackLaw:
     """Gains alpha = -B phi1 / Q and beta = -B phi2 / Q on the solution grid."""
     grid = sol.grid
-    ratio = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        t = float(t)
-        q = spec.Q(t)
-        if not q > 0.0:
-            raise AssumptionError(
-                f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {q:.6g}"
-            )
-        ratio[i] = spec.B(t) / q
+    ratio = spec.B.on(grid) / spec.control_weight_on(grid)
     return FeedbackLaw(grid=grid.copy(), alpha=-ratio * sol.phi1, beta=-ratio * sol.phi2)
 
 
@@ -163,12 +151,8 @@ def master_residual(spec: ProblemSpec, sol: RiccatiSolution, t: float,
     dp3 = (pp[2] - pm[2]) / (2.0 * h)
     a = spec.A(t)
     b = spec.B(t)
-    q = spec.Q(t)
+    q = float(spec.control_weight_on(t))
     sig = spec.sigma(t)
-    if not q > 0.0:
-        raise AssumptionError(
-            f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {q:.6g}"
-        )
     r = b * b / q
     l1 = dp1 - r * pc[0] * pc[0] + 2.0 * a * pc[0]
     l2 = dp2 - r * pc[1] * pc[1] - 2.0 * r * pc[0] * pc[1] + 2.0 * a * pc[1]

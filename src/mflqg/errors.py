@@ -1,12 +1,19 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain a function is defined on."""
 
 
 class AssumptionError(ValueError):
-    """A standing model assumption fails (e.g. the control weight is not positive)."""
+    """A standing model assumption fails (e.g. the control weight is not
+    positive), at `time` when the assumption is about one time."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 class FiniteEscapeError(RuntimeError):

@@ -96,6 +96,24 @@ class Coefficient:
         w = (t - ts[lo]) / (ts[hi] - ts[lo])
         return vs[lo] + w * (vs[hi] - vs[lo])
 
+    def on(self, times) -> np.ndarray:
+        """Values at an array of times, bit for bit what calling at each gives."""
+        t = np.asarray(times, dtype=np.float64)
+        if self.kind == "constant":
+            return np.full(t.shape, self.data[0])
+        if self.kind == "poly":
+            acc = np.zeros(t.shape)
+            for c in reversed(self.data):
+                acc = acc * t + c
+            return acc
+        ts, vs = (np.array(a) for a in self.data)
+        outside = (t < ts[0]) | (t > ts[-1])
+        if outside.any():
+            self(float(t[outside][0]))  # raises DomainError with the message
+        lo = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+        w = (t - ts[lo]) / (ts[lo + 1] - ts[lo])
+        return np.where(t == ts[lo], vs[lo], vs[lo] + w * (vs[lo + 1] - vs[lo]))
+
 
 CoefficientLike = Union[Coefficient, float, int]
 
@@ -141,6 +159,18 @@ class ProblemSpec:
         object.__setattr__(self, "T", float(self.T))
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
+
+    def control_weight_on(self, times) -> np.ndarray:
+        """Q at `times`, checked against assumption A1 (Q > 0); the
+        AssumptionError names the first of the times where it fails."""
+        q = self.Q.on(times)
+        bad = np.flatnonzero(~(q > 0.0))
+        if bad.size:
+            t, qt = float(np.ravel(times)[bad[0]]), float(np.ravel(q)[bad[0]])
+            raise AssumptionError(
+                f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {qt:.6g}",
+                t)
+        return q
 
 
 @dataclass(frozen=True)
@@ -220,7 +250,8 @@ def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult
         raise DomainError("grid_points must be at least 2")
     if not spec.T > 0.0:
         return ValidationResult(False, "horizon T must be positive", None)
-    for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma)):
+    for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
+                       ("Q", spec.Q)):
         for t in (0.0, spec.T):
             try:
                 coef(t)
@@ -228,18 +259,11 @@ def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult
                 return ValidationResult(
                     False, f"coefficient {name} not evaluable: {exc}", t
                 )
-    for t in np.linspace(0.0, spec.T, grid_points):
-        t = float(t)
-        try:
-            q = spec.Q(t)
-        except DomainError as exc:
-            return ValidationResult(False, f"coefficient Q not evaluable: {exc}", t)
-        if not q > 0.0:
-            return ValidationResult(
-                False,
-                f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {q:.6g}",
-                t,
-            )
+    times = np.linspace(0.0, spec.T, grid_points)
+    try:
+        spec.control_weight_on(times)
+    except AssumptionError as exc:
+        return ValidationResult(False, str(exc), exc.time)
     return ValidationResult(True, "ok", None)
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import FeedbackLaw, optimal_feedback
+from .control import FeedbackLaw, optimal_feedback, value_function
 from .errors import AssumptionError, DomainError
-from .model import ProblemSpec
-from .riccati import RiccatiSolution, sample_solution
+from .model import MeasureMoments, ProblemSpec
+from .riccati import RiccatiSolution
 from .simulate import CostReport, SimConfig, cost_from_cloud, evolve_cloud
 
 __all__ = [
@@ -120,9 +120,8 @@ def partial_value(spec: PartialObsSpec, phi: RiccatiSolution) -> float:
         raise DomainError(
             f"solution horizon {phi.T:.6g} does not match T - s = {horizon:.6g}"
         )
-    p1, p2, p3 = sample_solution(phi, 0.0)
-    m2 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
-    return p1 * m2 + p2 * spec.x * spec.x + p3 + spec.D1 * error_variance(spec, spec.T)
+    mu = MeasureMoments(spec.x, spec.x * spec.x + spec.eta_hat ** 2 * spec.s)
+    return value_function(phi, 0.0, mu) + spec.D1 * error_variance(spec, spec.T)
 
 
 def optimal_prediction_feedback(spec: PartialObsSpec, phi: RiccatiSolution) -> FeedbackLaw:
@@ -169,7 +168,7 @@ def evolve_partial(spec: PartialObsSpec, law: FeedbackLaw,
     err = (spec.eta_tilde * math.sqrt(spec.s) * z[0]
            + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])
     times = spec.s + cloud.times
-    p = np.array([error_variance(spec, float(t)) for t in times])
+    p = spec.eta_tilde ** 2 * spec.s + spec.sigma_tilde ** 2 * (times - spec.s)
     return PartialTrajectory(times=times, m1_hat=cloud.m1, m2_hat=cloud.m2,
                              m2=cloud.m2 + p, p=p, xhat=cloud.states, err=err,
                              run_costs=cloud.run_costs)

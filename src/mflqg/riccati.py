@@ -11,12 +11,15 @@ solve, backwards from phi(T) = (D1, D2, 0),
 Solutions can blow up in finite time when a terminal weight is negative; the
 integrator raises FiniteEscapeError as soon as any component leaves
 [-1e12, 1e12], reporting the grid time at which that happened.
+
+rk4 is the package's one ODE integrator: the scalar and matrix Riccati
+systems here and the moment ODEs of simulate.cost_oracle all step through it,
+with coefficients and gains tabulated once at its stage times.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,8 @@ from .model import MatrixProblemSpec, ProblemSpec
 
 __all__ = [
     "DIVERGENCE_LIMIT",
+    "stage_times",
+    "rk4",
     "RiccatiSolution",
     "MatrixRiccatiSolution",
     "riccati_rhs",
@@ -39,6 +44,58 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+
+
+def _grid(T: float, steps: int) -> np.ndarray:
+    """Uniform grid of `steps` intervals over [0, T]."""
+    steps = int(steps)
+    if steps < 2:
+        raise DomainError(f"steps must be >= 2, got {steps}")
+    return np.linspace(0.0, T, steps + 1)
+
+
+def stage_times(nodes: np.ndarray) -> np.ndarray:
+    """Times at which rk4 evaluates a right-hand side when it steps along
+    `nodes`: node k at index 2k, the midpoint of step k at index 2k + 1."""
+    times = np.empty(2 * nodes.size - 1)
+    times[0::2] = nodes
+    times[1::2] = nodes[:-1] + 0.5 * np.diff(nodes)
+    return times
+
+
+def rk4(rhs, y0, nodes: np.ndarray, names, settle=lambda y: y) -> list[np.ndarray]:
+    """Classical fixed-step RK4 from y0 at nodes[0] along `nodes`, which may
+    run backwards in time; returns each component at every node, in the
+    order of `nodes`.
+
+    y0 is a list of components, each a float or a numpy array.  rhs(j, y)
+    returns one derivative per component at index j of stage_times(nodes),
+    so it can read coefficients tabulated there once.  settle maps every
+    stage input and every accepted step (the matrix system symmetrizes).
+    A component that turns non-finite or leaves [-DIVERGENCE_LIMIT,
+    DIVERGENCE_LIMIT] at a node raises FiniteEscapeError with that node's
+    time and the component's entry in `names`.
+    """
+    out = [np.empty((nodes.size,) + np.shape(c)) for c in y0]
+    hs = np.diff(nodes).tolist()
+    y = y0
+    for k in range(nodes.size):
+        for row, c, name in zip(out, y, names):
+            size = abs(c) if isinstance(c, float) else np.abs(c).max()
+            if not size <= DIVERGENCE_LIMIT:
+                raise FiniteEscapeError(float(nodes[k]), name)
+            row[k] = c
+        if k == len(hs):
+            return out
+        h = hs[k]
+        half = 0.5 * h
+        sixth = h / 6.0
+        k1 = rhs(2 * k, y)
+        k2 = rhs(2 * k + 1, settle([c + half * d for c, d in zip(y, k1)]))
+        k3 = rhs(2 * k + 1, settle([c + half * d for c, d in zip(y, k2)]))
+        k4 = rhs(2 * k + 2, settle([c + h * d for c, d in zip(y, k3)]))
+        y = settle([c + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                    for c, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,32 +126,23 @@ class RiccatiSolution:
         return sample_solution(self, t)
 
 
+def _riccati_derivs(a, r, s2, p1, p2):
+    """phi' from A, r = B^2/Q and sigma^2 at one time."""
+    return (r * p1 * p1 - 2.0 * a * p1,
+            r * p2 * p2 + 2.0 * r * p1 * p2 - 2.0 * a * p2,
+            -s2 * p1)
+
+
 def riccati_rhs(spec: ProblemSpec, t: float, phi) -> tuple[float, float, float]:
     """Right-hand side of the backward system at time t.
 
     Raises AssumptionError if Q(t) <= 0, since the quadratic-in-control
     minimization that produced these equations needs a positive weight.
     """
-    p1, p2, p3 = phi
-    a = spec.A(t)
     b = spec.B(t)
-    q = spec.Q(t)
+    q = float(spec.control_weight_on(t))
     sig = spec.sigma(t)
-    if not q > 0.0:
-        raise AssumptionError(
-            f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {q:.6g}"
-        )
-    r = b * b / q
-    d1 = r * p1 * p1 - 2.0 * a * p1
-    d2 = r * p2 * p2 + 2.0 * r * p1 * p2 - 2.0 * a * p2
-    d3 = -sig * sig * p1
-    return (d1, d2, d3)
-
-
-def _check_escape(p1: float, p2: float, p3: float, t: float) -> None:
-    for value, name in ((p1, "phi1"), (p2, "phi2"), (p3, "phi3")):
-        if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
-            raise FiniteEscapeError(t, name)
+    return _riccati_derivs(spec.A(t), b * b / q, sig * sig, phi[0], phi[1])
 
 
 def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
@@ -104,52 +152,37 @@ def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     boundary data exactly.  Deterministic: the same spec and step count give
     bit-identical output.
     """
-    steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
-    grid = np.linspace(0.0, spec.T, steps + 1)
-    phi1 = np.empty(steps + 1)
-    phi2 = np.empty(steps + 1)
-    phi3 = np.empty(steps + 1)
-    p1, p2, p3 = spec.D1, spec.D2, 0.0
-    phi1[steps], phi2[steps], phi3[steps] = p1, p2, p3
-    _check_escape(p1, p2, p3, spec.T)
-    for k in range(steps, 0, -1):
-        t1 = float(grid[k])
-        h = float(grid[k - 1]) - t1  # negative
-        a1, b1, c1 = riccati_rhs(spec, t1, (p1, p2, p3))
-        a2, b2, c2 = riccati_rhs(
-            spec, t1 + 0.5 * h, (p1 + 0.5 * h * a1, p2 + 0.5 * h * b1, p3 + 0.5 * h * c1)
-        )
-        a3, b3, c3 = riccati_rhs(
-            spec, t1 + 0.5 * h, (p1 + 0.5 * h * a2, p2 + 0.5 * h * b2, p3 + 0.5 * h * c2)
-        )
-        a4, b4, c4 = riccati_rhs(
-            spec, t1 + h, (p1 + h * a3, p2 + h * b3, p3 + h * c3)
-        )
-        p1 = p1 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p2 = p2 + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        p3 = p3 + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        _check_escape(p1, p2, p3, float(grid[k - 1]))
-        phi1[k - 1], phi2[k - 1], phi3[k - 1] = p1, p2, p3
-    return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
+    grid = _grid(spec.T, steps)
+    nodes = grid[::-1]
+    times = stage_times(nodes)
+    a = spec.A.on(times).tolist()
+    b = spec.B.on(times)
+    r = (b * b / spec.control_weight_on(times)).tolist()
+    sig = spec.sigma.on(times)
+    s2 = (sig * sig).tolist()
+
+    def rhs(j, y):
+        return _riccati_derivs(a[j], r[j], s2[j], y[0], y[1])
+
+    phi = rk4(rhs, [spec.D1, spec.D2, 0.0], nodes, ("phi1", "phi2", "phi3"))
+    return RiccatiSolution(grid, *(c[::-1] for c in phi))
+
+
+def _sample(grid: np.ndarray, t: float, *tables) -> list:
+    """Linear interpolation of each node-indexed table at t; nodes are exact."""
+    t = float(t)
+    if t < grid[0] or t > grid[-1]:
+        raise DomainError(f"t = {t:.6g} outside [{grid[0]:.6g}, {grid[-1]:.6g}]")
+    i = int(np.searchsorted(grid, t, side="right")) - 1
+    if i >= grid.size - 1:
+        return [v[-1] for v in tables]
+    w = (t - grid[i]) / (grid[i + 1] - grid[i])
+    return [v[i] + w * (v[i + 1] - v[i]) for v in tables]
 
 
 def sample_solution(sol: RiccatiSolution, t: float) -> tuple[float, float, float]:
     """Linear interpolation of phi at t in [0, T]; grid nodes are exact."""
-    g = sol.grid
-    t = float(t)
-    if t < g[0] or t > g[-1]:
-        raise DomainError(f"t = {t:.6g} outside [{g[0]:.6g}, {g[-1]:.6g}]")
-    i = int(np.searchsorted(g, t, side="right")) - 1
-    if i >= g.size - 1:
-        return (float(sol.phi1[-1]), float(sol.phi2[-1]), float(sol.phi3[-1]))
-    w = (t - g[i]) / (g[i + 1] - g[i])
-    return (
-        float(sol.phi1[i] + w * (sol.phi1[i + 1] - sol.phi1[i])),
-        float(sol.phi2[i] + w * (sol.phi2[i + 1] - sol.phi2[i])),
-        float(sol.phi3[i] + w * (sol.phi3[i + 1] - sol.phi3[i])),
-    )
+    return tuple(float(v) for v in _sample(sol.grid, t, sol.phi1, sol.phi2, sol.phi3))
 
 
 def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
@@ -166,9 +199,6 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     Any other spec raises DomainError; a negative weight that makes a
     denominator vanish on [0, T] raises FiniteEscapeError.
     """
-    steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
     coefs = (spec.A, spec.B, spec.sigma, spec.Q)
     if any(c.kind != "constant" for c in coefs) or spec.A(0.0) != 0.0 \
             or spec.B(0.0) == 0.0 or not spec.Q(0.0) > 0.0:
@@ -178,7 +208,7 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     for weight, name in ((spec.D1, "phi1"), (spec.D1 + spec.D2, "phi2")):
         if 1.0 + r * weight * spec.T <= 0.0:
             raise FiniteEscapeError(spec.T + 1.0 / (r * weight), name)
-    grid = np.linspace(0.0, spec.T, steps + 1)
+    grid = _grid(spec.T, steps)
     tau = spec.T - grid
     d1 = spec.D1
     pi = spec.D1 + spec.D2
@@ -219,19 +249,27 @@ class MatrixRiccatiSolution:
         return float(self.grid[-1])
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        g = self.grid
-        t = float(t)
-        if t < g[0] or t > g[-1]:
-            raise DomainError(f"t = {t:.6g} outside [{g[0]:.6g}, {g[-1]:.6g}]")
-        i = int(np.searchsorted(g, t, side="right")) - 1
-        if i >= g.size - 1:
-            return (self.phi1[-1].copy(), self.phi2[-1].copy(), float(self.phi3[-1]))
-        w = (t - g[i]) / (g[i + 1] - g[i])
-        return (
-            self.phi1[i] + w * (self.phi1[i + 1] - self.phi1[i]),
-            self.phi2[i] + w * (self.phi2[i + 1] - self.phi2[i]),
-            float(self.phi3[i] + w * (self.phi3[i + 1] - self.phi3[i])),
-        )
+        p1, p2, p3 = _sample(self.grid, t, self.phi1, self.phi2, self.phi3)
+        return np.array(p1), np.array(p2), float(p3)
+
+
+def _matrix_coefs(spec: MatrixProblemSpec, t: float):
+    """A, M = B Q^{-1} B^T and sigma sigma^T at time t."""
+    a = spec.A_at(t)
+    b = spec.B_at(t)
+    q = spec.Q_at(t)
+    sig = spec.sigma_at(t)
+    try:
+        m = b @ np.linalg.solve(q, b.T)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError(f"control weight Q({t:.6g}) is singular") from exc
+    return a, m, sig @ sig.T
+
+
+def _matrix_derivs(a, m, ss, p1, p2):
+    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
+    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
+    return (_sym(d1), _sym(d2), -float(np.trace(ss @ p1)))
 
 
 def matrix_riccati_rhs(spec: MatrixProblemSpec, t: float, phi):
@@ -243,21 +281,9 @@ def matrix_riccati_rhs(spec: MatrixProblemSpec, t: float, phi):
         phi2' = 2 phi2^T M phi1 + phi2^T M phi2 - 2 A^T phi2
         phi3' = -tr(sigma sigma^T phi1)
     """
-    p1, p2, p3 = phi
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    a = spec.A_at(t)
-    b = spec.B_at(t)
-    q = spec.Q_at(t)
-    sig = spec.sigma_at(t)
-    try:
-        m = b @ np.linalg.solve(q, b.T)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(f"control weight Q({t:.6g}) is singular") from exc
-    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
-    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
-    d3 = -float(np.trace(sig @ sig.T @ p1))
-    return (_sym(d1), _sym(d2), d3)
+    p1 = np.asarray(phi[0], dtype=np.float64)
+    p2 = np.asarray(phi[1], dtype=np.float64)
+    return _matrix_derivs(*_matrix_coefs(spec, t), p1, p2)
 
 
 def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRiccatiSolution:
@@ -266,41 +292,23 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     Every stage input and every accepted step is symmetrized, so the stored
     phi1, phi2 are symmetric to machine precision at all grid times.
     """
-    steps = int(steps)
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
-    d = spec.d
-    grid = np.linspace(0.0, spec.T, steps + 1)
-    phi1 = np.empty((steps + 1, d, d))
-    phi2 = np.empty((steps + 1, d, d))
-    phi3 = np.empty(steps + 1)
-    p1 = np.array(spec.D1, dtype=np.float64)
-    p2 = np.array(spec.D2, dtype=np.float64)
-    p3 = 0.0
-    phi1[steps], phi2[steps], phi3[steps] = p1, p2, p3
+    grid = _grid(spec.T, steps)
+    nodes = grid[::-1]
+    times = stage_times(nodes)
+    if any(callable(getattr(spec, f)) for f in ("A", "B", "sigma", "Q")):
+        coefs = [_matrix_coefs(spec, float(t)) for t in times]
+    else:
+        coefs = [_matrix_coefs(spec, spec.T)] * times.size
 
-    def guard(q1, q2, q3, t):
-        worst = max(float(np.abs(q1).max()), float(np.abs(q2).max()), abs(q3))
-        if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-            raise FiniteEscapeError(t, "phi")
+    def rhs(j, y):
+        return _matrix_derivs(*coefs[j], y[0], y[1])
 
-    guard(p1, p2, p3, spec.T)
-    for k in range(steps, 0, -1):
-        t1 = float(grid[k])
-        h = float(grid[k - 1]) - t1
-        k1 = matrix_riccati_rhs(spec, t1, (p1, p2, p3))
-        y2 = (_sym(p1 + 0.5 * h * k1[0]), _sym(p2 + 0.5 * h * k1[1]), p3 + 0.5 * h * k1[2])
-        k2 = matrix_riccati_rhs(spec, t1 + 0.5 * h, y2)
-        y3 = (_sym(p1 + 0.5 * h * k2[0]), _sym(p2 + 0.5 * h * k2[1]), p3 + 0.5 * h * k2[2])
-        k3 = matrix_riccati_rhs(spec, t1 + 0.5 * h, y3)
-        y4 = (_sym(p1 + h * k3[0]), _sym(p2 + h * k3[1]), p3 + h * k3[2])
-        k4 = matrix_riccati_rhs(spec, t1 + h, y4)
-        p1 = _sym(p1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]))
-        p2 = _sym(p2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-        p3 = p3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        guard(p1, p2, p3, float(grid[k - 1]))
-        phi1[k - 1], phi2[k - 1], phi3[k - 1] = p1, p2, p3
-    return MatrixRiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
+    def settle(y):
+        return [_sym(y[0]), _sym(y[1]), y[2]]
+
+    phi = rk4(rhs, [np.array(spec.D1), np.array(spec.D2), 0.0], nodes,
+              ("phi", "phi", "phi"), settle)
+    return MatrixRiccatiSolution(grid, *(c[::-1] for c in phi))
 
 
 def solution_to_csv(sol: RiccatiSolution, path) -> None:

@@ -177,8 +177,8 @@ def test_verify_scalar_config(tmp_path, capsys):
     assert all(ln.startswith("[PASS]") for ln in lines)
     names = {ln.split("]")[1].split(":")[0].strip() for ln in lines}
     assert {"assumptions", "terminal-exactness", "residual-sweep",
-            "oracle-vs-value", "perturbation-margin", "mc-vs-oracle",
-            "gaussianity"} <= names
+            "value-consistency", "oracle-vs-value", "perturbation-margin",
+            "mc-vs-oracle", "gaussianity"} <= names
     assert "analytic-phi" not in names  # closed forms are checked on presets
     payload = read_json(tmp_path / "verify.json")
     assert payload["passed"] is True
@@ -221,12 +221,34 @@ def test_verify_reports_failed_assumptions(tmp_path, capsys):
 
 def test_verify_all_presets_pass(tmp_path, capsys):
     start = time.monotonic()
+    names = {}
     for name in ("example1", "example2", "example3", "example4"):
         rc = main(["verify", "--preset", name, "--out", str(tmp_path / name)])
         out = capsys.readouterr().out
         assert rc == 0, f"{name} failed:\n{out}"
         assert "all checks passed" in out
+        payload = read_json(tmp_path / name / "verify.json")
+        names[name] = [c["name"] for c in payload["checks"]]
     assert time.monotonic() - start < 300.0
+    # One battery: a partially observed problem runs the scalar checks on
+    # its reduced problem, in the same order, plus the cost decomposition.
+    scalar = names["example1"]
+    assert names["example2"] == scalar
+    assert "perturbation-margin" in scalar and "value-consistency" in scalar
+    for partial in ("example3", "example4"):
+        assert names[partial] == scalar + ["cost-decomposition"]
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_verify_is_deterministic(tmp_path, capsys, name):
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["verify", "--preset", name, "--paths", "2000", "--dt", "0.05",
+            "--seed", "11"]
+    assert main(args + ["--out", str(a)]) in (0, 1)
+    assert main(args + ["--out", str(b)]) in (0, 1)
+    capsys.readouterr()
+    for out_file in ("verify.json", "residual.csv", "manifest.json"):
+        assert (a / out_file).read_bytes() == (b / out_file).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -249,6 +271,26 @@ def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, nam
     capsys.readouterr()
     assert rc in (0, 1)
     assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_verify_makes_few_moment_passes(tmp_path, monkeypatch, capsys, name):
+    # Oracle-vs-value takes one pass per probed x (two for example1), the
+    # perturbation sweep one for all its offsets, mc-vs-oracle one.
+    calls = []
+    original = mflqg.simulate._moment_pass
+
+    def counted(spec, laws, *args, **kwargs):
+        calls.append(len(laws))
+        return original(spec, laws, *args, **kwargs)
+
+    monkeypatch.setattr(mflqg.simulate, "_moment_pass", counted)
+    rc = main(["verify", "--preset", name, "--paths", "2000", "--dt", "0.05",
+               "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    assert len(calls) <= 4, calls
+    assert sorted(calls)[-1] == 17  # the zero offset plus 16 perturbations
 
 
 def test_report_merges_runs(tmp_path, capsys):

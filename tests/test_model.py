@@ -175,3 +175,24 @@ def test_validate_matrix_spec_ok():
                              sigma=np.eye(2), Q=np.eye(2), D1=np.eye(2),
                              D2=np.zeros((2, 2)), T=1.0)
     assert validate_matrix_spec(spec).ok
+
+
+@pytest.mark.parametrize("coef", [
+    Coefficient.constant(-0.7),
+    Coefficient.poly([0.3, -1.1, 0.25, 2.0]),
+    Coefficient.table([0.0, 0.3, 0.55, 1.0], [1.0, -0.2, 0.7, 0.45]),
+], ids=["constant", "poly", "table"])
+def test_vectorized_evaluation_matches_calls(coef):
+    # knots, both endpoints and interior points, in no particular order
+    times = np.concatenate([[1.0, 0.0, 0.3, 0.55], np.linspace(0.0, 1.0, 37),
+                            np.random.default_rng(2).uniform(0.0, 1.0, 50)])
+    got = coef.on(times)
+    assert got.shape == times.shape
+    assert got.tolist() == [coef(float(t)) for t in times]
+
+
+def test_vectorized_table_evaluation_checks_domain():
+    f = Coefficient.table([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])
+    for outside in ([-0.01, 0.5], [0.5, 1.0 + 1e-12]):
+        with pytest.raises(DomainError, match="outside tabulated range"):
+            f.on(np.array(outside))

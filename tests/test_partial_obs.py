@@ -167,6 +167,7 @@ def test_evolve_partial_is_evolve_cloud_on_reduced_problem(s):
     assert np.array_equal(traj.m2_hat, cloud.m2)
     assert np.array_equal(traj.run_costs, cloud.run_costs)
     assert np.array_equal(traj.m2, traj.m2_hat + traj.p)
+    assert traj.p.tolist() == [error_variance(spec, float(t)) for t in traj.times]
     p_T = error_variance(spec, spec.T)
     se = p_T * math.sqrt(2.0 / (n - 1))
     assert abs(traj.err.var(ddof=1) - p_T) <= 4.0 * se

@@ -3,11 +3,177 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (Coefficient, DomainError, FiniteEscapeError,
-                   MatrixProblemSpec, ProblemSpec, closed_form,
-                   matrix_riccati_rhs, riccati_rhs, sample_solution,
-                   scalar_preset, solve_matrix_riccati, solve_riccati)
-from mflqg.riccati import matrix_solution_to_csv, solution_to_csv
+from mflqg import (AssumptionError, Coefficient, DomainError,
+                   FiniteEscapeError, MatrixProblemSpec, ProblemSpec,
+                   closed_form, matrix_riccati_rhs, riccati_rhs,
+                   sample_solution, scalar_preset, solve_matrix_riccati,
+                   solve_riccati)
+from mflqg.riccati import (DIVERGENCE_LIMIT, matrix_solution_to_csv,
+                           solution_to_csv)
+
+# A != 0, B a polynomial, sigma a table with a knot inside the horizon.
+TIME_VARYING = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
+                           sigma=Coefficient.table([0.0, 0.5, 1.0], [0.5, 0.7, 0.5]),
+                           Q=Coefficient.poly([1.0, 0.2]), D1=1.0, D2=0.5, T=1.0)
+
+# d = 3 with a non-symmetric A, Q = diag(1, 2, 1) and D2 != 0.
+MATRIX_D3 = dict(
+    d=3, A=[[-0.2, 0.5, 0.0], [0.1, -0.3, 0.4], [0.0, -0.2, 0.1]],
+    B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]],
+    sigma=[[0.6, 0.0, 0.0], [0.1, 0.5, 0.0], [0.0, 0.2, 0.4]],
+    Q=np.diag([1.0, 2.0, 1.0]), D1=np.eye(3),
+    D2=[[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]], T=1.0)
+
+
+# Hand-unrolled RK4 references: the loops solve_riccati and
+# solve_matrix_riccati ran before both stepped through riccati.rk4, with
+# every coefficient evaluated at every stage.  The solvers must reproduce
+# them bit for bit, escape reports included.
+
+def _escape_ref(values, names, t):
+    for value, name in zip(values, names):
+        if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
+            raise FiniteEscapeError(t, name)
+
+
+def _rhs_ref(spec, t, phi):
+    p1, p2, p3 = phi
+    a, b, q, sig = spec.A(t), spec.B(t), spec.Q(t), spec.sigma(t)
+    if not q > 0.0:
+        raise AssumptionError(f"Q({t}) = {q}")
+    r = b * b / q
+    return (r * p1 * p1 - 2.0 * a * p1,
+            r * p2 * p2 + 2.0 * r * p1 * p2 - 2.0 * a * p2,
+            -sig * sig * p1)
+
+
+def _solve_riccati_loop(spec, steps):
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    phi = np.empty((3, steps + 1))
+    p1, p2, p3 = spec.D1, spec.D2, 0.0
+    phi[:, steps] = p1, p2, p3
+    names = ("phi1", "phi2", "phi3")
+    _escape_ref((p1, p2, p3), names, spec.T)
+    for k in range(steps, 0, -1):
+        t1 = float(grid[k])
+        h = float(grid[k - 1]) - t1
+        a1, b1, c1 = _rhs_ref(spec, t1, (p1, p2, p3))
+        a2, b2, c2 = _rhs_ref(
+            spec, t1 + 0.5 * h, (p1 + 0.5 * h * a1, p2 + 0.5 * h * b1, p3 + 0.5 * h * c1)
+        )
+        a3, b3, c3 = _rhs_ref(
+            spec, t1 + 0.5 * h, (p1 + 0.5 * h * a2, p2 + 0.5 * h * b2, p3 + 0.5 * h * c2)
+        )
+        a4, b4, c4 = _rhs_ref(spec, t1 + h, (p1 + h * a3, p2 + h * b3, p3 + h * c3))
+        p1 = p1 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p2 = p2 + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        p3 = p3 + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        _escape_ref((p1, p2, p3), names, float(grid[k - 1]))
+        phi[:, k - 1] = p1, p2, p3
+    return phi
+
+
+def _sym_ref(m):
+    return 0.5 * (m + m.T)
+
+
+def _matrix_rhs_ref(spec, t, phi):
+    p1, p2, _ = phi
+    a, b, q, sig = spec.A_at(t), spec.B_at(t), spec.Q_at(t), spec.sigma_at(t)
+    m = b @ np.linalg.solve(q, b.T)
+    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
+    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
+    return (_sym_ref(d1), _sym_ref(d2), -float(np.trace(sig @ sig.T @ p1)))
+
+
+def _solve_matrix_riccati_loop(spec, steps):
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    phi1 = np.empty((steps + 1, spec.d, spec.d))
+    phi2 = np.empty((steps + 1, spec.d, spec.d))
+    phi3 = np.empty(steps + 1)
+    p1, p2, p3 = np.array(spec.D1), np.array(spec.D2), 0.0
+    phi1[steps], phi2[steps], phi3[steps] = p1, p2, p3
+
+    def guard(q1, q2, q3, t):
+        worst = max(float(np.abs(q1).max()), float(np.abs(q2).max()), abs(q3))
+        _escape_ref((worst,), ("phi",), t)
+
+    guard(p1, p2, p3, spec.T)
+    for k in range(steps, 0, -1):
+        t1 = float(grid[k])
+        h = float(grid[k - 1]) - t1
+        k1 = _matrix_rhs_ref(spec, t1, (p1, p2, p3))
+        y2 = (_sym_ref(p1 + 0.5 * h * k1[0]), _sym_ref(p2 + 0.5 * h * k1[1]),
+              p3 + 0.5 * h * k1[2])
+        k2 = _matrix_rhs_ref(spec, t1 + 0.5 * h, y2)
+        y3 = (_sym_ref(p1 + 0.5 * h * k2[0]), _sym_ref(p2 + 0.5 * h * k2[1]),
+              p3 + 0.5 * h * k2[2])
+        k3 = _matrix_rhs_ref(spec, t1 + 0.5 * h, y3)
+        y4 = (_sym_ref(p1 + h * k3[0]), _sym_ref(p2 + h * k3[1]), p3 + h * k3[2])
+        k4 = _matrix_rhs_ref(spec, t1 + h, y4)
+        p1 = _sym_ref(p1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]))
+        p2 = _sym_ref(p2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+        p3 = p3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        guard(p1, p2, p3, float(grid[k - 1]))
+        phi1[k - 1], phi2[k - 1], phi3[k - 1] = p1, p2, p3
+    return phi1, phi2, phi3
+
+
+@pytest.mark.parametrize("spec", [scalar_preset("example1"), TIME_VARYING],
+                         ids=["example1", "time-varying"])
+def test_solve_riccati_matches_unrolled_loop(spec):
+    sol = solve_riccati(spec, 1000)
+    ref = _solve_riccati_loop(spec, 1000)
+    assert (sol.grid == np.linspace(0.0, spec.T, 1001)).all()
+    assert (sol.phi1 == ref[0]).all()
+    assert (sol.phi2 == ref[1]).all()
+    assert (sol.phi3 == ref[2]).all()
+
+
+@pytest.mark.parametrize("callable_a", [False, True], ids=["constant", "callable"])
+def test_solve_matrix_riccati_matches_unrolled_loop(callable_a):
+    fields = dict(MATRIX_D3)
+    if callable_a:
+        a0 = np.array(fields["A"])
+        fields["A"] = lambda t: (1.0 + t) * a0
+    spec = MatrixProblemSpec(**fields)
+    sol = solve_matrix_riccati(spec, 400)
+    ref = _solve_matrix_riccati_loop(spec, 400)
+    assert (sol.phi1 == ref[0]).all()
+    assert (sol.phi2 == ref[1]).all()
+    assert (sol.phi3 == ref[2]).all()
+
+
+@pytest.mark.parametrize("d1, d2", [(-2.0, 0.0), (0.5, -3.0), (2e12, 0.0)])
+def test_finite_escape_matches_unrolled_loop(d1, d2):
+    # Same grid time and component as the reference, whichever escapes first.
+    spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=d1, D2=d2, T=1.0)
+    with pytest.raises(FiniteEscapeError) as ref:
+        _solve_riccati_loop(spec, 1000)
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_riccati(spec, 1000)
+    assert (err.value.time, err.value.component) == (ref.value.time, ref.value.component)
+    mspec = _matrix_unit(2, D1=d1 * np.eye(2), D2=d2 * np.eye(2))
+    with pytest.raises(FiniteEscapeError) as ref:
+        _solve_matrix_riccati_loop(mspec, 500)
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_matrix_riccati(mspec, 500)
+    assert (err.value.time, err.value.component) == (ref.value.time, ref.value.component)
+
+
+def test_solvers_reject_non_positive_or_singular_q():
+    unit = dict(A=0.0, B=1.0, sigma=1.0, D1=1.0, D2=0.0, T=1.0)
+    with pytest.raises(AssumptionError, match="A1"):
+        solve_riccati(ProblemSpec(Q=-1.0, **unit), 100)
+    # Q turns non-positive at t = 0.5 only; the backward solve reaches it
+    crossing = Coefficient.table([0.0, 0.5, 1.0], [-1.0, 0.0, 1.0])
+    with pytest.raises(AssumptionError, match=r"Q\(0\.5\) = 0"):
+        solve_riccati(ProblemSpec(Q=crossing, **unit), 100)
+    singular = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
+                                 sigma=np.eye(2), Q=np.zeros((2, 2)),
+                                 D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
+    with pytest.raises(AssumptionError, match="singular"):
+        solve_matrix_riccati(singular, 100)
 
 
 def test_rhs_unit_coefficients():

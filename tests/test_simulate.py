@@ -3,13 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
+from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
                    MeasureMoments, ParticleCloud, ProblemSpec, SimConfig,
                    cost_oracle, evolve_cloud, gaussianity_check, mc_tolerance,
                    optimal_feedback, perturbation_sweep, scalar_preset,
                    simulate_mc, solve_riccati, value_function)
 from mflqg import simulate as simulate_module
 from mflqg.simulate import trajectory_to_csv
+
+
+# Hand-unrolled RK4 reference: the loop cost_oracle ran before it stepped
+# through riccati.rk4, with the gains and every coefficient evaluated at
+# every stage.  cost_oracle and each perturbation_sweep column must
+# reproduce it bit for bit.
+
+def _cost_oracle_loop(spec, law, m1_0, m2_0, steps):
+    def rhs(t, m1, m2):
+        al, be = law.at(t)
+        a, b, sig, q = spec.A(t), spec.B(t), spec.sigma(t), spec.Q(t)
+        dm1 = (a + b * (al + be)) * m1
+        dm2 = 2.0 * (a + b * al) * m2 + 2.0 * b * be * m1 * m1 + sig * sig
+        drun = q * (al * al * m2 + (2.0 * al * be + be * be) * m1 * m1)
+        return dm1, dm2, drun
+
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    m1, m2, run = float(m1_0), float(m2_0), 0.0
+    for k in range(steps):
+        t0 = float(grid[k])
+        h = float(grid[k + 1]) - t0
+        a1, b1, c1 = rhs(t0, m1, m2)
+        a2, b2, c2 = rhs(t0 + 0.5 * h, m1 + 0.5 * h * a1, m2 + 0.5 * h * b1)
+        a3, b3, c3 = rhs(t0 + 0.5 * h, m1 + 0.5 * h * a2, m2 + 0.5 * h * b2)
+        a4, b4, c4 = rhs(t0 + h, m1 + h * a3, m2 + h * b3)
+        m1 = m1 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        m2 = m2 + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        run = run + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    terminal = spec.D1 * m2 + spec.D2 * m1 * m1
+    return run + terminal, run, terminal
+
+
+# A != 0, B a polynomial, sigma a table with a knot inside the horizon.
+TIME_VARYING = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
+                           sigma=Coefficient.table([0.0, 0.5, 1.0], [0.5, 0.7, 0.5]),
+                           Q=Coefficient.poly([1.0, 0.2]), D1=1.0, D2=0.5, T=1.0)
 
 
 def _zero_law(T=1.0):
@@ -218,3 +254,27 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,m1,m2"
     assert len(lines) == traj.times.size + 1
+
+
+@pytest.mark.parametrize("spec", [scalar_preset("example1"), TIME_VARYING],
+                         ids=["example1", "time-varying"])
+def test_cost_oracle_matches_unrolled_loop(spec):
+    # the law is tabulated on a coarser grid than the oracle's, so the gains
+    # are interpolated between law nodes
+    law = optimal_feedback(spec, solve_riccati(spec, 500))
+    for m1_0, m2_0 in ((1.0, 1.0), (-0.5, 0.75)):
+        got = cost_oracle(spec, law, m1_0, m2_0, 2000)
+        assert (got.total, got.running, got.terminal) == \
+            _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)
+
+
+@pytest.mark.parametrize("spec", [scalar_preset("example2"), TIME_VARYING],
+                         ids=["example2", "time-varying"])
+def test_perturbation_sweep_is_one_oracle_per_delta(spec):
+    law = optimal_feedback(spec, solve_riccati(spec, 1000))
+    deltas = [(0.0, 0.0), (0.1, 0.0), (-0.4, 0.0), (0.0, 0.05), (0.2, -0.3)]
+    swept = perturbation_sweep(spec, law, deltas, 0.5, 0.5, 1000)
+    assert swept == [(d, cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total)
+                     for d in deltas]
+    assert perturbation_sweep(spec, law, deltas[1:2], 0.5, 0.5, 1000) == swept[1:2]
+    assert perturbation_sweep(spec, law, [], 0.5, 0.5, 1000) == []

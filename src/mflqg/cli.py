@@ -394,10 +394,8 @@ def _solution_entries(problem: ProblemSpec, sol, steps: int,
                       preset_name: str | None) -> list[_Check]:
     """terminal-exactness, plus analytic-phi against the closed form on the
     built-in presets."""
-    exact_terminal = (sol.phi1[-1] == problem.D1 and sol.phi2[-1] == problem.D2
-                      and sol.phi3[-1] == 0.0)
-    checks = [_Check("terminal-exactness", bool(exact_terminal), 0.0, 0.0,
-                     "phi(T) equals (D1, D2, 0) exactly")]
+    checks = [_terminal_entry([sol.phi1[-1] - problem.D1,
+                               sol.phi2[-1] - problem.D2, sol.phi3[-1]])]
     if preset_name is not None:
         ref = closed_form(problem, steps)
         err = max(float(np.abs(sol.phi1 - ref.phi1).max()),
@@ -408,10 +406,27 @@ def _solution_entries(problem: ProblemSpec, sol, steps: int,
     return checks
 
 
+def _assumptions_entry(result, weight: str) -> _Check:
+    q_min = float("nan") if result.q_min is None else result.q_min
+    return _Check("assumptions", result.ok, q_min, 0.0,
+                  f"{result.message}; smallest {weight} on the grid "
+                  f"{q_min:.3e}, must be > 0")
+
+
+def _terminal_entry(defects) -> _Check:
+    """phi(T) must equal (D1, D2, 0) exactly; defects are phi(T) minus that,
+    and a NaN among them makes the gap NaN and fails the check."""
+    gap = float(np.max([np.abs(d).max() for d in defects]))
+    return _Check("terminal-exactness", gap == 0.0, gap, 0.0,
+                  f"max |phi(T) - (D1, D2, 0)| = {gap:.3e}, must be exact")
+
+
 def _gaussianity_entry(states) -> _Check:
     gauss = gaussianity_check(states)
     if gauss.degenerate:
-        return _Check("gaussianity", True, 0.0, 0.0, "degenerate cloud")
+        return _Check("gaussianity", True, gauss.variance, gauss.variance_floor,
+                      f"degenerate cloud: variance {gauss.variance:.3e} below "
+                      f"{gauss.variance_floor:.3e}")
     ok = abs(gauss.skewness) < 0.05 and abs(gauss.excess_kurtosis) < 0.1
     return _Check("gaussianity", ok, abs(gauss.skewness), 0.05,
                   f"skew {gauss.skewness:.4f}, excess kurtosis "
@@ -469,7 +484,7 @@ def _verify_scalar(view: _Scalar, preset_name: str | None, steps: int,
     checks: list[_Check] = []
 
     result = validate_spec(spec)
-    checks.append(_Check("assumptions", result.ok, 0.0, 0.0, result.message))
+    checks.append(_assumptions_entry(result, "Q"))
     if not result.ok:
         return checks
 
@@ -522,7 +537,7 @@ def _verify_matrix(spec: MatrixProblemSpec, steps: int, out: str,
     checks: list[_Check] = []
 
     result = validate_matrix_spec(spec)
-    checks.append(_Check("assumptions", result.ok, 0.0, 0.0, result.message))
+    checks.append(_assumptions_entry(result, "eigenvalue of Q"))
     if not result.ok:
         return checks
 
@@ -530,11 +545,8 @@ def _verify_matrix(spec: MatrixProblemSpec, steps: int, out: str,
     matrix_solution_to_csv(sol, os.path.join(out, "phi.csv"))
     outputs["phi"] = "phi.csv"
 
-    exact_terminal = (np.array_equal(sol.phi1[-1], spec.D1)
-                      and np.array_equal(sol.phi2[-1], spec.D2)
-                      and sol.phi3[-1] == 0.0)
-    checks.append(_Check("terminal-exactness", bool(exact_terminal), 0.0, 0.0,
-                         "phi(T) equals (D1, D2, 0) exactly"))
+    checks.append(_terminal_entry([sol.phi1[-1] - spec.D1,
+                                   sol.phi2[-1] - spec.D2, sol.phi3[-1]]))
 
     asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
                float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))

@@ -118,53 +118,77 @@ def optimal_feedback(spec: ProblemSpec, sol: RiccatiSolution) -> FeedbackLaw:
     return FeedbackLaw(grid=grid.copy(), alpha=-ratio * sol.phi1, beta=-ratio * sol.phi2)
 
 
-def master_residual(spec: ProblemSpec, sol: RiccatiSolution, t: float,
-                    mu: MeasureMoments) -> float:
-    """Defect of the value equation at (t, mu), with phi-derivatives replaced by
-    central differences of the tabulated solution at its own grid spacing.
+def _stencil_node(spec: ProblemSpec, grid: np.ndarray, t: float) -> int:
+    """Index of the grid node nearest t whose five-point stencil lies in
+    [0, T] and has no knot of a tabulated coefficient strictly inside.
 
-    This recomputes the three defect operators from the problem coefficients
-    directly, so it is an independent check on the integrated solution rather
-    than a restatement of the integrator.  t must sit at least one grid
-    spacing inside (0, T).
+    Across such a knot phi has a jump in a higher derivative, and the
+    stencil's error there is O(h) rather than O(h^4).
     """
-    g = sol.grid
-    T = float(g[-1])
-    h = float(g[1] - g[0])
-    t = float(t)
-    if not (0.0 < t < T):
+    T = float(grid[-1])
+    if not 0.0 < t < T:
         raise DomainError(f"t = {t:.6g} must lie strictly inside (0, {T:.6g})")
-    tm, tp = t - h, t + h
-    if tm < 0.0 and tm > -1e-9 * h:
-        tm = 0.0
-    if tp > T and tp < T + 1e-9 * h:
-        tp = T
-    if tm < 0.0 or tp > T:
-        raise DomainError(
-            f"t = {t:.6g} too close to the boundary for a central difference of width {h:.3g}"
-        )
-    pm = sample_solution(sol, tm)
-    pc = sample_solution(sol, t)
-    pp = sample_solution(sol, tp)
-    dp1 = (pp[0] - pm[0]) / (2.0 * h)
-    dp2 = (pp[1] - pm[1]) / (2.0 * h)
-    dp3 = (pp[2] - pm[2]) / (2.0 * h)
+    ok = np.zeros(grid.size, dtype=bool)
+    ok[2:-2] = True
+    for coef in (spec.A, spec.B, spec.sigma, spec.Q):
+        if coef.kind == "table":
+            for knot in coef.data[0]:
+                ok[2:-2] &= ~((grid[:-4] < knot) & (knot < grid[4:]))
+    nodes = np.flatnonzero(ok)
+    if not nodes.size:
+        raise DomainError("no grid node has a five-point stencil inside [0, T] "
+                          "clear of the coefficient table knots")
+    return int(nodes[np.argmin(np.abs(grid[nodes] - t))])
+
+
+def _node_residual(spec: ProblemSpec, sol: RiccatiSolution, k: int,
+                   mu: MeasureMoments) -> float:
+    g = sol.grid
+    h = float(g[1] - g[0])
+    t = float(g[k])
+
+    def deriv(f):
+        return float(-f[k + 2] + 8.0 * f[k + 1] - 8.0 * f[k - 1] + f[k - 2]) / (12.0 * h)
+
+    p1, p2, p3 = float(sol.phi1[k]), float(sol.phi2[k]), float(sol.phi3[k])
     a = spec.A(t)
     b = spec.B(t)
     q = float(spec.control_weight_on(t))
     sig = spec.sigma(t)
     r = b * b / q
-    l1 = dp1 - r * pc[0] * pc[0] + 2.0 * a * pc[0]
-    l2 = dp2 - r * pc[1] * pc[1] - 2.0 * r * pc[0] * pc[1] + 2.0 * a * pc[1]
-    l3 = dp3 + sig * sig * pc[0]
+    l1 = deriv(sol.phi1) - r * p1 * p1 + 2.0 * a * p1
+    l2 = deriv(sol.phi2) - r * p2 * p2 - 2.0 * r * p1 * p2 + 2.0 * a * p2
+    l3 = deriv(sol.phi3) + sig * sig * p1
     return mu.m2 * l1 + mu.m1 * mu.m1 * l2 + l3
 
 
+def master_residual(spec: ProblemSpec, sol: RiccatiSolution, t: float,
+                    mu: MeasureMoments) -> float:
+    """Defect of the value equation at (t, mu), with phi-derivatives replaced by
+    the fourth-order central difference
+
+        (-f(t+2h) + 8 f(t+h) - 8 f(t-h) + f(t-2h)) / 12h
+
+    of the tabulated solution at its own grid spacing h.
+
+    This recomputes the three defect operators from the problem coefficients
+    directly, so it is an independent check on the integrated solution rather
+    than a restatement of the integrator.  t must lie strictly inside (0, T);
+    the defect is evaluated at the grid node nearest t whose stencil stays
+    inside [0, T] and off the knots of tabulated coefficients, so no
+    interpolation error enters.
+    """
+    return _node_residual(spec, sol, _stencil_node(spec, sol.grid, float(t)), mu)
+
+
 def residual_sweep(spec: ProblemSpec, sol: RiccatiSolution, points) -> list[tuple]:
-    """Evaluate the residual at each (t, mu) in points; rows (t, m1, m2, residual)."""
+    """Evaluate the residual at each (t, mu) in points; rows (t, m1, m2,
+    residual), where t is the grid node the residual was evaluated at."""
     rows = []
     for t, mu in points:
-        rows.append((float(t), mu.m1, mu.m2, master_residual(spec, sol, t, mu)))
+        k = _stencil_node(spec, sol.grid, float(t))
+        rows.append((float(sol.grid[k]), mu.m1, mu.m2,
+                     _node_residual(spec, sol, k, mu)))
     return rows
 
 

@@ -233,9 +233,15 @@ def moments_of(cloud: ParticleCloud) -> MeasureMoments:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """Verdict on the standing assumptions.  q_min is the smallest control
+    weight seen on the grid (for a matrix problem, the smallest eigenvalue of
+    the symmetric part of Q), up to the first violation; None if the grid
+    was not reached."""
+
     ok: bool
     message: str
     t_violation: float | None = None
+    q_min: float | None = None
 
 
 def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult:
@@ -260,11 +266,12 @@ def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult
                     False, f"coefficient {name} not evaluable: {exc}", t
                 )
     times = np.linspace(0.0, spec.T, grid_points)
+    q_min = float(spec.Q.on(times).min())
     try:
         spec.control_weight_on(times)
     except AssumptionError as exc:
-        return ValidationResult(False, str(exc), exc.time)
-    return ValidationResult(True, "ok", None)
+        return ValidationResult(False, str(exc), exc.time, q_min)
+    return ValidationResult(True, "ok", None, q_min)
 
 
 MatrixLike = Union[np.ndarray, Sequence[Sequence[float]], Callable[[float], np.ndarray]]
@@ -361,19 +368,21 @@ def validate_matrix_spec(spec: MatrixProblemSpec, grid_points: int = 64) -> Vali
     definite at every grid time."""
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
+    q_min = None
     for t in np.linspace(0.0, spec.T, grid_points):
         t = float(t)
         q = spec.Q_at(t)
         if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
             return ValidationResult(
-                False, f"assumption A1: Q({t:.6g}) is not symmetric", t
+                False, f"assumption A1: Q({t:.6g}) is not symmetric", t, q_min
             )
         lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+        q_min = lam if q_min is None else min(q_min, lam)
         if not lam > 0.0:
             return ValidationResult(
                 False,
                 f"assumption A1 (positive definite control weight) fails: "
                 f"min eig Q({t:.6g}) = {lam:.6g}",
-                t,
+                t, q_min,
             )
-    return ValidationResult(True, "ok", None)
+    return ValidationResult(True, "ok", None, q_min)

@@ -46,11 +46,13 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Target element count per pre-drawn increment block.  One block is allocated
-# per run and refilled for every chunk of steps, which caps the increments at
-# ~64 MB of float64 without changing results (the normal stream is consumed
-# in the same order regardless of block shape).
-_CHUNK_ELEMENTS = 8_000_000
+# Element count of the two increment buffers together.  Each buffer holds
+# half of it, whole steps only; the run allocates both once, and a helper
+# thread refills one while the kernel steps over the other.  That caps the
+# increments at ~16 MB of float64 without changing results: only the helper
+# draws, in step order, so the normal stream is consumed in the same order
+# regardless of buffer shape.
+_CHUNK_ELEMENTS = 2_000_000
 
 # Euler-Maruyama carries an O(dt) weak bias on the cost; this constant sets
 # how much of it the oracle-vs-MC comparison budgets for, per unit dt.
@@ -115,9 +117,13 @@ class CloudTrajectory:
 
 @dataclass(frozen=True)
 class GaussianityReport:
+    """Moments of a cloud; degenerate when variance < variance_floor."""
+
     skewness: float
     excess_kurtosis: float
     degenerate: bool
+    variance: float
+    variance_floor: float
 
 
 def _steps_for(horizon: float, dt: float) -> int:
@@ -214,8 +220,13 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
 
     For a fixed config the result is bit-identical across runs and across
     chunk sizes: all normal increments come from one Philox stream drawn
-    outside the stepping kernel, step by step.
+    outside the stepping kernel, step by step.  The initial cloud draws
+    first; then one helper thread fills the increments of chunk i + 1 into
+    one of two buffers while this thread steps the kernel over chunk i in
+    the other, so drawing and stepping overlap on two cores.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     T = spec.T
     t_stop = T if t_stop is None else float(t_stop)
     if not 0.0 < t_stop <= T + 1e-12 * max(1.0, T):
@@ -241,20 +252,30 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     m1 = np.empty(n_steps + 1)
     m2 = np.empty(n_steps + 1)
 
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n))
-    block = np.empty((min(chunk, n_steps), n))
-    k0 = 0
-    while k0 < n_steps:
-        k1 = min(n_steps, k0 + chunk)
-        z = rng.standard_normal(out=block[:k1 - k0])
-        _kernels.mc_chunk(x, run, z, a_k[k0:k1], b_k[k0:k1], s_sqdt[k0:k1],
-                          q_dt[k0:k1], al_k[k0:k1], be_k[k0:k1], dt,
-                          m1[k0:k1], m2[k0:k1])
-        if not np.isfinite(x).all():
-            raise SimulationDivergedError(
-                f"particle state became non-finite before t = {times[k1]:.6g}"
-            )
-        k0 = k1
+    chunk = max(1, _CHUNK_ELEMENTS // 2 // max(1, n))
+    bounds = [(k0, min(n_steps, k0 + chunk)) for k0 in range(0, n_steps, chunk)]
+    # Chunk i goes to buffer i % 2; the second buffer is only as large as
+    # its largest chunk.
+    rows = min(chunk, n_steps)
+    buffers = (np.empty((rows, n)), np.empty((min(rows, n_steps - rows), n)))
+
+    def draw(i):
+        k0, k1 = bounds[i]
+        return rng.standard_normal(out=buffers[i % 2][:k1 - k0])
+
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0)
+        for i, (k0, k1) in enumerate(bounds):
+            z = pending.result()
+            if i + 1 < len(bounds):
+                pending = helper.submit(draw, i + 1)
+            _kernels.mc_chunk(x, run, z, a_k[k0:k1], b_k[k0:k1], s_sqdt[k0:k1],
+                              q_dt[k0:k1], al_k[k0:k1], be_k[k0:k1], dt,
+                              m1[k0:k1], m2[k0:k1])
+            if not np.isfinite(x).all():
+                raise SimulationDivergedError(
+                    f"particle state became non-finite before t = {times[k1]:.6g}"
+                )
     m1[n_steps] = x.sum() / n
     m2[n_steps] = (x * x).sum() / n
     return CloudTrajectory(times=times, m1=m1, m2=m2, states=x, run_costs=run)
@@ -301,12 +322,12 @@ def gaussianity_check(states: np.ndarray) -> GaussianityReport:
     m = x.mean()
     c = x - m
     v = float((c * c).mean())
-    scale = max(1.0, float((x * x).mean()))
-    if v < 1e-18 * scale:
-        return GaussianityReport(float("nan"), float("nan"), True)
+    floor = 1e-18 * max(1.0, float((x * x).mean()))
+    if v < floor:
+        return GaussianityReport(float("nan"), float("nan"), True, v, floor)
     skew = float((c ** 3).mean()) / v ** 1.5
     exk = float((c ** 4).mean()) / (v * v) - 3.0
-    return GaussianityReport(skew, exk, False)
+    return GaussianityReport(skew, exk, False, v, floor)
 
 
 def perturbation_sweep(spec: ProblemSpec, base: FeedbackLaw, deltas,

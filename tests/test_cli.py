@@ -219,6 +219,35 @@ def test_verify_reports_failed_assumptions(tmp_path, capsys):
     assert "CHECKS FAILED" in out
 
 
+def test_verify_entries_carry_measured_values(tmp_path, capsys):
+    # No check writes a placeholder 0.0/0.0: assumptions reads the smallest
+    # Q against 0, terminal-exactness the terminal gap against its exact
+    # tolerance, and a noise-free cloud its variance against the floor.
+    def checks(text, *extra):
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(text)
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        main(["verify", "--config", str(cfg), "--out", str(out), *extra])
+        capsys.readouterr()
+        return {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+
+    still = checks(SCALAR_CFG.replace("sigma = 1.0", "sigma = 0.0").replace(
+        "Q = 1.0", "Q = 2.0"), "--paths", "200", "--dt", "0.01")
+    assert (still["assumptions"]["measured"], still["assumptions"]["threshold"]) == (2.0, 0.0)
+    assert (still["terminal-exactness"]["measured"],
+            still["terminal-exactness"]["threshold"]) == (0.0, 0.0)
+    gauss = still["gaussianity"]
+    assert gauss["passed"] and gauss["threshold"] == 1e-18
+    assert 0.0 <= gauss["measured"] < gauss["threshold"]
+    assert "degenerate" in gauss["detail"]
+
+    bad = checks(BAD_Q_CFG)["assumptions"]
+    assert not bad["passed"] and bad["measured"] == -1.0
+    matrix = checks(MATRIX_CFG.replace("Q = 1 0; 0 1", "Q = 3 0; 0 0.5"))
+    assert matrix["assumptions"]["measured"] == 0.5
+    assert matrix["terminal-exactness"]["measured"] == 0.0
+
+
 def test_verify_all_presets_pass(tmp_path, capsys):
     start = time.monotonic()
     names = {}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, DomainError, FeedbackLaw, MeasureMoments,
-                   ProblemSpec, closed_form, hamiltonian,
+from mflqg import (AssumptionError, Coefficient, DomainError, FeedbackLaw,
+                   MeasureMoments, ProblemSpec, closed_form, hamiltonian,
                    hamiltonian_minimizer, master_residual, mu_derivative,
                    optimal_feedback, residual_sweep, scalar_preset,
                    solve_riccati, value_function)
@@ -147,8 +147,10 @@ def test_residual_domain_checks():
         master_residual(spec, sol, 0.0, MeasureMoments.dirac(0.0))
     with pytest.raises(DomainError):
         master_residual(spec, sol, 1.0, MeasureMoments.dirac(0.0))
-    # one grid spacing from the end is the first valid point
+    # any t strictly inside is valid; near the ends the stencil moves inward
     master_residual(spec, sol, 0.01, MeasureMoments.dirac(0.0))
+    with pytest.raises(DomainError):
+        master_residual(spec, solve_riccati(spec, 3), 0.5, MeasureMoments.dirac(0.0))
 
 
 def test_residual_sweep_rows_and_csv(tmp_path):
@@ -161,6 +163,43 @@ def test_residual_sweep_rows_and_csv(tmp_path):
     path = tmp_path / "residual.csv"
     residual_to_csv(rows, path)
     assert path.read_text().splitlines()[0] == "t,m1,m2,residual"
+
+
+# A != 0, B and Q polynomials, sigma a table with a knot at t = 0.5, where
+# phi3'' jumps.
+KNOTTED = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
+                      sigma=Coefficient.table([0.0, 0.5, 1.0], [0.5, 0.7, 0.5]),
+                      Q=Coefficient.poly([1.0, 0.2]), D1=1.0, D2=0.5, T=1.0)
+
+
+def test_residual_small_on_time_varying_spec_and_at_knots():
+    # a five-point stencil across the knot would read about 2e-5 to 8e-5
+    sol = solve_riccati(KNOTTED, 1000)
+    rng = np.random.Generator(np.random.Philox(5))
+    ts = list(rng.uniform(0.1, 0.9, 100)) + [0.498, 0.499, 0.4995, 0.5, 0.501]
+    worst = max(abs(master_residual(KNOTTED, sol, float(t), MeasureMoments(0.3, 1.0)))
+                for t in ts)
+    assert worst <= 1e-6, f"worst residual {worst:.3e}"
+
+
+def test_residual_flags_wrong_drift_sign():
+    # the solution of the problem with A flipped must fail the band
+    flipped = ProblemSpec(A=0.3, B=KNOTTED.B, sigma=KNOTTED.sigma, Q=KNOTTED.Q,
+                          D1=KNOTTED.D1, D2=KNOTTED.D2, T=KNOTTED.T)
+    bad = solve_riccati(flipped, 1000)
+    worst = max(abs(master_residual(KNOTTED, bad, t, MeasureMoments(0.3, 1.0)))
+                for t in (0.2, 0.5, 0.8))
+    assert worst > 1e-2
+
+
+def test_residual_sweep_reports_the_evaluated_node():
+    sol = solve_riccati(KNOTTED, 1000)
+    mu = MeasureMoments(0.3, 1.0)
+    rows = residual_sweep(KNOTTED, sol, [(0.2504, mu), (0.4995, mu), (0.001, mu)])
+    # nearest node; the nearest node whose stencil clears the knot; the
+    # first node with a full stencil
+    assert [r[0] for r in rows] == [sol.grid[250], sol.grid[498], sol.grid[2]]
+    assert rows[0][3] == master_residual(KNOTTED, sol, 0.25, mu)
 
 
 def test_law_csv(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEsca
                    cost_oracle, evolve_cloud, gaussianity_check, mc_tolerance,
                    optimal_feedback, perturbation_sweep, scalar_preset,
                    simulate_mc, solve_riccati, value_function)
+from mflqg import _kernels
 from mflqg import simulate as simulate_module
+from mflqg.errors import SimulationDivergedError
 from mflqg.simulate import trajectory_to_csv
 
 
@@ -141,8 +147,8 @@ def test_chunk_size_does_not_change_results(monkeypatch):
 
 
 def test_one_increment_block_per_run(monkeypatch):
-    # Every chunk refills the same block, so a run holds one block of
-    # increments at a time.
+    # Every chunk refills one of two buffers that together hold one block,
+    # so a run holds one block of increments at a time.
     import tracemalloc
 
     from mflqg import partial_obs, partial_preset
@@ -164,6 +170,105 @@ def test_one_increment_block_per_run(monkeypatch):
         finally:
             tracemalloc.stop()
         assert block_bytes <= peak < 1.25 * block_bytes
+
+
+def _serial_reference(spec, law, initial, cfg):
+    # One Philox stream: the initial cloud first, then every increment of
+    # the run in one block, then one kernel call over all steps.
+    n, dt = cfg.n_paths, cfg.dt
+    steps = int(round(spec.T / dt))
+    times = np.linspace(0.0, spec.T, steps + 1)
+    left = times[:-1]
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x = simulate_module._resolve_initial(initial, n, rng)
+    z = rng.standard_normal((steps, n))
+    run = np.zeros(n)
+    m1 = np.empty(steps + 1)
+    m2 = np.empty(steps + 1)
+    al, be = law.gains_on(left)
+    _kernels.mc_chunk(x, run, z, spec.A.on(left), spec.B.on(left),
+                      spec.sigma.on(left) * math.sqrt(dt), spec.Q.on(left) * dt,
+                      al, be, dt, m1[:-1], m2[:-1])
+    m1[-1] = x.sum() / n
+    m2[-1] = (x * x).sum() / n
+    return times, m1, m2, x, run
+
+
+@pytest.mark.parametrize("steps_per_buffer", [1, 7, None],
+                         ids=["one-step", "non-dividing", "default"])
+@pytest.mark.parametrize("initial", [1.0, (0.5, 0.25)], ids=["dirac", "gaussian"])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
+                                                steps_per_buffer):
+    # 2000 paths x 1000 steps: the default fills 500 steps per buffer, so
+    # every variant runs at least two chunks through both buffers.
+    spec, _, law = _optimal(name)
+    cfg = SimConfig(2000, 1e-3, 13)
+    if steps_per_buffer is not None:
+        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
+                            2 * cfg.n_paths * steps_per_buffer)
+    traj = evolve_cloud(spec, law, initial, cfg)
+    times, m1, m2, x, run = _serial_reference(spec, law, initial, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.m1, m1)
+    assert np.array_equal(traj.m2, m2)
+    assert np.array_equal(traj.states, x)
+    assert np.array_equal(traj.run_costs, run)
+
+
+def test_concurrent_runs_keep_their_streams(monkeypatch):
+    # Four runs on a two-core machine, each with its own helper thread, with
+    # thread switches forced every microsecond: a buffer handed over before
+    # its fill completed, or a draw taken from another run's stream, would
+    # break bit-equality with the serial reference.
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec, _, law = _optimal("example2", steps=200)
+    cfgs = [SimConfig(300, 1e-2, seed) for seed in range(4)]
+    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 2 * 300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cfgs)) as pool:
+            runs = [pool.submit(evolve_cloud, spec, law, 1.0, cfg) for cfg in cfgs]
+            trajs = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for cfg, traj in zip(cfgs, trajs):
+        _, m1, _, x, run = _serial_reference(spec, law, 1.0, cfg)
+        assert np.array_equal(traj.m1, m1)
+        assert np.array_equal(traj.states, x)
+        assert np.array_equal(traj.run_costs, run)
+
+
+@pytest.mark.parametrize("steps_per_buffer,t_detected",
+                         [(None, "1"), (10, "0.8")], ids=["default", "10-steps"])
+def test_divergence_raises_and_stops_the_helper(monkeypatch, steps_per_buffer,
+                                                t_detected):
+    # x grows by 1e4 per step and overflows near step 77; the check runs
+    # after each chunk and names the end of the chunk it failed in.
+    spec = ProblemSpec(A=1e6, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
+    cfg = SimConfig(100, 1e-2, 0)
+    if steps_per_buffer is not None:
+        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
+                            2 * cfg.n_paths * steps_per_buffer)
+    baseline = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationDivergedError) as err:
+            evolve_cloud(spec, _zero_law(), 1.0, cfg)
+    assert str(err.value) == \
+        f"particle state became non-finite before t = {t_detected}"
+    assert threading.active_count() == baseline
+
+
+def test_cli_import_does_not_load_thread_pool():
+    # evolve_cloud imports the thread pool itself; importing the CLI does not
+    code = "import sys, mflqg.cli; print('concurrent.futures' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(simulate_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_initial_law_forms():

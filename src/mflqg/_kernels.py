@@ -2,9 +2,15 @@
 
 The kernel consumes pre-drawn standard-normal increments, one row per step;
 all random number generation stays outside this module.  Each call allocates
-its few per-particle work arrays once and steps in place, so a step makes no
-allocation; the arithmetic and its order are those of the plain expressions
-in the comments, so results do not depend on this.
+its two per-particle work arrays once and steps in place, so a step makes no
+allocation.  The Euler update is fused into one affine map of x per step,
+
+    x <- (1 + (a + b al) dt) x + b be m1 dt + s_sqdt z,
+
+which is (a x + b u) dt added to x with u = al x + be m1 expanded, so the
+control u is only formed for the running cost.  The arithmetic and its order
+are those of the plain expressions in the comments, so results do not depend
+on the work arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ def mc_chunk(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
     u = np.empty_like(x)
     w = np.empty_like(x)
-    v = np.empty_like(x)
+    a, b, s_sqdt, q_dt, al, be = (np.asarray(c).tolist()
+                                  for c in (a, b, s_sqdt, q_dt, al, be))
     for k in range(z.shape[0]):
         m1 = x.sum() / n
         m1_out[k] = m1
@@ -35,12 +42,9 @@ def mc_chunk(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
         np.multiply(u, q_dt[k], out=w)
         w *= u
         run += w
-        # x += (a[k] * x + b[k] * u) * dt + s_sqdt[k] * z[k]
-        np.multiply(x, a[k], out=w)
-        np.multiply(u, b[k], out=v)
-        w += v
-        w *= dt
-        np.multiply(z[k], s_sqdt[k], out=v)
-        w += v
+        # x = (1 + (a[k] + b[k] * al[k]) * dt) * x + b[k] * be[k] * m1 * dt
+        #     + s_sqdt[k] * z[k]
+        x *= 1.0 + (a[k] + b[k] * al[k]) * dt
+        x += b[k] * be[k] * m1 * dt
+        np.multiply(z[k], s_sqdt[k], out=w)
         x += w
-

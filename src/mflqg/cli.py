@@ -43,7 +43,7 @@ from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
                       solve_matrix_riccati, solve_riccati)
 from .simulate import (CostReport, SimConfig, cost_from_cloud, cost_oracle,
                        evolve_cloud, gaussianity_check, mc_tolerance,
-                       perturbation_sweep, trajectory_to_csv)
+                       perturbation_sweep, stream_layout, trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
@@ -353,7 +353,7 @@ def cmd_simulate(args) -> int:
     _write_json(os.path.join(out, "summary.json"), summary)
     RunManifest(command="simulate", source=source,
                 params={"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt,
-                        "seed": sim.seed},
+                        "seed": sim.seed, **stream_layout(sim.n_paths)},
                 outputs={"trajectory": "trajectory.csv",
                          "summary": "summary.json"},
                 ).write(os.path.join(out, "manifest.json"))
@@ -567,6 +567,7 @@ def cmd_verify(args) -> int:
     out = _ensure_outdir(args.out)
     sim = _sim_config(args, config_sim)
     outputs: dict = {}
+    params = {"n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
 
     if isinstance(spec, MatrixProblemSpec):
         steps = _grid_steps(args, spec.T)
@@ -577,6 +578,7 @@ def cmd_verify(args) -> int:
         steps = _grid_steps(args, view.problem.T)
         checks = _verify_scalar(view, args.preset, steps, sim, out, outputs)
         kind = view.kind
+        params.update(stream_layout(sim.n_paths))
 
     for check in checks:
         _print_check(check)
@@ -587,9 +589,7 @@ def cmd_verify(args) -> int:
     }
     _write_json(os.path.join(out, "verify.json"), payload)
     outputs["verify"] = "verify.json"
-    RunManifest(command="verify", source=source,
-                params={"steps": steps, "n_paths": sim.n_paths,
-                        "dt": sim.dt, "seed": sim.seed},
+    RunManifest(command="verify", source=source, params={"steps": steps, **params},
                 outputs=outputs).write(os.path.join(out, "manifest.json"))
     print(f"{'all checks passed' if passed else 'CHECKS FAILED'} "
           f"({sum(c.passed for c in checks)}/{len(checks)})")

@@ -10,14 +10,13 @@ Everything here is a direct readout of a Riccati solution:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .model import MeasureMoments, ProblemSpec
-from .riccati import RiccatiSolution, sample_solution
+from .riccati import RiccatiSolution, _write_csv, sample_solution
 
 __all__ = [
     "FeedbackLaw",
@@ -194,21 +193,10 @@ def residual_sweep(spec: ProblemSpec, sol: RiccatiSolution, points) -> list[tupl
 
 def law_to_csv(law: FeedbackLaw, path) -> None:
     """Write columns t, alpha, beta."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "alpha", "beta"])
-        for i in range(law.grid.size):
-            writer.writerow(
-                [repr(float(law.grid[i])), repr(float(law.alpha[i])),
-                 repr(float(law.beta[i]))]
-            )
+    _write_csv(path, ["t", "alpha", "beta"], [law.grid, law.alpha, law.beta])
 
 
 def residual_to_csv(rows, path) -> None:
     """Write columns t, m1, m2, residual."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m1", "m2", "residual"])
-        for t, m1, m2, res in rows:
-            writer.writerow([repr(float(t)), repr(float(m1)),
-                             repr(float(m2)), repr(float(res))])
+    _write_csv(path, ["t", "m1", "m2", "residual"],
+               np.asarray(rows, dtype=float).reshape(-1, 4).T)

@@ -23,7 +23,6 @@ closed form is riccati.closed_form(reduced_problem(spec)).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 from .control import FeedbackLaw, optimal_feedback, value_function
 from .errors import AssumptionError, DomainError
 from .model import MeasureMoments, ProblemSpec
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _write_csv
 from .simulate import CostReport, SimConfig, cost_from_cloud, evolve_cloud
 
 __all__ = [
@@ -230,12 +229,5 @@ def cost_decomposition_check(spec: PartialObsSpec,
 
 def partial_trajectory_to_csv(traj: PartialTrajectory, path) -> None:
     """Write columns t, P_t, m1_hat, m2_hat, m2 (= m2_hat + P_t)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "P_t", "m1_hat", "m2_hat", "m2"])
-        for i in range(traj.times.size):
-            writer.writerow(
-                [repr(float(traj.times[i])), repr(float(traj.p[i])),
-                 repr(float(traj.m1_hat[i])), repr(float(traj.m2_hat[i])),
-                 repr(float(traj.m2[i]))]
-            )
+    _write_csv(path, ["t", "P_t", "m1_hat", "m2_hat", "m2"],
+               [traj.times, traj.p, traj.m1_hat, traj.m2_hat, traj.m2])

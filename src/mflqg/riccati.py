@@ -19,7 +19,6 @@ with coefficients and gains tabulated once at its stage times.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,16 +310,23 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     return MatrixRiccatiSolution(grid, *(c[::-1] for c in phi))
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length float columns under `header`, each value as its
+    repr, in the bytes of csv.writer's default dialect (no field here needs
+    quoting; lines end in \\r\\n).  Rows are formatted 512 at a time, so
+    a long table never sits in memory as Python strings all at once."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, columns[0].size, 512):
+            rows = zip(*(c[k:k + 512].tolist() for c in columns))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 def solution_to_csv(sol: RiccatiSolution, path) -> None:
     """Write columns t, phi1, phi2, phi3."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phi1", "phi2", "phi3"])
-        for i in range(sol.grid.size):
-            writer.writerow(
-                [repr(float(sol.grid[i])), repr(float(sol.phi1[i])),
-                 repr(float(sol.phi2[i])), repr(float(sol.phi3[i]))]
-            )
+    _write_csv(path, ["t", "phi1", "phi2", "phi3"],
+               [sol.grid, sol.phi1, sol.phi2, sol.phi3])
 
 
 def matrix_solution_to_csv(sol: MatrixRiccatiSolution, path) -> None:
@@ -330,12 +336,6 @@ def matrix_solution_to_csv(sol: MatrixRiccatiSolution, path) -> None:
     header += [f"phi1_{i}{j}" for i in range(d) for j in range(d)]
     header += [f"phi2_{i}{j}" for i in range(d) for j in range(d)]
     header += ["phi3"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(sol.grid.size):
-            row = [repr(float(sol.grid[k]))]
-            row += [repr(float(v)) for v in sol.phi1[k].ravel()]
-            row += [repr(float(v)) for v in sol.phi2[k].ravel()]
-            row.append(repr(float(sol.phi3[k])))
-            writer.writerow(row)
+    k = sol.grid.size
+    _write_csv(path, header, [sol.grid, *sol.phi1.reshape(k, -1).T,
+                              *sol.phi2.reshape(k, -1).T, sol.phi3])

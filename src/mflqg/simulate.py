@@ -28,7 +28,7 @@ from . import _kernels
 from .control import FeedbackLaw
 from .errors import DomainError, SimulationDivergedError
 from .model import ParticleCloud, ProblemSpec
-from .riccati import _grid, rk4, stage_times
+from .riccati import _grid, _write_csv, rk4, stage_times
 
 __all__ = [
     "SimConfig",
@@ -38,6 +38,7 @@ __all__ = [
     "EM_BIAS_CONST",
     "cost_oracle",
     "evolve_cloud",
+    "stream_layout",
     "cost_from_cloud",
     "simulate_mc",
     "gaussianity_check",
@@ -47,12 +48,15 @@ __all__ = [
 ]
 
 # Element count of the two increment buffers together.  Each buffer holds
-# half of it, whole steps only; the run allocates both once, and a helper
-# thread refills one while the kernel steps over the other.  That caps the
-# increments at ~16 MB of float64 without changing results: only the helper
-# draws, in step order, so the normal stream is consumed in the same order
-# regardless of buffer shape.
+# half of it, whole blocks only; the run allocates both once, and while the
+# kernel steps over one, both threads refill the other.  That caps the
+# increments at ~16 MB of float64 without changing results.
 _CHUNK_ELEMENTS = 2_000_000
+
+# Element count of one block of increments: the steps of block b come from
+# their own Philox stream, the seed's stream jumped b + 1 times, so a block's
+# bytes do not depend on which thread draws it or on the buffer shape.
+_BLOCK_ELEMENTS = 50_000
 
 # Euler-Maruyama carries an O(dt) weak bias on the cost; this constant sets
 # how much of it the oracle-vs-MC comparison budgets for, per unit dt.
@@ -218,12 +222,17 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
                  config: SimConfig, t_stop: float | None = None) -> CloudTrajectory:
     """Euler-Maruyama for the interacting particle system up to t_stop (default T).
 
-    For a fixed config the result is bit-identical across runs and across
-    chunk sizes: all normal increments come from one Philox stream drawn
-    outside the stepping kernel, step by step.  The initial cloud draws
-    first; then one helper thread fills the increments of chunk i + 1 into
-    one of two buffers while this thread steps the kernel over chunk i in
-    the other, so drawing and stepping overlap on two cores.
+    For a fixed config the result is bit-identical across runs, chunk sizes
+    and thread timing.  Streams: the initial cloud draws from
+    Philox(seed); the increments of steps [b S, (b + 1) S) come from
+    Philox(seed).jumped(b + 1), where S = max(1, _BLOCK_ELEMENTS // n_paths)
+    (stream_layout's block_rows).  A jump moves the counter by 2^128, so
+    these streams never overlap; partial_obs draws its estimation error from
+    the key of SeedSequence(seed).spawn(1)[0], distinct again.  The run is
+    stepped in chunks of whole blocks through two buffers: while this thread
+    steps the kernel over chunk i in one buffer, one helper thread claims the
+    blocks of chunk i + 1 from a shared iterator and fills them into the
+    other, and this thread claims the rest once its kernel call returns.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -243,42 +252,68 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     s_sqdt = spec.sigma.on(left) * math.sqrt(dt)
     q_dt = spec.Q.on(left) * dt
     al_k, be_k = law.gains_on(left)
-    al_k = np.ascontiguousarray(al_k)
-    be_k = np.ascontiguousarray(be_k)
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    x = _resolve_initial(initial, n, rng)
+    x = _resolve_initial(initial, n,
+                         np.random.Generator(np.random.Philox(config.seed)))
+    root = np.random.Philox(config.seed)  # only jumped, never drawn from
     run = np.zeros(n)
     m1 = np.empty(n_steps + 1)
     m2 = np.empty(n_steps + 1)
 
-    chunk = max(1, _CHUNK_ELEMENTS // 2 // max(1, n))
+    layout = stream_layout(n)
+    block, chunk = layout["block_rows"], layout["chunk_rows"]
     bounds = [(k0, min(n_steps, k0 + chunk)) for k0 in range(0, n_steps, chunk)]
+    claims = [iter(range(k0 // block, -(-k1 // block))) for k0, k1 in bounds]
     # Chunk i goes to buffer i % 2; the second buffer is only as large as
     # its largest chunk.
     rows = min(chunk, n_steps)
     buffers = (np.empty((rows, n)), np.empty((min(rows, n_steps - rows), n)))
 
-    def draw(i):
-        k0, k1 = bounds[i]
-        return rng.standard_normal(out=buffers[i % 2][:k1 - k0])
+    def fill(i):
+        _fill_blocks(claims[i], root, block, n_steps, bounds[i][0],
+                     buffers[i % 2])
 
     with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0)
+        pending = helper.submit(fill, 0)
+        fill(0)
         for i, (k0, k1) in enumerate(bounds):
-            z = pending.result()
+            pending.result()
             if i + 1 < len(bounds):
-                pending = helper.submit(draw, i + 1)
-            _kernels.mc_chunk(x, run, z, a_k[k0:k1], b_k[k0:k1], s_sqdt[k0:k1],
-                              q_dt[k0:k1], al_k[k0:k1], be_k[k0:k1], dt,
-                              m1[k0:k1], m2[k0:k1])
+                pending = helper.submit(fill, i + 1)
+            _kernels.mc_chunk(x, run, buffers[i % 2][:k1 - k0], a_k[k0:k1],
+                              b_k[k0:k1], s_sqdt[k0:k1], q_dt[k0:k1],
+                              al_k[k0:k1], be_k[k0:k1], dt, m1[k0:k1], m2[k0:k1])
             if not np.isfinite(x).all():
                 raise SimulationDivergedError(
                     f"particle state became non-finite before t = {times[k1]:.6g}"
                 )
+            if i + 1 < len(bounds):
+                fill(i + 1)
     m1[n_steps] = x.sum() / n
     m2[n_steps] = (x * x).sum() / n
     return CloudTrajectory(times=times, m1=m1, m2=m2, states=x, run_costs=run)
+
+
+def stream_layout(n_paths: int) -> dict:
+    """What decides the Monte Carlo bytes of a run with n_paths particles
+    besides its seed: the bit generator, the steps per Philox block, the
+    steps per increment buffer and the numpy version (its normal sampler)."""
+    block = max(1, _BLOCK_ELEMENTS // n_paths)
+    chunk = block * max(1, _CHUNK_ELEMENTS // 2 // n_paths // block)
+    return {"bit_generator": "Philox", "block_rows": block,
+            "chunk_rows": chunk, "numpy": np.__version__}
+
+
+def _fill_blocks(claims, root, block, n_steps, k_start, out) -> None:
+    """Draw every block claimed from the shared iterator `claims` into its
+    rows of `out`, whose first row is step k_start.  Both threads call this
+    on the same iterator; next() on it is one C call under the interpreter
+    lock, so each block is claimed once."""
+    for b in claims:
+        k0 = b * block
+        k1 = min(k0 + block, n_steps)
+        rng = np.random.Generator(root.jumped(b + 1))
+        rng.standard_normal(out=out[k0 - k_start:k1 - k_start])
 
 
 def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostReport:
@@ -349,11 +384,4 @@ def perturbation_sweep(spec: ProblemSpec, base: FeedbackLaw, deltas,
 
 def trajectory_to_csv(traj: CloudTrajectory, path) -> None:
     """Write columns t, m1, m2."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m1", "m2"])
-        for i in range(traj.times.size):
-            writer.writerow([repr(float(traj.times[i])), repr(float(traj.m1[i])),
-                             repr(float(traj.m2[i]))])
+    _write_csv(path, ["t", "m1", "m2"], [traj.times, traj.m1, traj.m2])

@@ -145,6 +145,23 @@ def test_simulate_is_deterministic(tmp_path):
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
 
+def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
+    import numpy as np
+
+    layout = {"bit_generator": "Philox", "block_rows": 25, "chunk_rows": 500,
+              "numpy": np.__version__}
+    for command in ("simulate", "verify"):
+        out = tmp_path / command
+        main([command, "--preset", "example1", "--paths", "2000", "--dt", "0.01",
+              "--seed", "3", "--out", str(out)])
+        params = read_json(out / "manifest.json")["params"]
+        assert {k: params[k] for k in layout} == layout
+    cfg = tmp_path / "matrix.ini"
+    cfg.write_text(MATRIX_CFG)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "block_rows" not in read_json(tmp_path / "manifest.json")["params"]
+
+
 def test_simulate_sim_settings_from_config(tmp_path):
     cfg = tmp_path / "sim.ini"
     cfg.write_text(SIM_CFG)

@@ -32,7 +32,8 @@ def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
 
 
 # Whole-array reference: the same arithmetic in the same order as the
-# in-place kernel, so that must reproduce it bit for bit.
+# in-place kernel, so that must reproduce it bit for bit.  The Euler update
+# is the fused affine map of x; u is formed for the running cost only.
 
 def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
@@ -42,7 +43,8 @@ def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
         m2_out[k] = (x * x).sum() / n
         u = al[k] * x + be[k] * m1
         run += q_dt[k] * u * u
-        x += (a[k] * x + b[k] * u) * dt + s_sqdt[k] * z[k]
+        x[:] = ((1.0 + (a[k] + b[k] * al[k]) * dt) * x + b[k] * be[k] * m1 * dt
+                + s_sqdt[k] * z[k])
 
 
 def _random_mc_inputs(rng, n=64, k=5):

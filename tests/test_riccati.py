@@ -424,3 +424,38 @@ def test_csv_writers(tmp_path):
     matrix_solution_to_csv(msol, mpath)
     header = mpath.read_text().splitlines()[0]
     assert header.startswith("t,phi1_00,phi1_01,phi1_10,phi1_11,phi2_00")
+
+
+def _csv_writer_bytes(path, header, rows):
+    # The per-row csv.writer loop every CSV writer ran before they shared
+    # riccati._write_csv.
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    from mflqg.riccati import _write_csv
+
+    # 1320 rows: the helper formats rows in batches of 512.
+    odd = np.tile([0.0, -0.0, 1.0 / 3.0, -1e-300, 5e-324, 1e22, 2.0 ** 60,
+                   np.nan, np.inf, -np.inf, 0.1], 120)
+    cols = [odd, odd[::-1] * -2.0, np.arange(odd.size, dtype=float)]
+    _write_csv(tmp_path / "got.csv", ["t", "a_1", "P_t"], cols)
+    assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["t", "a_1", "P_t"], zip(*cols))
+    _write_csv(tmp_path / "empty.csv", ["t", "m1"], [[], []])
+    assert (tmp_path / "empty.csv").read_bytes() == b"t,m1\r\n"
+    # The matrix writer lays out phi1 and phi2 row-major after t.
+    msol = solve_matrix_riccati(_matrix_unit(2), 10)
+    matrix_solution_to_csv(msol, tmp_path / "mphi.csv")
+    rows = [[msol.grid[k], *msol.phi1[k].ravel(), *msol.phi2[k].ravel(),
+             msol.phi3[k]] for k in range(msol.grid.size)]
+    header = (tmp_path / "mphi.csv").read_text().splitlines()[0].split(",")
+    assert (tmp_path / "mphi.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "mref.csv", header, rows)

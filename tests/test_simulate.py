@@ -138,10 +138,13 @@ def test_different_seeds_differ():
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
+    # 500 paths: 100 steps per block, 1000 steps in one chunk by default and
+    # in ten chunks of one block each after the patch.
     spec, _, law = _optimal(steps=200)
-    cfg = SimConfig(500, 1e-2, 9)
+    cfg = SimConfig(500, 1e-3, 9)
     r1 = simulate_mc(spec, law, 1.0, cfg)
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 1000)
+    assert simulate_module.stream_layout(500)["chunk_rows"] == 100
     r2 = simulate_mc(spec, law, 1.0, cfg)
     assert r1 == r2
 
@@ -173,15 +176,20 @@ def test_one_increment_block_per_run(monkeypatch):
 
 
 def _serial_reference(spec, law, initial, cfg):
-    # One Philox stream: the initial cloud first, then every increment of
-    # the run in one block, then one kernel call over all steps.
+    # The initial cloud from Philox(seed); the increments of steps
+    # [b S, (b + 1) S) from Philox(seed).jumped(b + 1), drawn block by block
+    # in block order; then one kernel call over all steps.
     n, dt = cfg.n_paths, cfg.dt
     steps = int(round(spec.T / dt))
     times = np.linspace(0.0, spec.T, steps + 1)
     left = times[:-1]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     x = simulate_module._resolve_initial(initial, n, rng)
-    z = rng.standard_normal((steps, n))
+    block = max(1, simulate_module._BLOCK_ELEMENTS // n)
+    z = np.concatenate([
+        np.random.Generator(np.random.Philox(cfg.seed).jumped(b + 1))
+        .standard_normal((min(block, steps - k0), n))
+        for b, k0 in enumerate(range(0, steps, block))])
     run = np.zeros(n)
     m1 = np.empty(steps + 1)
     m2 = np.empty(steps + 1)
@@ -194,19 +202,7 @@ def _serial_reference(spec, law, initial, cfg):
     return times, m1, m2, x, run
 
 
-@pytest.mark.parametrize("steps_per_buffer", [1, 7, None],
-                         ids=["one-step", "non-dividing", "default"])
-@pytest.mark.parametrize("initial", [1.0, (0.5, 0.25)], ids=["dirac", "gaussian"])
-@pytest.mark.parametrize("name", ["example1", "example2"])
-def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
-                                                steps_per_buffer):
-    # 2000 paths x 1000 steps: the default fills 500 steps per buffer, so
-    # every variant runs at least two chunks through both buffers.
-    spec, _, law = _optimal(name)
-    cfg = SimConfig(2000, 1e-3, 13)
-    if steps_per_buffer is not None:
-        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
-                            2 * cfg.n_paths * steps_per_buffer)
+def _assert_matches_reference(spec, law, initial, cfg):
     traj = evolve_cloud(spec, law, initial, cfg)
     times, m1, m2, x, run = _serial_reference(spec, law, initial, cfg)
     assert np.array_equal(traj.times, times)
@@ -214,6 +210,59 @@ def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
     assert np.array_equal(traj.m2, m2)
     assert np.array_equal(traj.states, x)
     assert np.array_equal(traj.run_costs, run)
+
+
+@pytest.mark.parametrize("steps_per_buffer,steps_per_block",
+                         [(1, 1), (7, 3), (None, None)],
+                         ids=["one-step", "non-dividing", "default"])
+@pytest.mark.parametrize("initial", [1.0, (0.5, 0.25)], ids=["dirac", "gaussian"])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
+                                                steps_per_buffer, steps_per_block):
+    # 2000 paths x 1000 steps: the default fills 500 steps per buffer in 20
+    # blocks of 25 steps, so every variant runs at least two chunks through
+    # both buffers.  Blocks of 3 steps make chunks of 6, and neither divides
+    # the 1000 steps.
+    spec, _, law = _optimal(name)
+    cfg = SimConfig(2000, 1e-3, 13)
+    if steps_per_buffer is not None:
+        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
+                            2 * cfg.n_paths * steps_per_buffer)
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS",
+                            cfg.n_paths * steps_per_block)
+    _assert_matches_reference(spec, law, initial, cfg)
+
+
+@pytest.mark.parametrize("drawer", ["helper", "main"])
+def test_block_draws_do_not_depend_on_the_drawing_thread(monkeypatch, drawer):
+    # Only the named thread may claim blocks; the other's fill calls return
+    # at once.  The bytes must still be the reference's.
+    fill = simulate_module._fill_blocks
+    caller = threading.get_ident()
+    drew = set()
+
+    def one_thread_fills(*args):
+        if (threading.get_ident() == caller) == (drawer == "main"):
+            drew.add(threading.get_ident())
+            fill(*args)
+
+    monkeypatch.setattr(simulate_module, "_fill_blocks", one_thread_fills)
+    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 2 * 2000 * 100)
+    spec, _, law = _optimal("example2")
+    _assert_matches_reference(spec, law, (0.5, 0.25), SimConfig(2000, 1e-3, 5))
+    assert len(drew) == 1 and (caller in drew) == (drawer == "main")
+
+
+def test_stream_layout_keeps_streams_apart():
+    # First draws of the initial-cloud stream, the first block streams and
+    # partial_obs's estimation-error stream, over a few seeds: all distinct.
+    firsts = []
+    for seed in range(4):
+        gens = [np.random.Philox(seed)]
+        gens += [np.random.Philox(seed).jumped(b + 1) for b in range(5)]
+        gens.append(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
+        firsts += [tuple(np.random.Generator(g).standard_normal(4)) for g in gens]
+    assert len(set(firsts)) == len(firsts) == 4 * 7
 
 
 def test_concurrent_runs_keep_their_streams(monkeypatch):
@@ -226,6 +275,7 @@ def test_concurrent_runs_keep_their_streams(monkeypatch):
     spec, _, law = _optimal("example2", steps=200)
     cfgs = [SimConfig(300, 1e-2, seed) for seed in range(4)]
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 2 * 300)
+    monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 300)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -252,6 +302,8 @@ def test_divergence_raises_and_stops_the_helper(monkeypatch, steps_per_buffer,
     if steps_per_buffer is not None:
         monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
                             2 * cfg.n_paths * steps_per_buffer)
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS",
+                            cfg.n_paths * steps_per_buffer)
     baseline = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationDivergedError) as err:

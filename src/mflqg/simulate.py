@@ -295,9 +295,10 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
 
 
 def stream_layout(n_paths: int) -> dict:
-    """What decides the Monte Carlo bytes of a run with n_paths particles
-    besides its seed: the bit generator, the steps per Philox block, the
-    steps per increment buffer and the numpy version (its normal sampler)."""
+    """What a run with n_paths particles depends on besides its problem and
+    seed: the bit generator and the steps per Philox block (the streams),
+    the steps per increment buffer (where a divergence is detected) and the
+    numpy version (its normal sampler)."""
     block = max(1, _BLOCK_ELEMENTS // n_paths)
     chunk = block * max(1, _CHUNK_ELEMENTS // 2 // n_paths // block)
     return {"bit_generator": "Philox", "block_rows": block,

@@ -88,16 +88,27 @@ def test_mc_chunk_single_step_formulas():
     assert x[0] == 2.0 + (1.0 * 2.0 + 1.0 * u) * dt + 0.3 * 0.5
 
 
-def test_kernels_match_whole_array_expressions():
+def _assert_kernel_matches_expressions(mean, dt):
     rng = np.random.default_rng(3)
     x, run, z, coefs = _random_mc_inputs(rng, n=1000, k=6)
+    x += mean
     outs = []
     for kernel in (_mc_chunk_expr, mc_chunk):
         xc, runc, m1, m2 = x.copy(), run.copy(), np.empty(6), np.empty(6)
-        kernel(xc, runc, z, *coefs, 1e-2, m1, m2)
+        kernel(xc, runc, z, *coefs, dt, m1, m2)
         outs.append((xc, runc, m1, m2))
     for ref, got in zip(*outs):
         assert np.array_equal(ref, got)
+
+
+def test_kernels_match_whole_array_expressions():
+    _assert_kernel_matches_expressions(0.0, 1e-2)
+
+
+def test_kernels_match_whole_array_expressions_off_centre():
+    # With m1 and dt of order one the per-step constant b be m1 dt is
+    # comparable to x, so a reassociated constant changes the last bits of x.
+    _assert_kernel_matches_expressions(2.0, 0.5)
 
 
 def test_backends_agree_on_full_simulation(monkeypatch):

@@ -14,12 +14,11 @@ __version__ = "0.1.0"
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
 from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
-                    ParticleCloud, ProblemSpec, ValidationResult,
-                    as_coefficient, eval_coefficient, moments_of,
+                    ProblemSpec, ValidationResult, as_coefficient,
                     validate_matrix_spec, validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, MatrixRiccatiSolution, RiccatiSolution,
-                      closed_form, matrix_riccati_rhs, riccati_rhs,
-                      sample_solution, solve_matrix_riccati, solve_riccati)
+                      closed_form, sample_solution, solve_matrix_riccati,
+                      solve_riccati)
 from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
@@ -28,12 +27,11 @@ from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
                        cost_oracle, evolve_cloud, gaussianity_check,
                        mc_tolerance, perturbation_sweep, simulate_mc)
 from .partial_obs import (DecompositionReport, PartialObsSpec,
-                          PartialTrajectory, cost_decomposition_check,
-                          error_variance, evolve_partial,
-                          optimal_prediction_feedback, partial_value,
-                          reduced_problem, simulate_partial)
+                          PartialTrajectory, Reduction,
+                          cost_decomposition_check, error_variance,
+                          evolve_partial, reduced_problem)
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
-from .config import ResolvedConfig, load_config, parse_config, serialize_config
+from .config import ResolvedConfig, load_config, parse_config
 
 __all__ = [
     "__version__",
@@ -41,13 +39,12 @@ __all__ = [
     "AssumptionError", "ConfigError", "DomainError", "FiniteEscapeError",
     "SimulationDivergedError",
     # model
-    "Coefficient", "MatrixProblemSpec", "MeasureMoments", "ParticleCloud",
-    "ProblemSpec", "ValidationResult", "as_coefficient", "eval_coefficient",
-    "moments_of", "validate_matrix_spec", "validate_spec",
+    "Coefficient", "MatrixProblemSpec", "MeasureMoments", "ProblemSpec",
+    "ValidationResult", "as_coefficient", "validate_matrix_spec",
+    "validate_spec",
     # riccati
     "DIVERGENCE_LIMIT", "MatrixRiccatiSolution", "RiccatiSolution",
-    "closed_form", "matrix_riccati_rhs", "riccati_rhs", "sample_solution",
-    "solve_matrix_riccati", "solve_riccati",
+    "closed_form", "sample_solution", "solve_matrix_riccati", "solve_riccati",
     # control
     "FeedbackLaw", "hamiltonian", "hamiltonian_minimizer", "master_residual",
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
@@ -56,11 +53,10 @@ __all__ = [
     "SimConfig", "cost_from_cloud", "cost_oracle", "evolve_cloud",
     "gaussianity_check", "mc_tolerance", "perturbation_sweep", "simulate_mc",
     # partial observation
-    "DecompositionReport", "PartialObsSpec", "PartialTrajectory",
+    "DecompositionReport", "PartialObsSpec", "PartialTrajectory", "Reduction",
     "cost_decomposition_check", "error_variance", "evolve_partial",
-    "optimal_prediction_feedback", "partial_value", "reduced_problem",
-    "simulate_partial",
+    "reduced_problem",
     # presets and config
     "PRESET_NAMES", "partial_preset", "preset", "scalar_preset",
-    "ResolvedConfig", "load_config", "parse_config", "serialize_config",
+    "ResolvedConfig", "load_config", "parse_config",
 ]

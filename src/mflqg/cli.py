@@ -30,20 +30,19 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .control import (law_to_csv, optimal_feedback, residual_sweep,
-                      residual_to_csv, value_function)
+                      residual_to_csv)
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
 from .model import (MatrixProblemSpec, MeasureMoments, ProblemSpec,
                     validate_matrix_spec, validate_spec)
-from .partial_obs import (PartialObsSpec, cost_decomposition_check,
-                          error_variance, evolve_partial,
-                          partial_trajectory_to_csv, reduced_problem)
+from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
+                          evolve_partial, partial_trajectory_to_csv)
 from .presets import PRESET_NAMES, preset
 from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
                       solve_matrix_riccati, solve_riccati)
-from .simulate import (CostReport, SimConfig, cost_from_cloud, cost_oracle,
-                       evolve_cloud, gaussianity_check, mc_tolerance,
-                       perturbation_sweep, stream_layout, trajectory_to_csv)
+from .simulate import (CostReport, SimConfig, cost_from_cloud, evolve_cloud,
+                       gaussianity_check, mc_tolerance, perturbation_sweep,
+                       stream_layout, trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
@@ -72,6 +71,8 @@ class RunManifest:
     def read(path) -> "RunManifest":
         with open(path, "r") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict) or not {"command", "source"} <= raw.keys():
+            raise OSError(f"{path}: not a run manifest (needs command and source)")
         return RunManifest(command=raw["command"], source=raw["source"],
                            params=raw.get("params", {}),
                            outputs=raw.get("outputs", {}),
@@ -154,16 +155,11 @@ def _grid_steps(args, horizon: float) -> int:
 def _sim_config(args, from_config: SimConfig | None) -> SimConfig:
     base = from_config if from_config is not None else SimConfig(
         n_paths=_DEFAULT_PATHS, dt=_DEFAULT_DT, seed=_DEFAULT_SEED)
-    sim = SimConfig(
+    return SimConfig(
         n_paths=args.paths if args.paths is not None else base.n_paths,
         dt=args.dt if args.dt is not None else base.dt,
         seed=args.seed if args.seed is not None else base.seed,
     )
-    # One path has a zero standard error, which would leave the Monte Carlo
-    # band as pure bias allowance.
-    if sim.n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {sim.n_paths}")
-    return sim
 
 
 def _scalar_xs(args, default=(1.0,)) -> list[float]:
@@ -217,55 +213,23 @@ def _require_validated(spec) -> None:
         raise AssumptionError(result.message)
 
 
-@dataclass(frozen=True)
-class _Scalar:
-    """The fully observed scalar problem a command runs on.
-
-    A partially observed spec becomes its reduced problem for the prediction
-    process: control starts from N(x, var0) with var0 = eta_hat^2 s, and the
-    estimation error adds the constant comp = D1 P_T to every cost.  From
-    there every command runs the scalar code.
-    """
-
-    problem: ProblemSpec
-    xs: list                # requested initial states; the first is simulated
-    probe_xs: list          # where oracle-vs-value compares
-    partial: PartialObsSpec | None = None   # with x = xs[0]
-    var0: float = 0.0
-    comp: float = 0.0
-
-    @property
-    def kind(self) -> str:
-        return "scalar" if self.partial is None else "partial_obs"
-
-    def moments(self, x: float) -> MeasureMoments:
-        return MeasureMoments(x, x * x + self.var0)
-
-    def value(self, sol, x: float) -> float:
-        return value_function(sol, 0.0, self.moments(x)) + self.comp
-
-    def oracle(self, law, x: float, steps: int) -> CostReport:
-        mu = self.moments(x)
-        return cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
-
-
-def _scalar_view(spec, args) -> _Scalar:
+def _scalar_view(spec, args) -> tuple[Reduction, list]:
+    """The scalar problem a command runs on and the requested initial
+    states; the first is simulated, and a partially observed spec takes it
+    as its x."""
     if isinstance(spec, PartialObsSpec):
         xs = _scalar_xs(args, default=(spec.x,))
-        spec = dataclasses.replace(spec, x=xs[0])
-        return _Scalar(reduced_problem(spec), xs, xs, spec,
-                       spec.eta_hat ** 2 * spec.s,
-                       spec.D1 * error_variance(spec, spec.T))
-    return _Scalar(spec, _scalar_xs(args), _scalar_xs(args, default=(0.0, 1.0)))
+        return Reduction.of(dataclasses.replace(spec, x=xs[0])), xs
+    return Reduction.of(spec), _scalar_xs(args)
 
 
-def _particles(view: _Scalar, law, sim: SimConfig):
-    """One seeded particle run from xs[0]: the trajectory, the full-state
+def _particles(red: Reduction, law, sim: SimConfig, x0: float):
+    """One seeded particle run from x0: the trajectory, the full-state
     terminal cloud and the controlled (prediction) terminal cloud."""
-    if view.partial is None:
-        traj = evolve_cloud(view.problem, law, view.xs[0], sim)
+    if red.partial is None:
+        traj = evolve_cloud(red.problem, law, x0, sim)
         return traj, traj.states, traj.states
-    traj = evolve_partial(view.partial, law, sim)
+    traj = evolve_partial(red.partial, law, sim)
     return traj, traj.xhat + traj.err, traj.xhat
 
 
@@ -292,19 +256,19 @@ def cmd_solve(args) -> int:
             values.append({"x": [float(v) for v in vec], "value": value})
         summary.update(kind="matrix", d=spec.d, T=spec.T, steps=steps, values=values)
     else:
-        view = _scalar_view(spec, args)
-        steps = _grid_steps(args, view.problem.T)
-        _require_validated(view.problem)
-        sol = solve_riccati(view.problem, steps)
+        red, xs = _scalar_view(spec, args)
+        steps = _grid_steps(args, red.problem.T)
+        _require_validated(red.problem)
+        sol = solve_riccati(red.problem, steps)
         solution_to_csv(sol, os.path.join(out, "phi.csv"))
-        law_to_csv(optimal_feedback(view.problem, sol),
+        law_to_csv(optimal_feedback(red.problem, sol),
                    os.path.join(out, "gains.csv"))
         outputs["phi"] = "phi.csv"
         outputs["gains"] = "gains.csv"
-        values = [{"x": x, "value": view.value(sol, x)} for x in view.xs]
-        summary.update(kind=view.kind, T=spec.T, steps=steps, values=values)
-        if view.partial is not None:
-            summary.update(s=spec.s, error_compensation=view.comp)
+        values = [{"x": x, "value": red.value(sol, x)} for x in xs]
+        summary.update(kind=red.kind, T=spec.T, steps=steps, values=values)
+        if red.partial is not None:
+            summary.update(s=spec.s, error_compensation=red.comp)
 
     _write_json(os.path.join(out, "summary.json"), summary)
     outputs["summary"] = "summary.json"
@@ -325,25 +289,25 @@ def cmd_simulate(args) -> int:
     if isinstance(spec, MatrixProblemSpec):
         raise DomainError("simulate supports scalar and partial_obs problems")
 
-    view = _scalar_view(spec, args)
-    steps = _grid_steps(args, view.problem.T)
-    x0 = view.xs[0]
-    _require_validated(view.problem)
-    law = optimal_feedback(view.problem, solve_riccati(view.problem, steps))
-    oracle = view.oracle(law, x0, steps)
-    traj, states, _ = _particles(view, law, sim)
-    mc = cost_from_cloud(view.problem, states, traj.run_costs)
-    write = trajectory_to_csv if view.partial is None else partial_trajectory_to_csv
+    red, xs = _scalar_view(spec, args)
+    steps = _grid_steps(args, red.problem.T)
+    x0 = xs[0]
+    _require_validated(red.problem)
+    law = optimal_feedback(red.problem, solve_riccati(red.problem, steps))
+    oracle = red.oracle(law, x0, steps)
+    traj, states, _ = _particles(red, law, sim, x0)
+    mc = cost_from_cloud(red.problem, states, traj.run_costs)
+    write = trajectory_to_csv if red.partial is None else partial_trajectory_to_csv
     write(traj, os.path.join(out, "trajectory.csv"))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
-               "mc": dataclasses.asdict(mc), "kind": view.kind,
+               "mc": dataclasses.asdict(mc), "kind": red.kind,
                "oracle": dataclasses.asdict(oracle)}
-    if view.partial is not None:
-        summary["error_compensation"] = view.comp
-        summary["oracle"] = {"total": oracle.total + view.comp,
+    if red.partial is not None:
+        summary["error_compensation"] = red.comp
+        summary["oracle"] = {"total": oracle.total + red.comp,
                              "running": oracle.running,
-                             "terminal": oracle.terminal + view.comp}
+                             "terminal": oracle.terminal + red.comp}
 
     discrepancy = abs(mc.total - summary["oracle"]["total"])
     threshold = mc_tolerance(mc.std_error, sim.dt)
@@ -433,7 +397,7 @@ def _gaussianity_entry(states) -> _Check:
                   f"{gauss.excess_kurtosis:.4f}")
 
 
-def _perturbation_entry(view: _Scalar, law, x0: float, steps: int) -> _Check:
+def _perturbation_entry(red: Reduction, law, x0: float, steps: int) -> _Check:
     """Constant gain offsets around the optimum, all in one oracle pass: every
     margin over the zero-offset cost must be positive, and each channel's
     margin must grow with exponent 2 in the offset."""
@@ -441,8 +405,8 @@ def _perturbation_entry(view: _Scalar, law, x0: float, steps: int) -> _Check:
     offsets = [sign * d for d in sizes.tolist() for sign in (1.0, -1.0)]
     deltas = ([(0.0, 0.0)] + [(o, 0.0) for o in offsets]
               + [(0.0, o) for o in offsets])
-    mu = view.moments(x0)
-    swept = perturbation_sweep(view.problem, law, deltas, mu.m1, mu.m2, steps)
+    mu = red.moments(x0)
+    swept = perturbation_sweep(red.problem, law, deltas, mu.m1, mu.m2, steps)
     totals = np.array([total for _, total in swept])
     margins = totals[1:] - totals[0]
     fit_ok = True
@@ -475,12 +439,14 @@ def _decomposition_entry(spec: PartialObsSpec, traj) -> _Check:
                   f"defect {decomp.defect:.3e}, band {tol:.3e}")
 
 
-def _verify_scalar(view: _Scalar, preset_name: str | None, steps: int,
-                   sim: SimConfig, out: str, outputs: dict) -> list[_Check]:
-    """The check battery of a scalar-kind problem; a partially observed one
-    adds cost-decomposition."""
-    spec = view.problem
-    x0 = view.xs[0]
+def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
+                   preset_name: str | None, steps: int, sim: SimConfig,
+                   out: str, outputs: dict) -> list[_Check]:
+    """The check battery of a scalar-kind problem, from xs[0]; oracle-vs-value
+    compares at each of probe_xs.  A partially observed problem adds
+    cost-decomposition."""
+    spec = red.problem
+    x0 = xs[0]
     checks: list[_Check] = []
 
     result = validate_spec(spec)
@@ -502,33 +468,34 @@ def _verify_scalar(view: _Scalar, preset_name: str | None, steps: int,
     checks.append(_Check("residual-sweep", worst <= 1e-6, worst, 1e-6,
                          f"max |residual| = {worst:.3e} over 100 draws"))
 
-    # The value read off a refined grid must agree with the working grid's.
-    v1 = view.value(sol, x0)
-    gap = abs(v1 - view.value(solve_riccati(spec, 2 * steps), x0))
+    # One refined grid, at least twice the working one, serves as the
+    # reference of value-consistency and as the grid of the oracle checks.
+    fine_steps = max(2000, 2 * steps)
+    sol_fine = solve_riccati(spec, fine_steps)
+    law_fine = optimal_feedback(spec, sol_fine)
+    v1 = red.value(sol, x0)
+    gap = abs(v1 - red.value(sol_fine, x0))
     checks.append(_Check("value-consistency", gap <= 1e-6, gap, 1e-6,
                          f"value {v1:.9f}, refined-grid shift {gap:.3e}"))
 
-    oracle_steps = max(2000, steps)
-    sol_fine = solve_riccati(spec, oracle_steps)
-    law_fine = optimal_feedback(spec, sol_fine)
     worst_gap = 0.0
-    for x in view.probe_xs:
-        oracle = view.oracle(law_fine, x, oracle_steps)
+    for x in probe_xs:
+        oracle = red.oracle(law_fine, x, fine_steps)
         worst_gap = max(worst_gap,
-                        abs(oracle.total + view.comp - view.value(sol_fine, x)))
-    what = ("max |oracle - ansatz value|" if view.partial is None
+                        abs(oracle.total + red.comp - red.value(sol_fine, x)))
+    what = ("max |oracle - ansatz value|" if red.partial is None
             else "|oracle + error compensation - value|")
     checks.append(_Check("oracle-vs-value", worst_gap <= 1e-5, worst_gap, 1e-5,
                          f"{what} = {worst_gap:.3e}"))
-    checks.append(_perturbation_entry(view, law_fine, x0, oracle_steps))
+    checks.append(_perturbation_entry(red, law_fine, x0, fine_steps))
 
-    oracle_total = view.oracle(law, x0, oracle_steps).total + view.comp
-    traj, states, controlled = _particles(view, law, sim)
+    oracle_total = red.oracle(law, x0, fine_steps).total + red.comp
+    traj, states, controlled = _particles(red, law, sim, x0)
     mc = cost_from_cloud(spec, states, traj.run_costs)
     checks.append(_mc_check(mc, oracle_total, sim.dt))
     checks.append(_gaussianity_entry(controlled))
-    if view.partial is not None:
-        checks.append(_decomposition_entry(view.partial, traj))
+    if red.partial is not None:
+        checks.append(_decomposition_entry(red.partial, traj))
     return checks
 
 
@@ -574,10 +541,14 @@ def cmd_verify(args) -> int:
         checks = _verify_matrix(spec, steps, out, outputs)
         kind = "matrix"
     else:
-        view = _scalar_view(spec, args)
-        steps = _grid_steps(args, view.problem.T)
-        checks = _verify_scalar(view, args.preset, steps, sim, out, outputs)
-        kind = view.kind
+        red, xs = _scalar_view(spec, args)
+        steps = _grid_steps(args, red.problem.T)
+        # A fully observed problem probes the value at 0 and 1 unless --x
+        # names the states.
+        probe_xs = xs if args.x or red.partial is not None else [0.0, 1.0]
+        checks = _verify_scalar(red, xs, probe_xs, args.preset, steps, sim,
+                                out, outputs)
+        kind = red.kind
         params.update(stream_layout(sim.n_paths))
 
     for check in checks:

@@ -23,7 +23,7 @@ A config file carries exactly one problem section plus an optional
     D1 = 1.0
     D2 = 0.0
 
-    [matrix_problem]          vector state, constant matrices only
+    [matrix_problem]          vector state; every matrix is constant in t
     d = 2
     A = 0 0; 0 0              rows separated by ';'
     ...
@@ -34,7 +34,10 @@ A config file carries exactly one problem section plus an optional
     seed = 42
 
 Parsing errors raise ConfigError naming the section and field; violated model
-assumptions surface as AssumptionError from the constructed spec itself.
+assumptions surface as AssumptionError from the constructed spec itself, and
+simulation settings the engine cannot run (n_paths < 2, dt <= 0) as
+DomainError from SimConfig.  Parsing is one way: no writer turns a spec back
+into INI text.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ __all__ = [
     "ResolvedConfig",
     "parse_config",
     "load_config",
-    "serialize_config",
-    "coefficient_to_text",
 ]
 
 _PROBLEM_FIELDS = ("A", "B", "sigma", "Q", "D1", "D2", "T")
@@ -233,58 +234,3 @@ def parse_config(text: str) -> ResolvedConfig:
 def load_config(path) -> ResolvedConfig:
     with open(path, "r") as fh:
         return parse_config(fh.read())
-
-
-def coefficient_to_text(coef: Coefficient) -> str:
-    if coef.kind == "constant":
-        return f"constant {coef.data[0]!r}"
-    if coef.kind == "poly":
-        return "poly " + " ".join(repr(c) for c in coef.data)
-    ts, vs = coef.data
-    return "table " + " ".join(f"{t!r}:{v!r}" for t, v in zip(ts, vs))
-
-
-def _matrix_to_text(arr: np.ndarray) -> str:
-    return "; ".join(" ".join(repr(float(v)) for v in row) for row in arr)
-
-
-def serialize_config(resolved: ResolvedConfig) -> str:
-    """Render a ResolvedConfig back to INI text.  parse -> serialize -> parse
-    is the identity on every field (constant matrices only)."""
-    lines: list[str] = []
-    if resolved.problem is not None:
-        p = resolved.problem
-        lines.append("[problem]")
-        for name in ("A", "B", "sigma", "Q"):
-            lines.append(f"{name} = {coefficient_to_text(getattr(p, name))}")
-        lines.append(f"D1 = {p.D1!r}")
-        lines.append(f"D2 = {p.D2!r}")
-        lines.append(f"T = {p.T!r}")
-        lines.append("")
-    if resolved.matrix_problem is not None:
-        m = resolved.matrix_problem
-        lines.append("[matrix_problem]")
-        lines.append(f"d = {m.d}")
-        for name in ("A", "B", "sigma", "Q", "D1", "D2"):
-            value = getattr(m, name)
-            if callable(value):
-                raise ConfigError(
-                    f"matrix field {name} is a callable; only constant matrices serialize"
-                )
-            lines.append(f"{name} = {_matrix_to_text(value)}")
-        lines.append(f"T = {m.T!r}")
-        lines.append("")
-    if resolved.partial_obs is not None:
-        q = resolved.partial_obs
-        lines.append("[partial_obs]")
-        for name in _PARTIAL_FIELDS:
-            lines.append(f"{name} = {getattr(q, name)!r}")
-        lines.append("")
-    if resolved.simulation is not None:
-        c = resolved.simulation
-        lines.append("[simulation]")
-        lines.append(f"n_paths = {c.n_paths}")
-        lines.append(f"dt = {c.dt!r}")
-        lines.append(f"seed = {c.seed}")
-        lines.append("")
-    return "\n".join(lines)

@@ -82,10 +82,6 @@ class FeedbackLaw:
             beta=self.beta + float(d_beta),
         )
 
-    def control(self, t: float, x: float, m1: float) -> float:
-        a, b = self.at(t)
-        return a * float(x) + b * float(m1)
-
 
 def value_function(sol: RiccatiSolution, t: float, mu: MeasureMoments) -> float:
     p1, p2, p3 = sample_solution(sol, t)

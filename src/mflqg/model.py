@@ -12,7 +12,7 @@ so a distribution enters every formula only through ``(m1, m2)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,11 +23,8 @@ __all__ = [
     "ProblemSpec",
     "MatrixProblemSpec",
     "MeasureMoments",
-    "ParticleCloud",
     "ValidationResult",
     "as_coefficient",
-    "eval_coefficient",
-    "moments_of",
     "validate_spec",
     "validate_matrix_spec",
 ]
@@ -71,33 +68,11 @@ class Coefficient:
         return Coefficient("table", (t, v))
 
     def __call__(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.data[0]
-        if self.kind == "poly":
-            acc = 0.0
-            for c in reversed(self.data):
-                acc = acc * t + c
-            return acc
-        ts, vs = self.data
-        if t < ts[0] or t > ts[-1]:
-            raise DomainError(
-                f"t = {t:.6g} outside tabulated range [{ts[0]:.6g}, {ts[-1]:.6g}]"
-            )
-        # Linear interpolation; knot hits return the stored value exactly.
-        lo, hi = 0, len(ts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        if t == ts[lo]:
-            return vs[lo]
-        w = (t - ts[lo]) / (ts[hi] - ts[lo])
-        return vs[lo] + w * (vs[hi] - vs[lo])
+        return float(self.on(t))
 
     def on(self, times) -> np.ndarray:
-        """Values at an array of times, bit for bit what calling at each gives."""
+        """Values at a time or an array of times; knot hits of a table
+        return the stored value exactly."""
         t = np.asarray(times, dtype=np.float64)
         if self.kind == "constant":
             return np.full(t.shape, self.data[0])
@@ -109,7 +84,10 @@ class Coefficient:
         ts, vs = (np.array(a) for a in self.data)
         outside = (t < ts[0]) | (t > ts[-1])
         if outside.any():
-            self(float(t[outside][0]))  # raises DomainError with the message
+            raise DomainError(
+                f"t = {float(t[outside][0]):.6g} outside tabulated range "
+                f"[{ts[0]:.6g}, {ts[-1]:.6g}]"
+            )
         lo = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
         w = (t - ts[lo]) / (ts[lo + 1] - ts[lo])
         return np.where(t == ts[lo], vs[lo], vs[lo] + w * (vs[lo + 1] - vs[lo]))
@@ -125,11 +103,6 @@ def as_coefficient(value: CoefficientLike) -> Coefficient:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Coefficient.constant(float(value))
     raise DomainError(f"cannot interpret {value!r} as a coefficient")
-
-
-def eval_coefficient(f: CoefficientLike, t: float) -> float:
-    """Evaluate a coefficient (or bare number) at time t."""
-    return as_coefficient(f)(float(t))
 
 
 @dataclass(frozen=True)
@@ -203,34 +176,6 @@ class MeasureMoments:
         return self.m2 - self.m1 * self.m1
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleCloud:
-    """An empirical measure: a read-only float64 vector of particle states."""
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.states, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise DomainError(f"particle states must be 1-d, got shape {arr.shape}")
-        if arr.size == 0:
-            raise DomainError("particle cloud must contain at least one particle")
-        arr.setflags(write=False)
-        object.__setattr__(self, "states", arr)
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-    def moments(self) -> MeasureMoments:
-        return moments_of(self)
-
-
-def moments_of(cloud: ParticleCloud) -> MeasureMoments:
-    """Empirical (m1, m2) of a cloud: equal-weight averages of x and x^2."""
-    x = cloud.states
-    return MeasureMoments(float(x.mean()), float((x * x).mean()))
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     """Verdict on the standing assumptions.  q_min is the smallest control
@@ -244,16 +189,14 @@ class ValidationResult:
     q_min: float | None = None
 
 
-def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult:
+def validate_spec(spec: ProblemSpec) -> ValidationResult:
     """Check the standing assumptions on a uniform time grid.
 
-    A1 (positive control weight) requires Q(t) > 0; it is checked at
-    ``grid_points`` equally spaced times including both endpoints.  The other
-    coefficients are probed at the endpoints so tabulated data covering less
-    than [0, T] is reported rather than raising later, mid-integration.
+    A1 (positive control weight) requires Q(t) > 0; it is checked at 256
+    equally spaced times including both endpoints.  The other coefficients
+    are probed at the endpoints so tabulated data covering less than [0, T]
+    is reported rather than raising later, mid-integration.
     """
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
     if not spec.T > 0.0:
         return ValidationResult(False, "horizon T must be positive", None)
     for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
@@ -265,7 +208,7 @@ def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult
                 return ValidationResult(
                     False, f"coefficient {name} not evaluable: {exc}", t
                 )
-    times = np.linspace(0.0, spec.T, grid_points)
+    times = np.linspace(0.0, spec.T, 256)
     q_min = float(spec.Q.on(times).min())
     try:
         spec.control_weight_on(times)
@@ -274,26 +217,15 @@ def validate_spec(spec: ProblemSpec, grid_points: int = 256) -> ValidationResult
     return ValidationResult(True, "ok", None, q_min)
 
 
-MatrixLike = Union[np.ndarray, Sequence[Sequence[float]], Callable[[float], np.ndarray]]
-
-
-def _freeze_matrix(value: MatrixLike, d: int, name: str):
-    """Normalize a matrix field: constant arrays are copied and locked."""
-    if callable(value):
-        return value
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.shape != (d, d):
-        raise DomainError(f"{name} must have shape ({d}, {d}), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+MatrixLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixProblemSpec:
     """Vector-state variant of :class:`ProblemSpec` in dimension d.
 
-    A, B, sigma, Q are d x d matrices, either constant (array-like) or
-    callables of time returning arrays.  D1 and D2 must be symmetric.
+    A, B, sigma, Q, D1 and D2 are constant d x d matrices, copied and locked
+    on construction.  D1 and D2 must be symmetric.
     """
 
     d: int
@@ -301,8 +233,8 @@ class MatrixProblemSpec:
     B: MatrixLike
     sigma: MatrixLike
     Q: MatrixLike
-    D1: np.ndarray
-    D2: np.ndarray
+    D1: MatrixLike
+    D2: MatrixLike
     T: float
 
     def __post_init__(self):
@@ -313,76 +245,37 @@ class MatrixProblemSpec:
         object.__setattr__(self, "T", float(self.T))
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
-        for name in ("A", "B", "sigma", "Q"):
-            object.__setattr__(self, name, _freeze_matrix(getattr(self, name), d, name))
-        for name in ("D1", "D2"):
+        for name in ("A", "B", "sigma", "Q", "D1", "D2"):
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             if arr.shape != (d, d):
                 raise DomainError(f"{name} must have shape ({d}, {d}), got {arr.shape}")
-            if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
-                raise AssumptionError(f"terminal weight {name} must be symmetric")
-            arr = 0.5 * (arr + arr.T)
+            if name in ("D1", "D2"):
+                if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
+                    raise AssumptionError(f"terminal weight {name} must be symmetric")
+                arr = 0.5 * (arr + arr.T)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def _at(self, field: str, t: float) -> np.ndarray:
-        value = getattr(self, field)
-        if callable(value):
-            arr = np.asarray(value(t), dtype=np.float64)
-            if arr.shape != (self.d, self.d):
-                raise DomainError(
-                    f"{field}({t:.6g}) has shape {arr.shape}, expected ({self.d}, {self.d})"
-                )
-            return arr
-        return value
-
-    def A_at(self, t: float) -> np.ndarray:
-        return self._at("A", t)
-
-    def B_at(self, t: float) -> np.ndarray:
-        return self._at("B", t)
-
-    def sigma_at(self, t: float) -> np.ndarray:
-        return self._at("sigma", t)
-
-    def Q_at(self, t: float) -> np.ndarray:
-        return self._at("Q", t)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixProblemSpec):
             return NotImplemented
-        if self.d != other.d or self.T != other.T:
-            return False
-        for name in ("A", "B", "sigma", "Q", "D1", "D2"):
-            a, b = getattr(self, name), getattr(other, name)
-            if callable(a) or callable(b):
-                if a is not b:
-                    return False
-            elif not np.array_equal(a, b):
-                return False
-        return True
+        return self.d == other.d and self.T == other.T and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("A", "B", "sigma", "Q", "D1", "D2"))
 
 
-def validate_matrix_spec(spec: MatrixProblemSpec, grid_points: int = 64) -> ValidationResult:
-    """Matrix analogue of :func:`validate_spec`: Q(t) must be symmetric positive
-    definite at every grid time."""
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
-    q_min = None
-    for t in np.linspace(0.0, spec.T, grid_points):
-        t = float(t)
-        q = spec.Q_at(t)
-        if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
-            return ValidationResult(
-                False, f"assumption A1: Q({t:.6g}) is not symmetric", t, q_min
-            )
-        lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-        q_min = lam if q_min is None else min(q_min, lam)
-        if not lam > 0.0:
-            return ValidationResult(
-                False,
-                f"assumption A1 (positive definite control weight) fails: "
-                f"min eig Q({t:.6g}) = {lam:.6g}",
-                t, q_min,
-            )
-    return ValidationResult(True, "ok", None, q_min)
+def validate_matrix_spec(spec: MatrixProblemSpec) -> ValidationResult:
+    """Matrix analogue of :func:`validate_spec`: Q must be symmetric positive
+    definite."""
+    q = spec.Q
+    if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
+        return ValidationResult(False, "assumption A1: Q is not symmetric")
+    lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+    if not lam > 0.0:
+        return ValidationResult(
+            False,
+            f"assumption A1 (positive definite control weight) fails: "
+            f"min eig Q = {lam:.6g}",
+            None, lam,
+        )
+    return ValidationResult(True, "ok", None, lam)

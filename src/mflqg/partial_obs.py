@@ -15,10 +15,12 @@ and the optimal value is read off the reduced problem's Riccati solution:
 
     V = phi1(s) (x^2 + eta_hat^2 s) + phi2(s) x^2 + phi3(s) + D1 * P_T.
 
-Simulation follows the same split: the prediction cloud is the fully observed
-particle engine run on the reduced problem, and E, which no cost term reads
-before T, is drawn once at T from its own stream.  The reduced problem's
-closed form is riccati.closed_form(reduced_problem(spec)).
+Reduction holds that split once: the reduced problem, the initial variance
+eta_hat^2 s and the constant D1 * P_T; every command and evolve_partial read
+it.  Simulation follows the same split: the prediction cloud is the fully
+observed particle engine run on the reduced problem, and E, which no cost
+term reads before T, is drawn once at T from its own stream.  The reduced
+problem's closed form is riccati.closed_form(reduced_problem(spec)).
 """
 
 from __future__ import annotations
@@ -28,22 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import FeedbackLaw, optimal_feedback, value_function
+from .control import FeedbackLaw, value_function
 from .errors import AssumptionError, DomainError
 from .model import MeasureMoments, ProblemSpec
 from .riccati import RiccatiSolution, _write_csv
-from .simulate import CostReport, SimConfig, cost_from_cloud, evolve_cloud
+from .simulate import CostReport, SimConfig, cost_oracle, evolve_cloud
 
 __all__ = [
     "PartialObsSpec",
+    "Reduction",
     "PartialTrajectory",
     "DecompositionReport",
     "error_variance",
     "reduced_problem",
-    "partial_value",
-    "optimal_prediction_feedback",
     "evolve_partial",
-    "simulate_partial",
     "cost_decomposition_check",
     "partial_trajectory_to_csv",
 ]
@@ -92,12 +92,19 @@ class PartialObsSpec:
             )
 
 
-def error_variance(spec: PartialObsSpec, t: float) -> float:
-    """Variance P_t of the estimation error at time t in [s, T]."""
-    t = float(t)
-    if t < spec.s or t > spec.T:
-        raise DomainError(f"t = {t:.6g} outside [{spec.s:.6g}, {spec.T:.6g}]")
-    return spec.eta_tilde ** 2 * spec.s + spec.sigma_tilde ** 2 * (t - spec.s)
+def error_variance(spec: PartialObsSpec, t):
+    """Variance P_t of the estimation error at time t in [s, T], or at each
+    entry of an array of times.  Times up to 1e-12 max(1, T) outside [s, T]
+    are accepted: s plus a time on the reduced clock [0, T - s] can round
+    past T."""
+    t = np.asarray(t, dtype=np.float64)
+    slack = 1e-12 * max(1.0, spec.T)
+    outside = (t < spec.s - slack) | (t > spec.T + slack)
+    if outside.any():
+        raise DomainError(f"t = {float(t[outside][0]):.6g} outside "
+                          f"[{spec.s:.6g}, {spec.T:.6g}]")
+    p = spec.eta_tilde ** 2 * spec.s + spec.sigma_tilde ** 2 * (t - spec.s)
+    return float(p) if p.ndim == 0 else p
 
 
 def reduced_problem(spec: PartialObsSpec) -> ProblemSpec:
@@ -110,22 +117,44 @@ def reduced_problem(spec: PartialObsSpec) -> ProblemSpec:
                        D1=spec.D1, D2=spec.D2, T=spec.T - spec.s)
 
 
-def partial_value(spec: PartialObsSpec, phi: RiccatiSolution) -> float:
-    """Optimal value of the partially observed problem from a reduced-problem
-    Riccati solution: evaluate the ansatz at the initial law N(x, eta_hat^2 s)
-    and add the uncontrollable terminal error cost D1 * P_T."""
-    horizon = spec.T - spec.s
-    if abs(phi.T - horizon) > 1e-9 * max(1.0, horizon):
-        raise DomainError(
-            f"solution horizon {phi.T:.6g} does not match T - s = {horizon:.6g}"
-        )
-    mu = MeasureMoments(spec.x, spec.x * spec.x + spec.eta_hat ** 2 * spec.s)
-    return value_function(phi, 0.0, mu) + spec.D1 * error_variance(spec, spec.T)
+@dataclass(frozen=True)
+class Reduction:
+    """The fully observed scalar problem a command runs on.
 
+    A partially observed spec becomes its reduced problem for the prediction
+    process: control starts from N(x, var0) with var0 = eta_hat^2 s, and the
+    estimation error adds the constant comp = D1 P_T to every cost.  A fully
+    observed spec is its own reduction, with var0 = comp = 0.
+    """
 
-def optimal_prediction_feedback(spec: PartialObsSpec, phi: RiccatiSolution) -> FeedbackLaw:
-    """Optimal feedback for the prediction process, on the shifted clock."""
-    return optimal_feedback(reduced_problem(spec), phi)
+    problem: ProblemSpec
+    partial: PartialObsSpec | None = None
+    var0: float = 0.0
+    comp: float = 0.0
+
+    @classmethod
+    def of(cls, spec) -> "Reduction":
+        if isinstance(spec, ProblemSpec):
+            return cls(spec)
+        return cls(reduced_problem(spec), spec, spec.eta_hat ** 2 * spec.s,
+                   spec.D1 * error_variance(spec, spec.T))
+
+    @property
+    def kind(self) -> str:
+        return "scalar" if self.partial is None else "partial_obs"
+
+    def moments(self, x: float) -> MeasureMoments:
+        """Moments of the law control starts from at the point estimate x."""
+        return MeasureMoments(x, x * x + self.var0)
+
+    def value(self, sol: RiccatiSolution, x: float) -> float:
+        """Optimal value from x, read off a Riccati solution of `problem`."""
+        return value_function(sol, 0.0, self.moments(x)) + self.comp
+
+    def oracle(self, law: FeedbackLaw, x: float, steps: int) -> CostReport:
+        """Moment-oracle cost of `law` on `problem` from x, without comp."""
+        mu = self.moments(x)
+        return cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,31 +183,25 @@ def evolve_partial(spec: PartialObsSpec, law: FeedbackLaw,
 
     X_hat is evolve_cloud on the reduced problem from N(x, eta_hat^2 s) (a
     Dirac at x when s = 0), so the law is consumed on the shifted clock
-    tau = t - s, matching optimal_prediction_feedback.  E_T is the sum of its
-    two independent sources, eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1,
-    drawn on a child stream spawned from the seed, so the error never shifts
-    the prediction's draws.
+    tau = t - s, that of an optimal_feedback on the reduced problem.  E_T is
+    the sum of its two independent sources,
+    eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1, drawn on a child
+    stream spawned from the seed, so the error never shifts the prediction's
+    draws.
     """
-    initial = (spec.x, spec.eta_hat ** 2 * spec.s) if spec.s > 0.0 else spec.x
-    cloud = evolve_cloud(reduced_problem(spec), law, initial, config)
+    red = Reduction.of(spec)
+    initial = (spec.x, red.var0) if spec.s > 0.0 else spec.x
+    cloud = evolve_cloud(red.problem, law, initial, config)
     child = np.random.SeedSequence(config.seed).spawn(1)[0]
     z = np.random.Generator(np.random.Philox(child)).standard_normal(
         (2, config.n_paths))
     err = (spec.eta_tilde * math.sqrt(spec.s) * z[0]
            + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])
     times = spec.s + cloud.times
-    p = spec.eta_tilde ** 2 * spec.s + spec.sigma_tilde ** 2 * (times - spec.s)
+    p = error_variance(spec, times)
     return PartialTrajectory(times=times, m1_hat=cloud.m1, m2_hat=cloud.m2,
                              m2=cloud.m2 + p, p=p, xhat=cloud.states, err=err,
                              run_costs=cloud.run_costs)
-
-
-def simulate_partial(spec: PartialObsSpec, law: FeedbackLaw,
-                     config: SimConfig) -> CostReport:
-    """Monte Carlo cost of a prediction-feedback law, measured on the full
-    state X = X_hat + E (running cost plus terminal cost at T)."""
-    traj = evolve_partial(spec, law, config)
-    return cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
 
 
 @dataclass(frozen=True)
@@ -217,11 +240,8 @@ def cost_decomposition_check(spec: PartialObsSpec,
     pred = running + spec.D1 * float(traj.m2_hat[-1]) + spec.D2 * m1h * m1h
     comp = spec.D1 * error_variance(spec, spec.T)
     defect = total - pred - comp
-    if n >= 2:
-        psi = spec.D1 * (2.0 * xh * e + e * e) + 2.0 * spec.D2 * m1h * e
-        se = float(psi.std(ddof=1)) / math.sqrt(n)
-    else:
-        se = 0.0
+    psi = spec.D1 * (2.0 * xh * e + e * e) + 2.0 * spec.D2 * m1h * e
+    se = float(psi.std(ddof=1)) / math.sqrt(n)
     return DecompositionReport(total=total, prediction_total=pred,
                                error_compensation=comp, defect=defect,
                                defect_std_error=se, n_paths=n)

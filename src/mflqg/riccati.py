@@ -32,11 +32,9 @@ __all__ = [
     "rk4",
     "RiccatiSolution",
     "MatrixRiccatiSolution",
-    "riccati_rhs",
     "solve_riccati",
     "sample_solution",
     "closed_form",
-    "matrix_riccati_rhs",
     "solve_matrix_riccati",
     "solution_to_csv",
     "matrix_solution_to_csv",
@@ -130,18 +128,6 @@ def _riccati_derivs(a, r, s2, p1, p2):
     return (r * p1 * p1 - 2.0 * a * p1,
             r * p2 * p2 + 2.0 * r * p1 * p2 - 2.0 * a * p2,
             -s2 * p1)
-
-
-def riccati_rhs(spec: ProblemSpec, t: float, phi) -> tuple[float, float, float]:
-    """Right-hand side of the backward system at time t.
-
-    Raises AssumptionError if Q(t) <= 0, since the quadratic-in-control
-    minimization that produced these equations needs a positive weight.
-    """
-    b = spec.B(t)
-    q = float(spec.control_weight_on(t))
-    sig = spec.sigma(t)
-    return _riccati_derivs(spec.A(t), b * b / q, sig * sig, phi[0], phi[1])
 
 
 def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
@@ -252,37 +238,28 @@ class MatrixRiccatiSolution:
         return np.array(p1), np.array(p2), float(p3)
 
 
-def _matrix_coefs(spec: MatrixProblemSpec, t: float):
-    """A, M = B Q^{-1} B^T and sigma sigma^T at time t."""
-    a = spec.A_at(t)
-    b = spec.B_at(t)
-    q = spec.Q_at(t)
-    sig = spec.sigma_at(t)
+def _matrix_coefs(spec: MatrixProblemSpec):
+    """A, M = B Q^{-1} B^T and sigma sigma^T."""
+    b = spec.B
     try:
-        m = b @ np.linalg.solve(q, b.T)
+        m = b @ np.linalg.solve(spec.Q, b.T)
     except np.linalg.LinAlgError as exc:
-        raise AssumptionError(f"control weight Q({t:.6g}) is singular") from exc
-    return a, m, sig @ sig.T
+        raise AssumptionError("control weight Q is singular") from exc
+    return spec.A, m, spec.sigma @ spec.sigma.T
 
 
 def _matrix_derivs(a, m, ss, p1, p2):
-    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
-    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
-    return (_sym(d1), _sym(d2), -float(np.trace(ss @ p1)))
+    """phi' from A, M and sigma sigma^T; the two matrix components are
+    symmetrized so symmetry errors cannot feed back through the quadratic
+    terms:
 
-
-def matrix_riccati_rhs(spec: MatrixProblemSpec, t: float, phi):
-    """Matrix right-hand side; outputs for the two matrix components are
-    symmetrized so symmetry errors cannot feed back through the quadratic terms.
-
-    With M = B Q^{-1} B^T:
         phi1' = phi1^T M phi1 - 2 A^T phi1
         phi2' = 2 phi2^T M phi1 + phi2^T M phi2 - 2 A^T phi2
         phi3' = -tr(sigma sigma^T phi1)
     """
-    p1 = np.asarray(phi[0], dtype=np.float64)
-    p2 = np.asarray(phi[1], dtype=np.float64)
-    return _matrix_derivs(*_matrix_coefs(spec, t), p1, p2)
+    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
+    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
+    return (_sym(d1), _sym(d2), -float(np.trace(ss @ p1)))
 
 
 def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRiccatiSolution:
@@ -292,20 +269,15 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     phi1, phi2 are symmetric to machine precision at all grid times.
     """
     grid = _grid(spec.T, steps)
-    nodes = grid[::-1]
-    times = stage_times(nodes)
-    if any(callable(getattr(spec, f)) for f in ("A", "B", "sigma", "Q")):
-        coefs = [_matrix_coefs(spec, float(t)) for t in times]
-    else:
-        coefs = [_matrix_coefs(spec, spec.T)] * times.size
+    coefs = _matrix_coefs(spec)
 
     def rhs(j, y):
-        return _matrix_derivs(*coefs[j], y[0], y[1])
+        return _matrix_derivs(*coefs, y[0], y[1])
 
     def settle(y):
         return [_sym(y[0]), _sym(y[1]), y[2]]
 
-    phi = rk4(rhs, [np.array(spec.D1), np.array(spec.D2), 0.0], nodes,
+    phi = rk4(rhs, [np.array(spec.D1), np.array(spec.D2), 0.0], grid[::-1],
               ("phi", "phi", "phi"), settle)
     return MatrixRiccatiSolution(grid, *(c[::-1] for c in phi))
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .control import FeedbackLaw
 from .errors import DomainError, SimulationDivergedError
-from .model import ParticleCloud, ProblemSpec
+from .model import ProblemSpec
 from .riccati import _grid, _write_csv, rk4, stage_times
 
 __all__ = [
@@ -67,7 +67,7 @@ def mc_tolerance(std_error: float, dt: float) -> float:
     """Acceptance band for |MC - oracle|: statistical noise plus weak bias."""
     return 3.0 * float(std_error) + EM_BIAS_CONST * float(dt)
 
-InitialLaw = Union[float, int, tuple, ParticleCloud]
+InitialLaw = Union[float, int, tuple]
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,10 @@ class SimConfig:
         object.__setattr__(self, "n_paths", int(self.n_paths))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+        # One path has no standard error, which would leave the Monte Carlo
+        # band as pure bias allowance.
+        if self.n_paths < 2:
+            raise DomainError(f"n_paths must be >= 2, got {self.n_paths}")
         if not self.dt > 0.0:
             raise DomainError(f"dt must be positive, got {self.dt:.6g}")
 
@@ -107,16 +109,13 @@ class CostReport:
 
 @dataclass(frozen=True, eq=False)
 class CloudTrajectory:
-    """Empirical moments recorded at every step plus the final cloud."""
+    """Empirical moments recorded at every step plus the final states."""
 
     times: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
     states: np.ndarray
     run_costs: np.ndarray
-
-    def final_cloud(self) -> ParticleCloud:
-        return ParticleCloud(self.states)
 
 
 @dataclass(frozen=True)
@@ -198,14 +197,7 @@ def cost_oracle(spec: ProblemSpec, law: FeedbackLaw, m1_0: float, m2_0: float,
 
 def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:
     """Build the initial cloud.  A number means a Dirac mass (no randomness),
-    a (mean, var) pair means a Gaussian sample, a ParticleCloud is used as is
-    and must match n_paths."""
-    if isinstance(initial, ParticleCloud):
-        if initial.states.size != n_paths:
-            raise DomainError(
-                f"initial cloud has {initial.states.size} particles, expected {n_paths}"
-            )
-        return initial.states.copy()
+    a (mean, var) pair means a Gaussian sample."""
     if isinstance(initial, tuple):
         if len(initial) != 2:
             raise DomainError("Gaussian initial law must be a (mean, var) pair")
@@ -331,11 +323,8 @@ def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostRepo
     m2_T = float((x * x).sum() / n)
     running = float(run.mean())
     terminal = spec.D1 * m2_T + spec.D2 * m1_T * m1_T
-    if n >= 2:
-        g = spec.D1 * x * x + 2.0 * spec.D2 * m1_T * x
-        se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
-    else:
-        se = 0.0
+    g = spec.D1 * x * x + 2.0 * spec.D2 * m1_T * x
+    se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
     return CostReport(total=running + terminal, running=running,
                       terminal=terminal, std_error=se, n_paths=n)
 

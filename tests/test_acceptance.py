@@ -11,11 +11,12 @@ import time
 import numpy as np
 
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
-                   ProblemSpec, SimConfig, closed_form, cost_decomposition_check,
-                   cost_oracle, evolve_cloud, evolve_partial, gaussianity_check, master_residual, optimal_feedback,
-                   optimal_prediction_feedback, partial_value, perturbation_sweep,
-                   preset, reduced_problem, simulate_mc, simulate_partial,
-                   solve_matrix_riccati, solve_riccati, value_function)
+                   ProblemSpec, Reduction, SimConfig, closed_form,
+                   cost_decomposition_check, cost_from_cloud, cost_oracle,
+                   evolve_cloud, evolve_partial, gaussianity_check,
+                   master_residual, optimal_feedback, perturbation_sweep,
+                   preset, reduced_problem, simulate_mc, solve_matrix_riccati,
+                   solve_riccati, value_function)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -175,7 +176,7 @@ def test_criterion_08_example3_partial_values():
     for sh2 in (0.0, 0.25, 0.5, 0.75, 1.0):
         spec = preset("example3", sigma_hat2=sh2)
         sol = solve_riccati(reduced_problem(spec), 1000)
-        v = partial_value(spec, sol)
+        v = Reduction.of(spec).value(sol, spec.x)
         exact = 0.5 + sh2 * math.log(2.0) + (1.0 - sh2) * 1.0
         worst = max(worst, abs(v - exact))
         values.append(v)
@@ -191,7 +192,8 @@ def test_criterion_09_example4_invariance():
     values = []
     for sh2 in (0.0, 0.25, 0.5, 0.75, 1.0):
         spec = preset("example4", sigma_hat2=sh2)
-        values.append(partial_value(spec, solve_riccati(reduced_problem(spec), 1000)))
+        values.append(Reduction.of(spec).value(
+            solve_riccati(reduced_problem(spec), 1000), spec.x))
     spread = max(values) - min(values)
 
     config = SimConfig(n_paths=100_000, dt=1e-3, seed=2)
@@ -199,9 +201,10 @@ def test_criterion_09_example4_invariance():
     ses = []
     for sh2 in (0.25, 1.0):
         spec = preset("example4", sigma_hat2=sh2)
-        law = optimal_prediction_feedback(
-            spec, solve_riccati(reduced_problem(spec), 1000))
-        report = simulate_partial(spec, law, config)
+        red = reduced_problem(spec)
+        law = optimal_feedback(red, solve_riccati(red, 1000))
+        traj = evolve_partial(spec, law, config)
+        report = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
         totals.append(report.total)
         ses.append(report.std_error)
     diff = abs(totals[0] - totals[1])
@@ -215,15 +218,15 @@ def test_criterion_09_example4_invariance():
 def test_criterion_10_cost_decomposition():
     config = SimConfig(n_paths=100_000, dt=1e-3, seed=3)
     spec = preset("example3")
-    law = optimal_prediction_feedback(
-        spec, solve_riccati(reduced_problem(spec), 1000))
+    red = reduced_problem(spec)
+    law = optimal_feedback(red, solve_riccati(red, 1000))
     report = cost_decomposition_check(spec, evolve_partial(spec, law, config))
     band = 3.0 * report.defect_std_error
     noisy_ok = abs(report.defect) <= band
 
     clean = preset("example3", sigma_hat2=1.0, eta_hat2=1.0)
-    clean_law = optimal_prediction_feedback(
-        clean, solve_riccati(reduced_problem(clean), 1000))
+    clean_red = reduced_problem(clean)
+    clean_law = optimal_feedback(clean_red, solve_riccati(clean_red, 1000))
     clean_report = cost_decomposition_check(
         clean, evolve_partial(clean, clean_law, SimConfig(n_paths=20_000, dt=1e-3, seed=3)))
     clean_ok = abs(clean_report.defect) <= 1e-12

@@ -435,12 +435,17 @@ def test_exit_code_io_errors(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 6
     capsys.readouterr()
+    # Not JSON, or JSON that is no run manifest (no command or source): a
+    # bad input file, not a failed check with a traceback.
     garbage = tmp_path / "manifest.json"
-    garbage.write_text("{not json")
-    rc = main(["report", str(garbage), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 6
-    assert err.startswith("error: io:")
+    for text in ("{not json", "{}", '{"command": "solve"}',
+                 '{"source": "preset:example1"}', "[]"):
+        garbage.write_text(text)
+        rc = main(["report", str(garbage), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 6, text
+        assert err.startswith("error: io:") and err.count("\n") == 1, text
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -76,7 +76,6 @@ def test_feedback_law_at_and_domain():
     law = FeedbackLaw(grid=np.array([0.0, 1.0]), alpha=np.array([0.0, 1.0]),
                       beta=np.array([1.0, 1.0]))
     assert law.at(0.5) == (0.5, 1.0)
-    assert law.control(0.5, 2.0, 3.0) == 0.5 * 2.0 + 1.0 * 3.0
     with pytest.raises(DomainError):
         law.at(1.5)
     with pytest.raises(DomainError):
@@ -170,6 +169,24 @@ def test_residual_sweep_rows_and_csv(tmp_path):
 KNOTTED = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
                       sigma=Coefficient.table([0.0, 0.5, 1.0], [0.5, 0.7, 0.5]),
                       Q=Coefficient.poly([1.0, 0.2]), D1=1.0, D2=0.5, T=1.0)
+
+
+def test_feedback_minimizes_the_hamiltonian_at_every_node():
+    # First-order condition u* = argmin_a H(t, x, d_mu v(t, mu)(x), a) on a
+    # spec with Q != 1 and D2 != 0, so both gains carry the 1/Q.  Each pair
+    # has x and m1 of one sign, so alpha x + beta m1 has no cancellation.
+    sol = solve_riccati(KNOTTED, 200)
+    law = optimal_feedback(KNOTTED, sol)
+    probes = [(1.0, MeasureMoments(0.5, 1.0)), (-2.0, MeasureMoments(-1.5, 3.0)),
+              (0.3, MeasureMoments(1.0, 1.25))]
+    for t, al, be in zip(sol.grid.tolist(), law.alpha, law.beta):
+        for x, mu in probes:
+            dmu = mu_derivative(sol, t, mu, x)
+            want = hamiltonian_minimizer(KNOTTED, t, dmu)
+            assert al * x + be * mu.m1 == pytest.approx(want, rel=1e-12, abs=0.0)
+            h = hamiltonian(KNOTTED, t, x, dmu, want)
+            for a in (want - 1e-3, want + 1e-3):
+                assert h < hamiltonian(KNOTTED, t, x, dmu, a)
 
 
 def test_residual_small_on_time_varying_spec_and_at_knots():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, DomainError, PartialObsSpec, SimConfig,
-                   closed_form, cost_decomposition_check, cost_oracle,
-                   error_variance, evolve_cloud, evolve_partial, mc_tolerance,
-                   optimal_prediction_feedback, partial_preset, partial_value,
-                   reduced_problem, scalar_preset, simulate_partial,
+from mflqg import (AssumptionError, DomainError, PartialObsSpec, Reduction,
+                   SimConfig, closed_form, cost_decomposition_check,
+                   cost_from_cloud, error_variance, evolve_cloud,
+                   evolve_partial, mc_tolerance, optimal_feedback,
+                   partial_preset, reduced_problem, scalar_preset,
                    solve_riccati)
 
 ROOT_HALF = math.sqrt(0.5)
@@ -45,11 +45,35 @@ def test_error_variance_formula():
         error_variance(spec, 0.1)  # before s
     with pytest.raises(DomainError):
         error_variance(spec, 1.1)
+    # arrays of times, as on a trajectory's clock
+    times = np.linspace(0.25, 1.0, 7)
+    assert error_variance(spec, times).tolist() == [
+        error_variance(spec, float(t)) for t in times]
+    with pytest.raises(DomainError):
+        error_variance(spec, np.array([0.5, 1.0 + 1e-9]))
+    # the reduced clock shifted back by s can overshoot T by an ulp
+    late = partial_preset("example3", s=0.06, T=0.9)
+    end = late.s + (late.T - late.s)
+    assert end > late.T
+    assert error_variance(late, end) == pytest.approx(error_variance(late, late.T))
 
 
 def test_error_variance_vanishes_without_hidden_noise():
     spec = partial_preset("example3", sigma_hat2=1.0, eta_hat2=1.0, s=0.5)
     assert error_variance(spec, 1.0) == 0.0
+
+
+def test_reduction_of_partial_and_full_specs():
+    spec = partial_preset("example3", sigma_hat2=0.25, eta_hat2=0.5, s=0.25, x=2.0)
+    red = Reduction.of(spec)
+    assert (red.problem, red.partial, red.kind) == (reduced_problem(spec), spec,
+                                                    "partial_obs")
+    assert red.var0 == pytest.approx(0.5 * 0.25)  # eta_hat^2 s
+    assert red.comp == spec.D1 * error_variance(spec, spec.T)
+    assert (red.moments(2.0).m1, red.moments(2.0).m2) == (2.0, 4.0 + red.var0)
+    full = scalar_preset("example1")
+    assert Reduction.of(full) == Reduction(full, None, 0.0, 0.0)
+    assert Reduction.of(full).kind == "scalar"
 
 
 def test_reduced_problem_fields():
@@ -68,7 +92,7 @@ def test_example3_value_closed_form(sh2):
     # V at s = 0, x = 1, T = 1:  x^2/(1+T) + sh2 log(1+T) + (1-sh2) T
     spec = partial_preset("example3", sigma_hat2=sh2)
     sol = solve_riccati(reduced_problem(spec), 1000)
-    v = partial_value(spec, sol)
+    v = Reduction.of(spec).value(sol, spec.x)
     expected = 0.5 + sh2 * math.log(2.0) + (1.0 - sh2) * 1.0
     assert abs(v - expected) <= 1e-6
 
@@ -76,7 +100,7 @@ def test_example3_value_closed_form(sh2):
 def test_example3_value_with_positive_start_time():
     spec = partial_preset("example3", s=0.25, sigma_hat2=0.5, eta_hat2=0.5, x=1.0)
     sol = solve_riccati(reduced_problem(spec), 1000)
-    v = partial_value(spec, sol)
+    v = Reduction.of(spec).value(sol, spec.x)
     rem = 0.75
     expected = (1.0 + 0.5 * 0.25) / (1.0 + rem) + 0.5 * math.log(1.0 + rem) \
         + (0.5 * 0.25 + 0.5 * rem)
@@ -88,17 +112,10 @@ def test_example4_value_ignores_observability():
     for sh2 in (0.0, 0.25, 0.5, 0.75, 1.0):
         spec = partial_preset("example4", sigma_hat2=sh2)
         sol = solve_riccati(reduced_problem(spec), 1000)
-        values.append(partial_value(spec, sol))
+        values.append(Reduction.of(spec).value(sol, spec.x))
     spread = max(values) - min(values)
     assert spread <= 1e-10
     assert values[0] == pytest.approx(0.5, abs=1e-6)  # x^2/(1+T-s)
-
-
-def test_partial_value_checks_horizon():
-    spec = partial_preset("example3", s=0.25)
-    wrong = solve_riccati(reduced_problem(partial_preset("example3")), 100)
-    with pytest.raises(DomainError):
-        partial_value(spec, wrong)  # solved on [0, 1], needs [0, 0.75]
 
 
 def test_analytic_partial_phi():
@@ -131,14 +148,14 @@ def test_numeric_solution_matches_analytic_solution():
 def test_prediction_feedback_gains():
     spec = partial_preset("example3")
     sol = solve_riccati(reduced_problem(spec), 100)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     assert np.array_equal(law.alpha, -sol.phi1)  # B = Q = 1
 
 
 def test_evolve_partial_is_reproducible():
     spec = partial_preset("example3", sigma_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     cfg = SimConfig(2000, 1e-3, 17)
     t1 = evolve_partial(spec, law, cfg)
     t2 = evolve_partial(spec, law, cfg)
@@ -156,7 +173,7 @@ def test_evolve_partial_is_evolve_cloud_on_reduced_problem(s):
     # E is drawn at T only, and its variance is the closed-form P_T.
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=s)
     reduced = reduced_problem(spec)
-    law = optimal_prediction_feedback(spec, solve_riccati(reduced, 1000))
+    law = optimal_feedback(reduced, solve_riccati(reduced, 1000))
     n = 20_000
     cfg = SimConfig(n, 1e-2, 13)
     traj = evolve_partial(spec, law, cfg)
@@ -181,7 +198,7 @@ def test_hidden_noise_stream_is_independent():
     for sh2 in (0.25, 1.0):
         spec = partial_preset("example3", sigma_hat2=sh2)
         sol = solve_riccati(reduced_problem(spec), 100)
-        law = optimal_prediction_feedback(spec, sol)
+        law = optimal_feedback(reduced_problem(spec), sol)
         trajs.append(evolve_partial(spec, law, cfg))
     # same seed, same gains structure: the scaled increments differ only by
     # sigma_hat, so rescaling one trajectory's noise reproduces the other's err
@@ -193,7 +210,7 @@ def test_hidden_noise_stream_is_independent():
 def test_estimation_error_uncorrelated_with_prediction():
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     n = 50_000
     traj = evolve_partial(spec, law, SimConfig(n, 1e-3, 29))
     corr = np.corrcoef(traj.xhat, traj.err)[0, 1]
@@ -204,10 +221,11 @@ def test_simulate_partial_matches_oracle_plus_compensation():
     spec = partial_preset("example3", sigma_hat2=0.5)
     red = reduced_problem(spec)
     sol = solve_riccati(red, 1000)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     cfg = SimConfig(20_000, 1e-3, 42)
-    mc = simulate_partial(spec, law, cfg)
-    oracle = cost_oracle(red, law, spec.x, spec.x ** 2, 2000).total \
+    traj = evolve_partial(spec, law, cfg)
+    mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
+    oracle = Reduction.of(spec).oracle(law, spec.x, 2000).total \
         + spec.D1 * error_variance(spec, spec.T)
     gap = abs(mc.total - oracle)
     tol = mc_tolerance(mc.std_error, cfg.dt)
@@ -217,7 +235,7 @@ def test_simulate_partial_matches_oracle_plus_compensation():
 def test_decomposition_defect_within_band():
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     traj = evolve_partial(spec, law, SimConfig(50_000, 1e-3, 7))
     d = cost_decomposition_check(spec, traj)
     # J is read off the per-path full state; traj.m2 = m2_hat + P_t would
@@ -240,7 +258,7 @@ def test_decomposition_exact_when_fully_observed():
     # exactly zero, not merely small
     spec = partial_preset("example3", sigma_hat2=1.0, eta_hat2=1.0)
     sol = solve_riccati(reduced_problem(spec), 500)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     d = cost_decomposition_check(spec, evolve_partial(spec, law, SimConfig(5000, 1e-3, 3)))
     assert abs(d.defect) <= 1e-12
     assert d.error_compensation == 0.0
@@ -250,7 +268,7 @@ def test_partial_trajectory_csv(tmp_path):
     from mflqg.partial_obs import partial_trajectory_to_csv
     spec = partial_preset("example3")
     sol = solve_riccati(reduced_problem(spec), 100)
-    law = optimal_prediction_feedback(spec, sol)
+    law = optimal_feedback(reduced_problem(spec), sol)
     traj = evolve_partial(spec, law, SimConfig(100, 1e-2, 0))
     path = tmp_path / "partial.csv"
     partial_trajectory_to_csv(traj, path)

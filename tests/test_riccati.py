@@ -5,10 +5,10 @@ import pytest
 
 from mflqg import (AssumptionError, Coefficient, DomainError,
                    FiniteEscapeError, MatrixProblemSpec, ProblemSpec,
-                   closed_form, matrix_riccati_rhs, riccati_rhs,
-                   sample_solution, scalar_preset, solve_matrix_riccati,
-                   solve_riccati)
-from mflqg.riccati import (DIVERGENCE_LIMIT, matrix_solution_to_csv,
+                   closed_form, sample_solution, scalar_preset,
+                   solve_matrix_riccati, solve_riccati)
+from mflqg.riccati import (DIVERGENCE_LIMIT, _matrix_coefs, _matrix_derivs,
+                           _riccati_derivs, matrix_solution_to_csv,
                            solution_to_csv)
 
 # A != 0, B a polynomial, sigma a table with a knot inside the horizon.
@@ -23,6 +23,12 @@ MATRIX_D3 = dict(
     sigma=[[0.6, 0.0, 0.0], [0.1, 0.5, 0.0], [0.0, 0.2, 0.4]],
     Q=np.diag([1.0, 2.0, 1.0]), D1=np.eye(3),
     D2=[[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]], T=1.0)
+
+# d = 2 with a Q that is not diagonal, so M = B Q^{-1} B^T mixes both rows.
+FULL_Q = dict(
+    d=2, A=[[0.1, -0.4], [0.3, -0.2]], B=[[1.0, 0.5], [0.0, 1.0]],
+    sigma=[[0.5, 0.0], [0.2, 0.3]], Q=[[2.0, 0.6], [0.6, 1.0]],
+    D1=[[1.0, 0.2], [0.2, 0.5]], D2=[[0.3, -0.1], [-0.1, 0.4]], T=0.8)
 
 
 # Hand-unrolled RK4 references: the loops solve_riccati and
@@ -79,7 +85,7 @@ def _sym_ref(m):
 
 def _matrix_rhs_ref(spec, t, phi):
     p1, p2, _ = phi
-    a, b, q, sig = spec.A_at(t), spec.B_at(t), spec.Q_at(t), spec.sigma_at(t)
+    a, b, q, sig = spec.A, spec.B, spec.Q, spec.sigma
     m = b @ np.linalg.solve(q, b.T)
     d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
     d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
@@ -130,12 +136,8 @@ def test_solve_riccati_matches_unrolled_loop(spec):
     assert (sol.phi3 == ref[2]).all()
 
 
-@pytest.mark.parametrize("callable_a", [False, True], ids=["constant", "callable"])
-def test_solve_matrix_riccati_matches_unrolled_loop(callable_a):
-    fields = dict(MATRIX_D3)
-    if callable_a:
-        a0 = np.array(fields["A"])
-        fields["A"] = lambda t: (1.0 + t) * a0
+@pytest.mark.parametrize("fields", [MATRIX_D3, FULL_Q], ids=["constant", "full-q"])
+def test_solve_matrix_riccati_matches_unrolled_loop(fields):
     spec = MatrixProblemSpec(**fields)
     sol = solve_matrix_riccati(spec, 400)
     ref = _solve_matrix_riccati_loop(spec, 400)
@@ -178,24 +180,25 @@ def test_solvers_reject_non_positive_or_singular_q():
 
 def test_rhs_unit_coefficients():
     # A=0, B=Q=sigma=1, phi=(1,0,0): phi1'=1, phi2'=0, phi3'=-1
-    spec = scalar_preset("example1")
-    assert riccati_rhs(spec, 0.5, (1.0, 0.0, 0.0)) == (1.0, 0.0, -1.0)
+    # (arguments: A, r = B^2/Q, sigma^2, phi1, phi2)
+    assert _riccati_derivs(0.0, 1.0, 1.0, 1.0, 0.0) == (1.0, 0.0, -1.0)
 
 
 def test_rhs_cross_term():
     # phi2' picks up the 2 (B^2/Q) phi1 phi2 coupling
-    spec = scalar_preset("example1")
-    d1, d2, d3 = riccati_rhs(spec, 0.0, (0.5, 0.25, 0.0))
+    d1, d2, d3 = _riccati_derivs(0.0, 1.0, 1.0, 0.5, 0.25)
     assert d1 == pytest.approx(0.25)
     assert d2 == pytest.approx(0.25 ** 2 + 2 * 0.5 * 0.25)
     assert d3 == -0.5
 
 
 def test_rhs_requires_positive_q():
-    spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=-1.0, D1=1.0, D2=0.0, T=1.0)
-    with pytest.raises(Exception) as err:
-        riccati_rhs(spec, 0.0, (1.0, 0.0, 0.0))
-    assert "A1" in str(err.value)
+    # Q > 0 at every node of a 2-step grid but 0 at the stage time 0.25,
+    # where the right-hand side is evaluated too.
+    q = Coefficient.table([0.0, 0.25, 0.5, 1.0], [1.0, 0.0, 1.0, 1.0])
+    spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=q, D1=1.0, D2=0.0, T=1.0)
+    with pytest.raises(AssumptionError, match=r"A1.*Q\(0\.25\) = 0"):
+        solve_riccati(spec, 2)
 
 
 def test_terminal_data_is_exact():
@@ -347,12 +350,11 @@ def test_matrix_rhs_matches_scalar_in_d1():
         a, b, sig, q = rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0), \
             rng.uniform(0.0, 1.5), rng.uniform(0.2, 2.0)
         p = rng.uniform(-2.0, 2.0, 3)
-        spec = ProblemSpec(A=a, B=b, sigma=sig, Q=q, D1=1.0, D2=0.0, T=1.0)
         mspec = MatrixProblemSpec(d=1, A=[[a]], B=[[b]], sigma=[[sig]],
                                   Q=[[q]], D1=[[1.0]], D2=[[0.0]], T=1.0)
-        want = riccati_rhs(spec, 0.3, tuple(p))
-        got = matrix_riccati_rhs(mspec, 0.3, (np.array([[p[0]]]),
-                                              np.array([[p[1]]]), p[2]))
+        want = _riccati_derivs(a, b * b / q, sig * sig, p[0], p[1])
+        got = _matrix_derivs(*_matrix_coefs(mspec), np.array([[p[0]]]),
+                             np.array([[p[1]]]))
         assert got[0][0, 0] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
         assert got[1][0, 0] == pytest.approx(want[1], rel=1e-14, abs=1e-14)
         assert got[2] == pytest.approx(want[2], rel=1e-14, abs=1e-14)
@@ -361,7 +363,7 @@ def test_matrix_rhs_matches_scalar_in_d1():
 def test_matrix_rhs_unit_case():
     # identity data: phi1' = I, phi2' = 0, phi3' = -tr(phi1) = -d
     spec = _matrix_unit(2)
-    d1, d2, d3 = matrix_riccati_rhs(spec, 0.5, (np.eye(2), np.zeros((2, 2)), 0.0))
+    d1, d2, d3 = _matrix_derivs(*_matrix_coefs(spec), np.eye(2), np.zeros((2, 2)))
     assert np.array_equal(d1, np.eye(2))
     assert np.array_equal(d2, np.zeros((2, 2)))
     assert d3 == -2.0
@@ -371,9 +373,8 @@ def test_matrix_rhs_singular_q():
     spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
                              sigma=np.eye(2), Q=np.zeros((2, 2)),
                              D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
-    from mflqg import AssumptionError
     with pytest.raises(AssumptionError):
-        matrix_riccati_rhs(spec, 0.0, (np.eye(2), np.zeros((2, 2)), 0.0))
+        _matrix_coefs(spec)
 
 
 def test_matrix_solve_diagonal_decouples():

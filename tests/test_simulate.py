@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
-                   MeasureMoments, ParticleCloud, ProblemSpec, SimConfig,
+                   MeasureMoments, ProblemSpec, SimConfig,
                    cost_oracle, evolve_cloud, gaussianity_check, mc_tolerance,
                    optimal_feedback, perturbation_sweep, scalar_preset,
                    simulate_mc, solve_riccati, value_function)
@@ -155,15 +155,15 @@ def test_one_increment_block_per_run(monkeypatch):
     import tracemalloc
 
     from mflqg import partial_obs, partial_preset
-    from mflqg.partial_obs import evolve_partial, optimal_prediction_feedback
+    from mflqg.partial_obs import evolve_partial
 
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 400_000)
     cfg = SimConfig(2000, 1e-3, 4)
     block_bytes = 400_000 * 8
     spec, _, law = _optimal()
     pspec = partial_preset("example3")
-    plaw = optimal_prediction_feedback(
-        pspec, solve_riccati(partial_obs.reduced_problem(pspec), 1000))
+    reduced = partial_obs.reduced_problem(pspec)
+    plaw = optimal_feedback(reduced, solve_riccati(reduced, 1000))
     for run in (lambda: evolve_cloud(spec, law, 1.0, cfg),
                 lambda: evolve_partial(pspec, plaw, cfg)):
         tracemalloc.start()
@@ -333,12 +333,6 @@ def test_initial_law_forms():
     traj = evolve_cloud(spec, law, (1.0, 0.25), SimConfig(50_000, 1e-2, 5))
     assert traj.m1[0] == pytest.approx(1.0, abs=0.02)
     assert traj.m2[0] == pytest.approx(1.25, abs=0.05)
-    # explicit cloud must match n_paths
-    cloud = ParticleCloud(np.linspace(-1, 1, 200))
-    traj = evolve_cloud(spec, law, cloud, cfg)
-    assert traj.m1[0] == pytest.approx(cloud.states.mean())
-    with pytest.raises(DomainError):
-        evolve_cloud(spec, law, ParticleCloud(np.zeros(3)), cfg)
     with pytest.raises(DomainError):
         evolve_cloud(spec, law, (1.0, -0.5), cfg)
     with pytest.raises(DomainError):

@@ -18,9 +18,9 @@ Exit codes: 0 ok, 1 failed check, 2 bad argument, 3 config parse error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -46,10 +46,6 @@ from .simulate import (CostReport, SimConfig, cost_from_cloud, evolve_cloud,
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
-
-_DEFAULT_PATHS = 100_000
-_DEFAULT_DT = 1e-3
-_DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -85,28 +81,6 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _add_target_options(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES,
-                       help="built-in worked example")
-    group.add_argument("--config", help="path to an INI problem configuration")
-
-
-def _add_common_options(sub, with_sim: bool):
-    sub.add_argument("--steps", type=int, default=None,
-                     help="Riccati/oracle grid intervals (default: 1000 per unit horizon)")
-    sub.add_argument("--x", action="append", default=None,
-                     help="initial state (repeatable; comma-separated for matrix problems)")
-    sub.add_argument("--out", default=".", help="output directory (default: current)")
-    if with_sim:
-        sub.add_argument("--paths", type=int, default=None,
-                         help=f"Monte Carlo particles (default {_DEFAULT_PATHS})")
-        sub.add_argument("--dt", type=float, default=None,
-                         help=f"Euler-Maruyama step (default {_DEFAULT_DT})")
-        sub.add_argument("--seed", type=int, default=None,
-                         help=f"random seed (default {_DEFAULT_SEED})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mflqg",
                      description="Mean-field LQG: Riccati solve, feedback synthesis, "
@@ -114,20 +88,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mflqg {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = subs.add_parser("solve", help="integrate the Riccati system")
-    _add_target_options(p_solve)
-    _add_common_options(p_solve, with_sim=False)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sim = subs.add_parser("simulate", help="compare the moment oracle with Monte Carlo")
-    _add_target_options(p_sim)
-    _add_common_options(p_sim, with_sim=True)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = subs.add_parser("verify", help="run the full check battery")
-    _add_target_options(p_ver)
-    _add_common_options(p_ver, with_sim=True)
-    p_ver.set_defaults(func=cmd_verify)
+    for name, func, what in (
+            ("solve", cmd_solve, "integrate the Riccati system"),
+            ("simulate", cmd_simulate, "compare the moment oracle with Monte Carlo"),
+            ("verify", cmd_verify, "run the full check battery")):
+        sub = subs.add_parser(name, help=what)
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=PRESET_NAMES,
+                           help="built-in worked example")
+        group.add_argument("--config", help="path to an INI problem configuration")
+        sub.add_argument("--steps", type=int, default=None,
+                         help="Riccati/oracle grid intervals (default: 1000 per unit horizon)")
+        sub.add_argument("--x", action="append", default=None,
+                         help="initial state (repeatable; comma-separated for matrix problems)")
+        sub.add_argument("--out", default=".", help="output directory (default: current)")
+        if name != "solve":
+            sub.add_argument("--paths", type=int, default=None,
+                             help=f"Monte Carlo particles (default {SimConfig.n_paths})")
+            sub.add_argument("--dt", type=float, default=None,
+                             help=f"Euler-Maruyama step (default {SimConfig.dt})")
+            sub.add_argument("--seed", type=int, default=None,
+                             help=f"random seed (default {SimConfig.seed})")
+        sub.set_defaults(func=func)
 
     p_rep = subs.add_parser("report", help="merge run manifests into one table")
     p_rep.add_argument("manifests", nargs="+", help="manifest.json files from earlier runs")
@@ -153,30 +135,16 @@ def _grid_steps(args, horizon: float) -> int:
 
 
 def _sim_config(args, from_config: SimConfig | None) -> SimConfig:
-    base = from_config if from_config is not None else SimConfig(
-        n_paths=_DEFAULT_PATHS, dt=_DEFAULT_DT, seed=_DEFAULT_SEED)
-    return SimConfig(
-        n_paths=args.paths if args.paths is not None else base.n_paths,
-        dt=args.dt if args.dt is not None else base.dt,
-        seed=args.seed if args.seed is not None else base.seed,
-    )
+    """SimConfig's defaults, overridden by the config file, then by flags."""
+    given = {"n_paths": args.paths, "dt": args.dt, "seed": args.seed}
+    return dataclasses.replace(from_config or SimConfig(),
+                               **{k: v for k, v in given.items() if v is not None})
 
 
-def _scalar_xs(args, default=(1.0,)) -> list[float]:
+def _initial_states(args, d: int) -> list[np.ndarray] | None:
+    """Each --x as d comma-separated finite numbers, or None without --x."""
     if not args.x:
-        return list(default)
-    try:
-        xs = [float(s) for s in args.x]
-    except ValueError as exc:
-        raise DomainError(f"--x expects numbers, got {args.x!r}") from exc
-    if not all(math.isfinite(x) for x in xs):
-        raise DomainError(f"--x expects finite numbers, got {args.x!r}")
-    return xs
-
-
-def _vector_xs(args, d: int) -> list[np.ndarray]:
-    if not args.x:
-        return [np.ones(d)]
+        return None
     out = []
     for s in args.x:
         try:
@@ -203,12 +171,8 @@ def _write_json(path, payload) -> None:
 
 
 def _require_validated(spec) -> None:
-    if isinstance(spec, MatrixProblemSpec):
-        result = validate_matrix_spec(spec)
-    elif isinstance(spec, ProblemSpec):
-        result = validate_spec(spec)
-    else:
-        return
+    matrix = isinstance(spec, MatrixProblemSpec)
+    result = (validate_matrix_spec if matrix else validate_spec)(spec)
     if not result.ok:
         raise AssumptionError(result.message)
 
@@ -217,20 +181,52 @@ def _scalar_view(spec, args) -> tuple[Reduction, list]:
     """The scalar problem a command runs on and the requested initial
     states; the first is simulated, and a partially observed spec takes it
     as its x."""
-    if isinstance(spec, PartialObsSpec):
-        xs = _scalar_xs(args, default=(spec.x,))
+    vecs = _initial_states(args, 1)
+    partial = isinstance(spec, PartialObsSpec)
+    xs = [float(v[0]) for v in vecs] if vecs else [spec.x if partial else 1.0]
+    if partial:
         return Reduction.of(dataclasses.replace(spec, x=xs[0])), xs
-    return Reduction.of(spec), _scalar_xs(args)
+    return Reduction.of(spec), xs
 
 
-def _particles(red: Reduction, law, sim: SimConfig, x0: float):
-    """One seeded particle run from x0: the trajectory, the full-state
-    terminal cloud and the controlled (prediction) terminal cloud."""
+@dataclass
+class _Check:
+    name: str
+    passed: bool
+    measured: float
+    threshold: float
+    detail: str
+
+
+@dataclass(frozen=True, eq=False)
+class _MonteCarlo:
+    """One seeded particle run and its verdict against the oracle."""
+
+    traj: object          # CloudTrajectory, or PartialTrajectory
+    controlled: np.ndarray  # terminal cloud of the controlled process
+    mc: CostReport
+    oracle: CostReport
+    check: _Check         # mc-vs-oracle
+
+
+def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
+                 oracle_steps: int) -> _MonteCarlo:
+    """Run the particles from x0, estimate the full-state cost and compare it
+    with the oracle on a grid of oracle_steps intervals: simulate's
+    within_threshold is verify's mc-vs-oracle check."""
+    oracle = red.oracle(law, x0, oracle_steps)
     if red.partial is None:
         traj = evolve_cloud(red.problem, law, x0, sim)
-        return traj, traj.states, traj.states
-    traj = evolve_partial(red.partial, law, sim)
-    return traj, traj.xhat + traj.err, traj.xhat
+        states = controlled = traj.states
+    else:
+        traj = evolve_partial(red.partial, law, sim)
+        states, controlled = traj.xhat + traj.err, traj.xhat
+    mc = cost_from_cloud(red.problem, states, traj.run_costs)
+    gap = abs(mc.total - oracle.total)
+    tol = mc_tolerance(mc.std_error, sim.dt)
+    check = _Check("mc-vs-oracle", gap <= tol, gap, tol,
+                   f"|MC - oracle| = {gap:.3e}, band {tol:.3e}")
+    return _MonteCarlo(traj, controlled, mc, oracle, check)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +235,19 @@ def _particles(red: Reduction, law, sim: SimConfig, x0: float):
 def cmd_solve(args) -> int:
     spec, source, _ = _resolve_target(args)
     out = _ensure_outdir(args.out)
-    outputs = {}
+    outputs = {"phi": "phi.csv"}
     summary: dict = {"source": source}
 
     if isinstance(spec, MatrixProblemSpec):
         steps = _grid_steps(args, spec.T)
-        vecs = _vector_xs(args, spec.d)
+        vecs = _initial_states(args, spec.d) or [np.ones(spec.d)]
         _require_validated(spec)
         sol = solve_matrix_riccati(spec, steps)
         matrix_solution_to_csv(sol, os.path.join(out, "phi.csv"))
-        outputs["phi"] = "phi.csv"
-        values = []
-        for vec in vecs:
-            p1, p2, p3 = sol.at(0.0)
-            value = float(vec @ p1 @ vec + vec @ p2 @ vec + p3)
-            values.append({"x": [float(v) for v in vec], "value": value})
+        p1, p2, p3 = sol.at(0.0)
+        values = [{"x": [float(v) for v in vec],
+                   "value": float(vec @ p1 @ vec + vec @ p2 @ vec + p3)}
+                  for vec in vecs]
         summary.update(kind="matrix", d=spec.d, T=spec.T, steps=steps, values=values)
     else:
         red, xs = _scalar_view(spec, args)
@@ -263,7 +257,6 @@ def cmd_solve(args) -> int:
         solution_to_csv(sol, os.path.join(out, "phi.csv"))
         law_to_csv(optimal_feedback(red.problem, sol),
                    os.path.join(out, "gains.csv"))
-        outputs["phi"] = "phi.csv"
         outputs["gains"] = "gains.csv"
         values = [{"x": x, "value": red.value(sol, x)} for x in xs]
         summary.update(kind=red.kind, T=spec.T, steps=steps, values=values)
@@ -294,26 +287,18 @@ def cmd_simulate(args) -> int:
     x0 = xs[0]
     _require_validated(red.problem)
     law = optimal_feedback(red.problem, solve_riccati(red.problem, steps))
-    oracle = red.oracle(law, x0, steps)
-    traj, states, _ = _particles(red, law, sim, x0)
-    mc = cost_from_cloud(red.problem, states, traj.run_costs)
+    run = _monte_carlo(red, law, sim, x0, steps)
     write = trajectory_to_csv if red.partial is None else partial_trajectory_to_csv
-    write(traj, os.path.join(out, "trajectory.csv"))
+    write(run.traj, os.path.join(out, "trajectory.csv"))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
-               "mc": dataclasses.asdict(mc), "kind": red.kind,
-               "oracle": dataclasses.asdict(oracle)}
+               "mc": dataclasses.asdict(run.mc), "kind": red.kind,
+               "oracle": dataclasses.asdict(run.oracle),
+               "discrepancy": run.check.measured,
+               "threshold": run.check.threshold,
+               "within_threshold": run.check.passed}
     if red.partial is not None:
         summary["error_compensation"] = red.comp
-        summary["oracle"] = {"total": oracle.total + red.comp,
-                             "running": oracle.running,
-                             "terminal": oracle.terminal + red.comp}
-
-    discrepancy = abs(mc.total - summary["oracle"]["total"])
-    threshold = mc_tolerance(mc.std_error, sim.dt)
-    summary["discrepancy"] = discrepancy
-    summary["threshold"] = threshold
-    summary["within_threshold"] = bool(discrepancy <= threshold)
     _write_json(os.path.join(out, "summary.json"), summary)
     RunManifest(command="simulate", source=source,
                 params={"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt,
@@ -327,31 +312,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-@dataclass
-class _Check:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str
-
-
-def _print_check(check: _Check) -> None:
-    status = "PASS" if check.passed else "FAIL"
-    print(f"[{status}] {check.name}: {check.detail}")
-
-
 def _random_measures(rng, count: int):
     m1 = rng.uniform(-1.0, 1.0, count)
     extra = rng.uniform(0.0, 0.25, count)
     return [MeasureMoments(float(a), float(a * a + b)) for a, b in zip(m1, extra)]
-
-
-def _mc_check(mc: CostReport, oracle_total: float, dt: float) -> _Check:
-    gap = abs(mc.total - oracle_total)
-    tol = mc_tolerance(mc.std_error, dt)
-    return _Check("mc-vs-oracle", gap <= tol, gap, tol,
-                  f"|MC - oracle| = {gap:.3e}, band {tol:.3e}")
 
 
 def _solution_entries(problem: ProblemSpec, sol, steps: int,
@@ -481,21 +445,18 @@ def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
     worst_gap = 0.0
     for x in probe_xs:
         oracle = red.oracle(law_fine, x, fine_steps)
-        worst_gap = max(worst_gap,
-                        abs(oracle.total + red.comp - red.value(sol_fine, x)))
+        worst_gap = max(worst_gap, abs(oracle.total - red.value(sol_fine, x)))
     what = ("max |oracle - ansatz value|" if red.partial is None
             else "|oracle + error compensation - value|")
     checks.append(_Check("oracle-vs-value", worst_gap <= 1e-5, worst_gap, 1e-5,
                          f"{what} = {worst_gap:.3e}"))
     checks.append(_perturbation_entry(red, law_fine, x0, fine_steps))
 
-    oracle_total = red.oracle(law, x0, fine_steps).total + red.comp
-    traj, states, controlled = _particles(red, law, sim, x0)
-    mc = cost_from_cloud(spec, states, traj.run_costs)
-    checks.append(_mc_check(mc, oracle_total, sim.dt))
-    checks.append(_gaussianity_entry(controlled))
+    run = _monte_carlo(red, law, sim, x0, fine_steps)
+    checks.append(run.check)
+    checks.append(_gaussianity_entry(run.controlled))
     if red.partial is not None:
-        checks.append(_decomposition_entry(red.partial, traj))
+        checks.append(_decomposition_entry(red.partial, run.traj))
     return checks
 
 
@@ -552,7 +513,7 @@ def cmd_verify(args) -> int:
         params.update(stream_layout(sim.n_paths))
 
     for check in checks:
-        _print_check(check)
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     passed = all(c.passed for c in checks)
     payload = {
         "source": source, "kind": kind, "passed": passed,
@@ -570,44 +531,47 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-def _summary_for(manifest_path: str, manifest: RunManifest) -> dict | None:
-    name = manifest.outputs.get("summary") or manifest.outputs.get("verify")
-    if name is None:
-        return None
-    path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), name)
-    with open(path, "r") as fh:
-        return json.load(fh)
+def _report_row(manifest: RunManifest, summary: dict | None) -> dict:
+    row = {"source": manifest.source, "command": manifest.command,
+           "value": "", "mc_total": "", "std_error": "", "status": ""}
+    if summary is None:
+        row["status"] = "no summary"
+    elif manifest.command == "solve":
+        values = summary.get("values", [])
+        if values:
+            row["value"] = repr(values[0]["value"])
+        row["status"] = "ok"
+    elif manifest.command == "simulate":
+        row["value"] = repr(summary["oracle"]["total"])
+        row["mc_total"] = repr(summary["mc"]["total"])
+        row["std_error"] = repr(summary["mc"]["std_error"])
+        row["status"] = "ok" if summary["within_threshold"] else "off-band"
+    elif manifest.command == "verify":
+        row["status"] = "pass" if summary.get("passed") else "fail"
+    return row
 
 
 def cmd_report(args) -> int:
     rows = []
-    for path in args.manifests:
-        manifest = RunManifest.read(path)
-        summary = _summary_for(path, manifest)
-        row = {"source": manifest.source, "command": manifest.command,
-               "value": "", "mc_total": "", "std_error": "", "status": ""}
-        if summary is None:
-            row["status"] = "no summary"
-        elif manifest.command == "solve":
-            values = summary.get("values", [])
-            if values:
-                row["value"] = repr(values[0]["value"])
-            row["status"] = "ok"
-        elif manifest.command == "simulate":
-            row["value"] = repr(summary["oracle"]["total"])
-            row["mc_total"] = repr(summary["mc"]["total"])
-            row["std_error"] = repr(summary["mc"]["std_error"])
-            row["status"] = "ok" if summary["within_threshold"] else "off-band"
-        elif manifest.command == "verify":
-            row["status"] = "pass" if summary.get("passed") else "fail"
-        rows.append(row)
+    for manifest_path in args.manifests:
+        manifest = RunManifest.read(manifest_path)
+        name = manifest.outputs.get("summary") or manifest.outputs.get("verify")
+        summary = path = None
+        if name is not None:
+            path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), name)
+            with open(path, "r") as fh:
+                summary = json.load(fh)
+        try:
+            rows.append(_report_row(manifest, summary))
+        except (AttributeError, KeyError, IndexError, TypeError) as exc:
+            # A malformed output is a bad input file, not a failed check.
+            raise OSError(f"{path}: not a {manifest.command} summary "
+                          f"({type(exc).__name__}: {exc})") from exc
 
     out = _ensure_outdir(args.out)
-    import csv as _csv
-
     columns = ["source", "command", "value", "mc_total", "std_error", "status"]
     with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -622,38 +586,32 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The exit-code table of the module docstring, as (exception, stderr label,
+# code); the first row the exception is an instance of decides, so a
+# JSONDecodeError is an I/O error although it is also a ValueError.  Any
+# other exception propagates.
+_EXIT_CODES = (
+    (ConfigError, "config", 3),
+    (AssumptionError, "validation", 4),
+    (FiniteEscapeError, "escape", 5),
+    (SimulationDivergedError, "divergence", 5),
+    (DomainError, "argument", 2),
+    (json.JSONDecodeError, "io", 6),
+    (OSError, "io", 6),
+    (ValueError, "argument", 2),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 3
-    except AssumptionError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 4
-    except FiniteEscapeError as exc:
-        print(f"error: escape: {exc}", file=sys.stderr)
-        return 5
-    except SimulationDivergedError as exc:
-        print(f"error: divergence: {exc}", file=sys.stderr)
-        return 5
-    except DomainError as exc:
-        print(f"error: argument: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 6
-    except FileNotFoundError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 6
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 6
-    except ValueError as exc:
-        print(f"error: argument: {exc}", file=sys.stderr)
-        return 2
+    except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
+        label, code = next((label, code) for kind, label, code in _EXIT_CODES
+                           if isinstance(exc, kind))
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

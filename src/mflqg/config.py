@@ -1,40 +1,24 @@
 """INI problem configurations.
 
 A config file carries exactly one problem section plus an optional
-[simulation] section:
+[simulation] section.  _SCHEMA is the one table of the sections, their
+fields and the reader of each field, in the order they are read:
 
-    [problem]                 scalar, fully observed
-    A = 0.0                   bare number -> constant coefficient
-    B = poly 1.0 0.5          polynomial in t, lowest order first
-    sigma = table 0:1 2:0.5   piecewise-linear knots t:value
-    Q = 1.0
-    D1 = 1.0
-    D2 = 0.0
-    T = 1.0
+    [problem]          A, B, sigma, Q: coefficient; D1, D2, T: number
+    [matrix_problem]   d: integer >= 1; A, B, sigma, Q, D1, D2: d x d matrix;
+                       T: number
+    [partial_obs]      sigma_hat, sigma_tilde, eta_hat, eta_tilde, s, x, T,
+                       D1, D2: number
+    [simulation]       n_paths: integer; dt: number; seed: integer
 
-    [partial_obs]             unit-coefficient partially observed problem
-    sigma_hat = 0.7071067811865476
-    sigma_tilde = 0.7071067811865476
-    eta_hat = 1.0
-    eta_tilde = 0.0
-    s = 0.0
-    x = 1.0
-    T = 1.0
-    D1 = 1.0
-    D2 = 0.0
+Numbers must be finite.  A coefficient is a bare number or `constant c`
+(constant in t), `poly c0 c1 ...` (lowest order first) or
+`table t0:v0 t1:v1 ...` (piecewise-linear knots t:value).  A matrix lists
+its rows separated by ';', as in `A = 0 1; 0 0`.
 
-    [matrix_problem]          vector state; every matrix is constant in t
-    d = 2
-    A = 0 0; 0 0              rows separated by ';'
-    ...
-
-    [simulation]
-    n_paths = 100000
-    dt = 0.001
-    seed = 42
-
-Parsing errors raise ConfigError naming the section and field; violated model
-assumptions surface as AssumptionError from the constructed spec itself, and
+Every field is required and no other is allowed.  Parsing errors raise
+ConfigError naming the section and field; violated model assumptions
+surface as AssumptionError from the constructed spec itself, and
 simulation settings the engine cannot run (n_paths < 2, dt <= 0) as
 DomainError from SimConfig.  Parsing is one way: no writer turns a spec back
 into INI text.
@@ -59,12 +43,6 @@ __all__ = [
     "load_config",
 ]
 
-_PROBLEM_FIELDS = ("A", "B", "sigma", "Q", "D1", "D2", "T")
-_PARTIAL_FIELDS = ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde",
-                   "s", "x", "T", "D1", "D2")
-_MATRIX_FIELDS = ("d", "A", "B", "sigma", "Q", "D1", "D2", "T")
-_SIM_FIELDS = ("n_paths", "dt", "seed")
-
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -82,7 +60,10 @@ class ResolvedConfig:
         raise ConfigError("configuration contains no problem section")
 
 
-def _finite(text: str) -> float:
+# Readers take a field's text and the fields of its section read so far, and
+# raise ValueError on bad text; parse_config names the section and field.
+
+def _real(text: str, _=None) -> float:
     # nan and inf parse as floats but are no valid problem data.
     value = float(text)
     if not math.isfinite(value):
@@ -90,80 +71,84 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_float(section: str, field: str, text: str) -> float:
-    try:
-        return _finite(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {field}: not a finite number: {text!r}") from exc
+def _integer(text: str, _=None) -> int:
+    return int(text)
 
 
-def _parse_int(section: str, field: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {field}: not an integer: {text!r}") from exc
+def _dimension(text: str, _=None) -> int:
+    d = int(text)
+    if d < 1:
+        raise ValueError(f"must be >= 1, got {d}")
+    return d
 
 
-def _parse_coefficient(section: str, field: str, text: str) -> Coefficient:
+def _coefficient(text: str, _=None) -> Coefficient:
     tokens = text.split()
     if not tokens:
-        raise ConfigError(f"[{section}] {field}: empty value")
+        raise ValueError("empty value")
     head = tokens[0]
-    try:
-        if head == "constant":
-            if len(tokens) != 2:
-                raise ConfigError(
-                    f"[{section}] {field}: constant takes exactly one value"
-                )
-            return Coefficient.constant(_finite(tokens[1]))
-        if head == "poly":
-            if len(tokens) < 2:
-                raise ConfigError(f"[{section}] {field}: poly needs coefficients")
-            return Coefficient.poly([_finite(tok) for tok in tokens[1:]])
-        if head == "table":
-            knots = []
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise ConfigError(
-                        f"[{section}] {field}: table entries look like t:value, got {tok!r}"
-                    )
-                t_text, v_text = tok.split(":", 1)
-                knots.append((_finite(t_text), _finite(v_text)))
-            if len(knots) < 2:
-                raise ConfigError(f"[{section}] {field}: table needs at least two knots")
-            return Coefficient.table([t for t, _ in knots], [v for _, v in knots])
-        if len(tokens) == 1:
-            return Coefficient.constant(_finite(head))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {field}: bad number in {text!r}") from exc
-    raise ConfigError(f"[{section}] {field}: cannot parse coefficient {text!r}")
+    if head == "constant":
+        if len(tokens) != 2:
+            raise ValueError("constant takes exactly one value")
+        return Coefficient.constant(_real(tokens[1]))
+    if head == "poly":
+        if len(tokens) < 2:
+            raise ValueError("poly needs coefficients")
+        return Coefficient.poly([_real(tok) for tok in tokens[1:]])
+    if head == "table":
+        knots = []
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ValueError(f"table entries look like t:value, got {tok!r}")
+            t_text, v_text = tok.split(":", 1)
+            knots.append((_real(t_text), _real(v_text)))
+        if len(knots) < 2:
+            raise ValueError("table needs at least two knots")
+        return Coefficient.table([t for t, _ in knots], [v for _, v in knots])
+    if len(tokens) == 1:
+        return Coefficient.constant(_real(head))
+    raise ValueError(f"cannot parse coefficient {text!r}")
 
 
-def _parse_matrix(section: str, field: str, text: str, d: int) -> np.ndarray:
-    rows = [row.strip() for row in text.split(";")]
-    try:
-        data = [[_finite(tok) for tok in row.split()] for row in rows]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {field}: bad number in {text!r}") from exc
+def _matrix(text: str, read: dict) -> np.ndarray:
+    d = read["d"]
+    data = [[_real(tok) for tok in row.split()] for row in text.split(";")]
     if len(data) != d or any(len(row) != d for row in data):
-        raise ConfigError(
-            f"[{section}] {field}: expected a {d}x{d} matrix (rows separated by ';')"
-        )
+        raise ValueError(f"expected a {d}x{d} matrix (rows separated by ';')")
     return np.array(data)
 
 
-def _section_items(parser: configparser.ConfigParser, section: str,
-                   allowed: tuple[str, ...]) -> dict[str, str]:
-    items = dict(parser.items(section))
-    unknown = sorted(set(items) - set(allowed))
+# The one schema: section -> (constructor, field -> reader), fields in the
+# order they are read.
+_SCHEMA = {
+    "problem": (ProblemSpec, {
+        "A": _coefficient, "B": _coefficient, "sigma": _coefficient,
+        "Q": _coefficient, "D1": _real, "D2": _real, "T": _real}),
+    "matrix_problem": (MatrixProblemSpec, {
+        "d": _dimension, "A": _matrix, "B": _matrix, "sigma": _matrix,
+        "Q": _matrix, "D1": _matrix, "D2": _matrix, "T": _real}),
+    "partial_obs": (PartialObsSpec, dict.fromkeys(
+        ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde", "s", "x", "T",
+         "D1", "D2"), _real)),
+    "simulation": (SimConfig, {"n_paths": _integer, "dt": _real,
+                               "seed": _integer}),
+}
+
+
+def _read_section(section: str, items: dict[str, str], readers: dict) -> dict:
+    unknown = sorted(items.keys() - readers.keys())
     if unknown:
         raise ConfigError(f"[{section}] unknown field(s): {', '.join(unknown)}")
-    missing = sorted(set(allowed) - set(items))
+    missing = sorted(readers.keys() - items.keys())
     if missing:
         raise ConfigError(f"[{section}] missing field(s): {', '.join(missing)}")
-    return items
+    read: dict = {}
+    for field, reader in readers.items():
+        try:
+            read[field] = reader(items[field], read)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {field}: {exc}") from exc
+    return read
 
 
 def parse_config(text: str) -> ResolvedConfig:
@@ -175,60 +160,21 @@ def parse_config(text: str) -> ResolvedConfig:
         raise ConfigError(f"parse error: {exc}") from exc
 
     sections = set(parser.sections())
-    known = {"problem", "matrix_problem", "partial_obs", "simulation"}
-    unknown = sorted(sections - known)
+    unknown = sorted(sections - _SCHEMA.keys())
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
-    problem_sections = sections & {"problem", "matrix_problem", "partial_obs"}
+    problem_sections = sorted(sections - {"simulation"})
     if len(problem_sections) == 0:
         raise ConfigError("configuration needs one problem section")
     if len(problem_sections) > 1:
         raise ConfigError(
-            f"configuration has multiple problem sections: {', '.join(sorted(problem_sections))}"
+            f"configuration has multiple problem sections: {', '.join(problem_sections)}"
         )
-
-    problem = matrix_problem = partial = simulation = None
-    if "problem" in sections:
-        items = _section_items(parser, "problem", _PROBLEM_FIELDS)
-        problem = ProblemSpec(
-            A=_parse_coefficient("problem", "A", items["A"]),
-            B=_parse_coefficient("problem", "B", items["B"]),
-            sigma=_parse_coefficient("problem", "sigma", items["sigma"]),
-            Q=_parse_coefficient("problem", "Q", items["Q"]),
-            D1=_parse_float("problem", "D1", items["D1"]),
-            D2=_parse_float("problem", "D2", items["D2"]),
-            T=_parse_float("problem", "T", items["T"]),
-        )
-    if "matrix_problem" in sections:
-        items = _section_items(parser, "matrix_problem", _MATRIX_FIELDS)
-        d = _parse_int("matrix_problem", "d", items["d"])
-        if d < 1:
-            raise ConfigError(f"[matrix_problem] d must be >= 1, got {d}")
-        matrix_problem = MatrixProblemSpec(
-            d=d,
-            A=_parse_matrix("matrix_problem", "A", items["A"], d),
-            B=_parse_matrix("matrix_problem", "B", items["B"], d),
-            sigma=_parse_matrix("matrix_problem", "sigma", items["sigma"], d),
-            Q=_parse_matrix("matrix_problem", "Q", items["Q"], d),
-            D1=_parse_matrix("matrix_problem", "D1", items["D1"], d),
-            D2=_parse_matrix("matrix_problem", "D2", items["D2"], d),
-            T=_parse_float("matrix_problem", "T", items["T"]),
-        )
-    if "partial_obs" in sections:
-        items = _section_items(parser, "partial_obs", _PARTIAL_FIELDS)
-        partial = PartialObsSpec(
-            **{name: _parse_float("partial_obs", name, items[name])
-               for name in _PARTIAL_FIELDS}
-        )
-    if "simulation" in sections:
-        items = _section_items(parser, "simulation", _SIM_FIELDS)
-        simulation = SimConfig(
-            n_paths=_parse_int("simulation", "n_paths", items["n_paths"]),
-            dt=_parse_float("simulation", "dt", items["dt"]),
-            seed=_parse_int("simulation", "seed", items["seed"]),
-        )
-    return ResolvedConfig(problem=problem, matrix_problem=matrix_problem,
-                          partial_obs=partial, simulation=simulation)
+    # A constructor's own errors (a violated assumption, simulation settings
+    # the engine cannot run) pass through unwrapped.
+    return ResolvedConfig(**{
+        section: make(**_read_section(section, dict(parser.items(section)), readers))
+        for section, (make, readers) in _SCHEMA.items() if section in sections})
 
 
 def load_config(path) -> ResolvedConfig:

@@ -197,8 +197,6 @@ def validate_spec(spec: ProblemSpec) -> ValidationResult:
     are probed at the endpoints so tabulated data covering less than [0, T]
     is reported rather than raising later, mid-integration.
     """
-    if not spec.T > 0.0:
-        return ValidationResult(False, "horizon T must be positive", None)
     for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
                        ("Q", spec.Q)):
         for t in (0.0, spec.T):

@@ -25,6 +25,7 @@ problem's closed form is riccati.closed_form(reduced_problem(spec)).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -152,9 +153,12 @@ class Reduction:
         return value_function(sol, 0.0, self.moments(x)) + self.comp
 
     def oracle(self, law: FeedbackLaw, x: float, steps: int) -> CostReport:
-        """Moment-oracle cost of `law` on `problem` from x, without comp."""
+        """Moment-oracle cost of `law` on `problem` from x, comp included in
+        total and terminal, as in value."""
         mu = self.moments(x)
-        return cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
+        cost = cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
+        return dataclasses.replace(cost, total=cost.total + self.comp,
+                                   terminal=cost.terminal + self.comp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,16 +60,14 @@ def stage_times(nodes: np.ndarray) -> np.ndarray:
     return times
 
 
-def rk4(rhs, y0, nodes: np.ndarray, names, settle=lambda y: y) -> list[np.ndarray]:
+def rk4(rhs, y0, nodes: np.ndarray, names) -> list[np.ndarray]:
     """Classical fixed-step RK4 from y0 at nodes[0] along `nodes`, which may
     run backwards in time; returns each component at every node, in the
     order of `nodes`.
 
     y0 is a list of components, each a float or a numpy array.  rhs(j, y)
     returns one derivative per component at index j of stage_times(nodes),
-    so it can read coefficients tabulated there once.  settle maps every
-    stage input and every accepted step (the matrix system symmetrizes).
-    A component that turns non-finite or leaves [-DIVERGENCE_LIMIT,
+    so it can read coefficients tabulated there once.  A component that turns non-finite or leaves [-DIVERGENCE_LIMIT,
     DIVERGENCE_LIMIT] at a node raises FiniteEscapeError with that node's
     time and the component's entry in `names`.
     """
@@ -88,11 +86,11 @@ def rk4(rhs, y0, nodes: np.ndarray, names, settle=lambda y: y) -> list[np.ndarra
         half = 0.5 * h
         sixth = h / 6.0
         k1 = rhs(2 * k, y)
-        k2 = rhs(2 * k + 1, settle([c + half * d for c, d in zip(y, k1)]))
-        k3 = rhs(2 * k + 1, settle([c + half * d for c, d in zip(y, k2)]))
-        k4 = rhs(2 * k + 2, settle([c + h * d for c, d in zip(y, k3)]))
-        y = settle([c + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                    for c, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+        k2 = rhs(2 * k + 1, [c + half * d for c, d in zip(y, k1)])
+        k3 = rhs(2 * k + 1, [c + half * d for c, d in zip(y, k2)])
+        k4 = rhs(2 * k + 2, [c + h * d for c, d in zip(y, k3)])
+        y = [c + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for c, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +263,9 @@ def _matrix_derivs(a, m, ss, p1, p2):
 def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRiccatiSolution:
     """Backward RK4 for the matrix system from phi(T) = (D1, D2, 0).
 
-    Every stage input and every accepted step is symmetrized, so the stored
-    phi1, phi2 are symmetric to machine precision at all grid times.
+    D1, D2 and every derivative are bitwise symmetric, and RK4 only adds and
+    scales them entrywise, so every stage input and the stored phi1, phi2
+    are bitwise symmetric at all grid times.
     """
     grid = _grid(spec.T, steps)
     coefs = _matrix_coefs(spec)
@@ -274,11 +273,8 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     def rhs(j, y):
         return _matrix_derivs(*coefs, y[0], y[1])
 
-    def settle(y):
-        return [_sym(y[0]), _sym(y[1]), y[2]]
-
     phi = rk4(rhs, [np.array(spec.D1), np.array(spec.D2), 0.0], grid[::-1],
-              ("phi", "phi", "phi"), settle)
+              ("phi", "phi", "phi"))
     return MatrixRiccatiSolution(grid, *(c[::-1] for c in phi))
 
 

@@ -76,7 +76,7 @@ class SimConfig:
 
     n_paths: int = 100_000
     dt: float = 1e-3
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
         object.__setattr__(self, "n_paths", int(self.n_paths))
@@ -302,10 +302,16 @@ def _fill_blocks(claims, root, block, n_steps, k_start, out) -> None:
     rows of `out`, whose first row is step k_start.  Both threads call this
     on the same iterator; next() on it is one C call under the interpreter
     lock, so each block is claimed once."""
+    # root.jumped(b + 1) would seed a throwaway Philox from OS entropy per
+    # block; setting the root's state and advancing it is the same jump.
+    start = root.state
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
     for b in claims:
         k0 = b * block
         k1 = min(k0 + block, n_steps)
-        rng = np.random.Generator(root.jumped(b + 1))
+        bits.state = start
+        bits.advance((b + 1) << 128)
         rng.standard_normal(out=out[k0 - k_start:k1 - k_start])
 
 

@@ -135,6 +135,21 @@ def test_simulate_partial(tmp_path):
     assert header == "t,P_t,m1_hat,m2_hat,m2"
 
 
+def test_simulate_oracle_block_has_one_shape(tmp_path):
+    # A partial oracle includes D1 P_T and reports the keys a scalar one does.
+    keys = []
+    for name in ("example1", "example3"):
+        rc = main(["simulate", "--preset", name, "--paths", "200", "--dt", "0.05",
+                   "--seed", "3", "--out", str(tmp_path / name)])
+        assert rc == 0
+        summary = read_json(tmp_path / name / "summary.json")
+        keys.append(sorted(summary["oracle"]))
+        assert summary["discrepancy"] == abs(summary["mc"]["total"]
+                                             - summary["oracle"]["total"])
+    assert keys[0] == keys[1]
+    assert keys[0] == ["n_paths", "running", "std_error", "terminal", "total"]
+
+
 def test_simulate_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--preset", "example1", "--paths", "2000",
@@ -446,6 +461,31 @@ def test_exit_code_io_errors(tmp_path, capsys):
         assert rc == 6, text
         assert err.startswith("error: io:") and err.count("\n") == 1, text
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("summary", ["{}", '{"oracle": {}}', "[]",
+                                     '{"oracle": [], "mc": {}}'])
+def test_report_refuses_a_malformed_summary(tmp_path, capsys, summary):
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--preset", "example1", "--paths", "200", "--dt", "0.05",
+          "--out", str(sim_dir)])
+    (sim_dir / "summary.json").write_text(summary)
+    capsys.readouterr()
+    rc = main(["report", str(sim_dir / "manifest.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.startswith("error: io:") and err.count("\n") == 1
+    assert str(sim_dir / "summary.json") in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_exceptions_outside_the_exit_code_table_propagate(monkeypatch):
+    def broken(path):
+        raise RuntimeError("not an mflqg error")
+
+    monkeypatch.setattr(mflqg.cli, "load_config", broken)
+    with pytest.raises(RuntimeError):
+        main(["solve", "--config", "any.ini"])
 
 
 def test_version_flag(capsys):

@@ -152,6 +152,20 @@ def test_non_finite_numbers_are_config_errors(text, old, new):
         parse_config(text.replace(old, new))
 
 
+@pytest.mark.parametrize("text,old,new,where", [
+    (SCALAR, "sigma = table 0:1 1:0.5", "sigma = table 0:1", "[problem] sigma:"),
+    (SCALAR, "seed = 7", "seed = 7.5", "[simulation] seed:"),
+    (PARTIAL, "eta_tilde = 0.0", "eta_tilde = zero", "[partial_obs] eta_tilde:"),
+    (MATRIX, "Q = 1 0; 0 1", "Q = 1 0; 0", "[matrix_problem] Q:"),
+    (MATRIX, "d = 2", "d = two", "[matrix_problem] d:"),
+], ids=["problem", "simulation", "partial_obs", "matrix_problem", "matrix_d"])
+def test_field_errors_name_section_and_field(text, old, new, where):
+    assert old in text
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace(old, new))
+    assert str(err.value).startswith(where), str(err.value)
+
+
 def test_malformed_ini_is_config_error():
     with pytest.raises(ConfigError):
         parse_config("problem]\nA = 0\n")

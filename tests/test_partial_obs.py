@@ -5,7 +5,7 @@ import pytest
 
 from mflqg import (AssumptionError, DomainError, PartialObsSpec, Reduction,
                    SimConfig, closed_form, cost_decomposition_check,
-                   cost_from_cloud, error_variance, evolve_cloud,
+                   cost_from_cloud, cost_oracle, error_variance, evolve_cloud,
                    evolve_partial, mc_tolerance, optimal_feedback,
                    partial_preset, reduced_problem, scalar_preset,
                    solve_riccati)
@@ -225,7 +225,10 @@ def test_simulate_partial_matches_oracle_plus_compensation():
     cfg = SimConfig(20_000, 1e-3, 42)
     traj = evolve_partial(spec, law, cfg)
     mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
-    oracle = Reduction.of(spec).oracle(law, spec.x, 2000).total \
+    oracle = Reduction.of(spec).oracle(law, spec.x, 2000).total
+    # The reduction adds D1 P_T itself; built here independently of it.
+    m2 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
+    assert oracle == cost_oracle(red, law, spec.x, m2, 2000).total \
         + spec.D1 * error_variance(spec, spec.T)
     gap = abs(mc.total - oracle)
     tol = mc_tolerance(mc.std_error, cfg.dt)

@@ -26,10 +26,8 @@ from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
                        GaussianityReport, SimConfig, cost_from_cloud,
                        cost_oracle, evolve_cloud, gaussianity_check,
                        mc_tolerance, perturbation_sweep, simulate_mc)
-from .partial_obs import (DecompositionReport, PartialObsSpec,
-                          PartialTrajectory, Reduction,
-                          cost_decomposition_check, error_variance,
-                          evolve_partial, reduced_problem)
+from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
+                          error_variance, reduced_problem)
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
 from .config import ResolvedConfig, load_config, parse_config
 
@@ -53,9 +51,8 @@ __all__ = [
     "SimConfig", "cost_from_cloud", "cost_oracle", "evolve_cloud",
     "gaussianity_check", "mc_tolerance", "perturbation_sweep", "simulate_mc",
     # partial observation
-    "DecompositionReport", "PartialObsSpec", "PartialTrajectory", "Reduction",
-    "cost_decomposition_check", "error_variance", "evolve_partial",
-    "reduced_problem",
+    "PartialObsSpec", "Reduction", "cost_decomposition_check",
+    "error_variance", "reduced_problem",
     # presets and config
     "PRESET_NAMES", "partial_preset", "preset", "scalar_preset",
     "ResolvedConfig", "load_config", "parse_config",

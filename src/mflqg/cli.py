@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -36,13 +37,13 @@ from .errors import (AssumptionError, ConfigError, DomainError,
 from .model import (MatrixProblemSpec, MeasureMoments, ProblemSpec,
                     validate_matrix_spec, validate_spec)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
-                          evolve_partial, partial_trajectory_to_csv)
+                          partial_trajectory_to_csv)
 from .presets import PRESET_NAMES, preset
 from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
                       solve_matrix_riccati, solve_riccati)
-from .simulate import (CostReport, SimConfig, cost_from_cloud, evolve_cloud,
-                       gaussianity_check, mc_tolerance, perturbation_sweep,
-                       stream_layout, trajectory_to_csv)
+from .simulate import (CloudTrajectory, CostReport, SimConfig, cost_from_cloud,
+                       evolve_cloud, gaussianity_check, mc_tolerance,
+                       perturbation_sweep, stream_layout, trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
@@ -60,7 +61,8 @@ class RunManifest:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
 
     @staticmethod
@@ -142,7 +144,8 @@ def _sim_config(args, from_config: SimConfig | None) -> SimConfig:
 
 
 def _initial_states(args, d: int) -> list[np.ndarray] | None:
-    """Each --x as d comma-separated finite numbers, or None without --x."""
+    """Each --x as d comma-separated numbers, or None without --x.  Every
+    cost reads the square of the state, so each square must be finite."""
     if not args.x:
         return None
     out = []
@@ -153,8 +156,8 @@ def _initial_states(args, d: int) -> list[np.ndarray] | None:
             raise DomainError(f"--x expects comma-separated numbers, got {s!r}") from exc
         if vec.size != d:
             raise DomainError(f"--x {s!r} has {vec.size} entries, expected {d}")
-        if not np.isfinite(vec).all():
-            raise DomainError(f"--x expects finite numbers, got {s!r}")
+        if not all(math.isfinite(v * v) for v in vec.tolist()):
+            raise DomainError(f"--x expects numbers with a finite square, got {s!r}")
         out.append(vec)
     return out
 
@@ -166,7 +169,7 @@ def _ensure_outdir(path: str) -> str:
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -179,21 +182,18 @@ def _require_validated(spec) -> None:
 
 def _scalar_view(spec, args) -> tuple[Reduction, list]:
     """The scalar problem a command runs on and the requested initial
-    states; the first is simulated, and a partially observed spec takes it
-    as its x."""
+    states, the first of which is simulated: each --x, or else a partially
+    observed spec's x, or 1."""
     vecs = _initial_states(args, 1)
-    partial = isinstance(spec, PartialObsSpec)
-    xs = [float(v[0]) for v in vecs] if vecs else [spec.x if partial else 1.0]
-    if partial:
-        return Reduction.of(dataclasses.replace(spec, x=xs[0])), xs
-    return Reduction.of(spec), xs
+    default = spec.x if isinstance(spec, PartialObsSpec) else 1.0
+    return Reduction.of(spec), ([float(v[0]) for v in vecs] if vecs else [default])
 
 
 @dataclass
 class _Check:
     name: str
     passed: bool
-    measured: float
+    measured: float | None  # None: the check stopped before measuring
     threshold: float
     detail: str
 
@@ -202,9 +202,9 @@ class _Check:
 class _MonteCarlo:
     """One seeded particle run and its verdict against the oracle."""
 
-    traj: object          # CloudTrajectory, or PartialTrajectory
-    controlled: np.ndarray  # terminal cloud of the controlled process
-    mc: CostReport
+    cloud: CloudTrajectory   # the controlled (prediction) process
+    err: np.ndarray | float  # E_T per path, 0.0 when fully observed
+    mc: CostReport           # cost of the full state cloud.states + err
     oracle: CostReport
     check: _Check         # mc-vs-oracle
 
@@ -215,18 +215,14 @@ def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
     with the oracle on a grid of oracle_steps intervals: simulate's
     within_threshold is verify's mc-vs-oracle check."""
     oracle = red.oracle(law, x0, oracle_steps)
-    if red.partial is None:
-        traj = evolve_cloud(red.problem, law, x0, sim)
-        states = controlled = traj.states
-    else:
-        traj = evolve_partial(red.partial, law, sim)
-        states, controlled = traj.xhat + traj.err, traj.xhat
-    mc = cost_from_cloud(red.problem, states, traj.run_costs)
+    cloud = evolve_cloud(red.problem, law, red.initial(x0), sim)
+    err = red.error(sim)
+    mc = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
     gap = abs(mc.total - oracle.total)
     tol = mc_tolerance(mc.std_error, sim.dt)
     check = _Check("mc-vs-oracle", gap <= tol, gap, tol,
                    f"|MC - oracle| = {gap:.3e}, band {tol:.3e}")
-    return _MonteCarlo(traj, controlled, mc, oracle, check)
+    return _MonteCarlo(cloud, err, mc, oracle, check)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +284,6 @@ def cmd_simulate(args) -> int:
     _require_validated(red.problem)
     law = optimal_feedback(red.problem, solve_riccati(red.problem, steps))
     run = _monte_carlo(red, law, sim, x0, steps)
-    write = trajectory_to_csv if red.partial is None else partial_trajectory_to_csv
-    write(run.traj, os.path.join(out, "trajectory.csv"))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
                "mc": dataclasses.asdict(run.mc), "kind": red.kind,
@@ -297,7 +291,11 @@ def cmd_simulate(args) -> int:
                "discrepancy": run.check.measured,
                "threshold": run.check.threshold,
                "within_threshold": run.check.passed}
-    if red.partial is not None:
+    path = os.path.join(out, "trajectory.csv")
+    if red.partial is None:
+        trajectory_to_csv(run.cloud, path)
+    else:
+        partial_trajectory_to_csv(red.partial, run.cloud, path)
         summary["error_compensation"] = red.comp
     _write_json(os.path.join(out, "summary.json"), summary)
     RunManifest(command="simulate", source=source,
@@ -335,10 +333,10 @@ def _solution_entries(problem: ProblemSpec, sol, steps: int,
 
 
 def _assumptions_entry(result, weight: str) -> _Check:
-    q_min = float("nan") if result.q_min is None else result.q_min
-    return _Check("assumptions", result.ok, q_min, 0.0,
-                  f"{result.message}; smallest {weight} on the grid "
-                  f"{q_min:.3e}, must be > 0")
+    seen = "not measured" if result.q_min is None else f"{result.q_min:.3e}"
+    return _Check("assumptions", result.ok, result.q_min, 0.0,
+                  f"{result.message}; smallest {weight} on the grid {seen}, "
+                  f"must be > 0")
 
 
 def _terminal_entry(defects) -> _Check:
@@ -392,15 +390,12 @@ def _perturbation_entry(red: Reduction, law, x0: float, steps: int) -> _Check:
                   worst_dev, 0.2, "; ".join(details))
 
 
-def _decomposition_entry(spec: PartialObsSpec, traj) -> _Check:
-    decomp = cost_decomposition_check(spec, traj)
-    if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0:
-        tol = 1e-12
-    else:
-        tol = 3.0 * decomp.defect_std_error
-    return _Check("cost-decomposition", abs(decomp.defect) <= tol,
-                  abs(decomp.defect), tol,
-                  f"defect {decomp.defect:.3e}, band {tol:.3e}")
+def _decomposition_entry(red: Reduction, run: _MonteCarlo) -> _Check:
+    defect, se = cost_decomposition_check(red, run.cloud, run.err, run.mc)
+    spec = red.partial
+    tol = 1e-12 if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0 else 3.0 * se
+    return _Check("cost-decomposition", abs(defect) <= tol, abs(defect), tol,
+                  f"defect {defect:.3e}, band {tol:.3e}")
 
 
 def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
@@ -454,9 +449,9 @@ def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
 
     run = _monte_carlo(red, law, sim, x0, fine_steps)
     checks.append(run.check)
-    checks.append(_gaussianity_entry(run.controlled))
+    checks.append(_gaussianity_entry(run.cloud.states))
     if red.partial is not None:
-        checks.append(_decomposition_entry(red.partial, run.traj))
+        checks.append(_decomposition_entry(red, run))
     return checks
 
 

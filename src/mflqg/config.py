@@ -7,8 +7,8 @@ fields and the reader of each field, in the order they are read:
     [problem]          A, B, sigma, Q: coefficient; D1, D2, T: number
     [matrix_problem]   d: integer >= 1; A, B, sigma, Q, D1, D2: d x d matrix;
                        T: number
-    [partial_obs]      sigma_hat, sigma_tilde, eta_hat, eta_tilde, s, x, T,
-                       D1, D2: number
+    [partial_obs]      sigma_hat, sigma_tilde, eta_hat, eta_tilde, s, T, D1,
+                       D2: number; x: number with a finite square
     [simulation]       n_paths: integer; dt: number; seed: integer
 
 Numbers must be finite.  A coefficient is a bare number or `constant c`
@@ -19,9 +19,9 @@ its rows separated by ';', as in `A = 0 1; 0 0`.
 Every field is required and no other is allowed.  Parsing errors raise
 ConfigError naming the section and field; violated model assumptions
 surface as AssumptionError from the constructed spec itself, and
-simulation settings the engine cannot run (n_paths < 2, dt <= 0) as
-DomainError from SimConfig.  Parsing is one way: no writer turns a spec back
-into INI text.
+simulation settings the engine cannot run (n_paths < 2, dt <= 0, seed < 0)
+as DomainError from SimConfig.  Parsing is one way: no writer turns a spec
+back into INI text.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def _real(text: str, _=None) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _state(text: str, _=None) -> float:
+    # Every cost reads x^2: a square that overflows, if not refused here,
+    # surfaces later as an infinite value or a misleading finite escape.
+    value = _real(text)
+    if not math.isfinite(value * value):
+        raise ValueError(f"{text!r} squared overflows")
     return value
 
 
@@ -129,7 +138,7 @@ _SCHEMA = {
         "Q": _matrix, "D1": _matrix, "D2": _matrix, "T": _real}),
     "partial_obs": (PartialObsSpec, dict.fromkeys(
         ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde", "s", "x", "T",
-         "D1", "D2"), _real)),
+         "D1", "D2"), _real) | {"x": _state}),
     "simulation": (SimConfig, {"n_paths": _integer, "dt": _real,
                                "seed": _integer}),
 }

@@ -266,9 +266,11 @@ def validate_matrix_spec(spec: MatrixProblemSpec) -> ValidationResult:
     """Matrix analogue of :func:`validate_spec`: Q must be symmetric positive
     definite."""
     q = spec.Q
+    lam = (float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+           if np.isfinite(q).all() else None)
     if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
-        return ValidationResult(False, "assumption A1: Q is not symmetric")
-    lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+        return ValidationResult(False, "assumption A1: Q is not symmetric",
+                                None, lam)
     if not lam > 0.0:
         return ValidationResult(
             False,

@@ -16,11 +16,12 @@ and the optimal value is read off the reduced problem's Riccati solution:
     V = phi1(s) (x^2 + eta_hat^2 s) + phi2(s) x^2 + phi3(s) + D1 * P_T.
 
 Reduction holds that split once: the reduced problem, the initial variance
-eta_hat^2 s and the constant D1 * P_T; every command and evolve_partial read
-it.  Simulation follows the same split: the prediction cloud is the fully
-observed particle engine run on the reduced problem, and E, which no cost
-term reads before T, is drawn once at T from its own stream.  The reduced
-problem's closed form is riccati.closed_form(reduced_problem(spec)).
+eta_hat^2 s and the constant D1 * P_T; every command reads it.  Simulation
+follows the same split: the prediction cloud is the fully observed particle
+engine run on the reduced problem from Reduction.initial, and E, which no
+cost term reads before T, is drawn once at T from its own stream by
+Reduction.error.  The reduced problem's closed form is
+riccati.closed_form(reduced_problem(spec)).
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ from .control import FeedbackLaw, value_function
 from .errors import AssumptionError, DomainError
 from .model import MeasureMoments, ProblemSpec
 from .riccati import RiccatiSolution, _write_csv
-from .simulate import CostReport, SimConfig, cost_oracle, evolve_cloud
+from .simulate import (CloudTrajectory, CostReport, SimConfig, cost_from_cloud,
+                       cost_oracle)
 
 __all__ = [
     "PartialObsSpec",
     "Reduction",
-    "PartialTrajectory",
-    "DecompositionReport",
     "error_variance",
     "reduced_problem",
-    "evolve_partial",
     "cost_decomposition_check",
     "partial_trajectory_to_csv",
 ]
@@ -160,98 +159,56 @@ class Reduction:
         return dataclasses.replace(cost, total=cost.total + self.comp,
                                    terminal=cost.terminal + self.comp)
 
+    def initial(self, x: float) -> float | tuple:
+        """The law evolve_cloud starts the prediction cloud from at the point
+        estimate x: N(x, var0) as a (mean, var) pair when s > 0, the Dirac
+        at x otherwise."""
+        if self.partial is not None and self.partial.s > 0.0:
+            return (x, self.var0)
+        return x
 
-@dataclass(frozen=True, eq=False)
-class PartialTrajectory:
-    """Per-step moments of the prediction cloud and of the full state.
+    def error(self, config: SimConfig) -> np.ndarray | float:
+        """The estimation error E_T per path, 0.0 for a fully observed spec.
 
-    times are on the original clock (from s to T).  p is the exact error
-    variance P_t, not an estimate, and m2 = m2_hat + p is the full-state
-    second moment given the prediction cloud.  err holds the estimation
-    error at T only.
-    """
-
-    times: np.ndarray
-    m1_hat: np.ndarray
-    m2_hat: np.ndarray
-    m2: np.ndarray
-    p: np.ndarray
-    xhat: np.ndarray
-    err: np.ndarray
-    run_costs: np.ndarray
-
-
-def evolve_partial(spec: PartialObsSpec, law: FeedbackLaw,
-                   config: SimConfig) -> PartialTrajectory:
-    """Simulate X_hat on [s, T] and draw the estimation error E at T.
-
-    X_hat is evolve_cloud on the reduced problem from N(x, eta_hat^2 s) (a
-    Dirac at x when s = 0), so the law is consumed on the shifted clock
-    tau = t - s, that of an optimal_feedback on the reduced problem.  E_T is
-    the sum of its two independent sources,
-    eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1, drawn on a child
-    stream spawned from the seed, so the error never shifts the prediction's
-    draws.
-    """
-    red = Reduction.of(spec)
-    initial = (spec.x, red.var0) if spec.s > 0.0 else spec.x
-    cloud = evolve_cloud(red.problem, law, initial, config)
-    child = np.random.SeedSequence(config.seed).spawn(1)[0]
-    z = np.random.Generator(np.random.Philox(child)).standard_normal(
-        (2, config.n_paths))
-    err = (spec.eta_tilde * math.sqrt(spec.s) * z[0]
-           + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])
-    times = spec.s + cloud.times
-    p = error_variance(spec, times)
-    return PartialTrajectory(times=times, m1_hat=cloud.m1, m2_hat=cloud.m2,
-                             m2=cloud.m2 + p, p=p, xhat=cloud.states, err=err,
-                             run_costs=cloud.run_costs)
+        E_T is the sum of its two independent sources,
+        eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1, drawn on the child
+        stream SeedSequence(seed).spawn(1)[0], so it never shifts the
+        prediction cloud's draws.  No cost term reads E before T.
+        """
+        spec = self.partial
+        if spec is None:
+            return 0.0
+        child = np.random.SeedSequence(config.seed).spawn(1)[0]
+        z = np.random.Generator(np.random.Philox(child)).standard_normal(
+            (2, config.n_paths))
+        return (spec.eta_tilde * math.sqrt(spec.s) * z[0]
+                + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """One-run comparison of the full cost J against the prediction cost
-    J_hat plus the uncontrollable error compensation D1 * P_T."""
+def cost_decomposition_check(red: Reduction, cloud: CloudTrajectory, err,
+                             full: CostReport) -> tuple[float, float]:
+    """Defect J - J_hat - D1 P_T of one run, and its standard error.
 
-    total: float
-    prediction_total: float
-    error_compensation: float
-    defect: float
-    defect_std_error: float
-    n_paths: int
-
-
-def cost_decomposition_check(spec: PartialObsSpec,
-                             traj: PartialTrajectory) -> DecompositionReport:
-    """Estimate J and J_hat from the same particles of one trajectory and
-    report the defect J - J_hat - D1 * P_T, which should vanish in expectation.
-    J reads the per-path full state X_hat + E, never traj.m2, which is built
-    from P_T and would make the defect vanish by construction.
-
-    The defect's standard error comes from the per-path difference
+    full is the run's cost_from_cloud of the per-path full state X_hat + E
+    (a J built from m2_hat + P_t would make the defect vanish by
+    construction); J_hat is cost_from_cloud of the prediction cloud alone.
+    The defect vanishes in expectation.  Its standard error comes from the per-path difference
     D1 (2 X_hat E + E^2) + 2 D2 m1_hat E - D1 P_T, whose sample mean is the
     defect up to the quadratic-in-mean terminal term.
     """
-    xh = traj.xhat
-    e = traj.err
-    x = xh + e
-    n = x.size
-    running = float(traj.run_costs.mean())
-    m1x = float(x.mean())
-    m2x = float((x * x).sum() / n)
-    m1h = float(xh.mean())
-    total = running + spec.D1 * m2x + spec.D2 * m1x * m1x
-    pred = running + spec.D1 * float(traj.m2_hat[-1]) + spec.D2 * m1h * m1h
-    comp = spec.D1 * error_variance(spec, spec.T)
-    defect = total - pred - comp
-    psi = spec.D1 * (2.0 * xh * e + e * e) + 2.0 * spec.D2 * m1h * e
-    se = float(psi.std(ddof=1)) / math.sqrt(n)
-    return DecompositionReport(total=total, prediction_total=pred,
-                               error_compensation=comp, defect=defect,
-                               defect_std_error=se, n_paths=n)
+    pred = cost_from_cloud(red.problem, cloud.states, cloud.run_costs)
+    d1, d2, xh = red.problem.D1, red.problem.D2, cloud.states
+    psi = d1 * (2.0 * xh * err + err * err) + 2.0 * d2 * cloud.m1[-1] * err
+    se = float(psi.std(ddof=1)) / math.sqrt(xh.size)
+    return full.total - pred.total - red.comp, se
 
 
-def partial_trajectory_to_csv(traj: PartialTrajectory, path) -> None:
-    """Write columns t, P_t, m1_hat, m2_hat, m2 (= m2_hat + P_t)."""
+def partial_trajectory_to_csv(spec: PartialObsSpec, cloud: CloudTrajectory,
+                              path) -> None:
+    """Write columns t, P_t, m1_hat, m2_hat, m2 of a prediction cloud on the
+    reduced clock tau: t = s + tau, and m2 = m2_hat + P_t is the full-state
+    second moment given the cloud."""
+    times = spec.s + cloud.times
+    p = error_variance(spec, times)
     _write_csv(path, ["t", "P_t", "m1_hat", "m2_hat", "m2"],
-               [traj.times, traj.p, traj.m1_hat, traj.m2_hat, traj.m2])
+               [times, p, cloud.m1, cloud.m2, cloud.m2 + p])

@@ -67,9 +67,10 @@ def rk4(rhs, y0, nodes: np.ndarray, names) -> list[np.ndarray]:
 
     y0 is a list of components, each a float or a numpy array.  rhs(j, y)
     returns one derivative per component at index j of stage_times(nodes),
-    so it can read coefficients tabulated there once.  A component that turns non-finite or leaves [-DIVERGENCE_LIMIT,
-    DIVERGENCE_LIMIT] at a node raises FiniteEscapeError with that node's
-    time and the component's entry in `names`.
+    so it can read coefficients tabulated there once.  A component that
+    turns non-finite or leaves [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] at a
+    node raises FiniteEscapeError with that node's time and the component's
+    entry in `names`.
     """
     out = [np.empty((nodes.size,) + np.shape(c)) for c in y0]
     hs = np.diff(nodes).tolist()

@@ -88,6 +88,8 @@ class SimConfig:
             raise DomainError(f"n_paths must be >= 2, got {self.n_paths}")
         if not self.dt > 0.0:
             raise DomainError(f"dt must be positive, got {self.dt:.6g}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
                    ProblemSpec, Reduction, SimConfig, closed_form,
                    cost_decomposition_check, cost_from_cloud, cost_oracle,
-                   evolve_cloud, evolve_partial, gaussianity_check,
+                   evolve_cloud, gaussianity_check,
                    master_residual, optimal_feedback, perturbation_sweep,
                    preset, reduced_problem, simulate_mc, solve_matrix_riccati,
                    solve_riccati, value_function)
@@ -201,10 +201,11 @@ def test_criterion_09_example4_invariance():
     ses = []
     for sh2 in (0.25, 1.0):
         spec = preset("example4", sigma_hat2=sh2)
-        red = reduced_problem(spec)
-        law = optimal_feedback(red, solve_riccati(red, 1000))
-        traj = evolve_partial(spec, law, config)
-        report = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
+        red = Reduction.of(spec)
+        law = optimal_feedback(red.problem, solve_riccati(red.problem, 1000))
+        cloud = evolve_cloud(red.problem, law, red.initial(spec.x), config)
+        report = cost_from_cloud(spec, cloud.states + red.error(config),
+                                 cloud.run_costs)
         totals.append(report.total)
         ses.append(report.std_error)
     diff = abs(totals[0] - totals[1])
@@ -215,25 +216,29 @@ def test_criterion_09_example4_invariance():
     assert ok
 
 
-def test_criterion_10_cost_decomposition():
-    config = SimConfig(n_paths=100_000, dt=1e-3, seed=3)
-    spec = preset("example3")
-    red = reduced_problem(spec)
-    law = optimal_feedback(red, solve_riccati(red, 1000))
-    report = cost_decomposition_check(spec, evolve_partial(spec, law, config))
-    band = 3.0 * report.defect_std_error
-    noisy_ok = abs(report.defect) <= band
+def _defect(spec, config):
+    """Decomposition defect and its standard error of one partial run."""
+    red = Reduction.of(spec)
+    law = optimal_feedback(red.problem, solve_riccati(red.problem, 1000))
+    cloud = evolve_cloud(red.problem, law, red.initial(spec.x), config)
+    err = red.error(config)
+    full = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
+    return cost_decomposition_check(red, cloud, err, full)
 
-    clean = preset("example3", sigma_hat2=1.0, eta_hat2=1.0)
-    clean_red = reduced_problem(clean)
-    clean_law = optimal_feedback(clean_red, solve_riccati(clean_red, 1000))
-    clean_report = cost_decomposition_check(
-        clean, evolve_partial(clean, clean_law, SimConfig(n_paths=20_000, dt=1e-3, seed=3)))
-    clean_ok = abs(clean_report.defect) <= 1e-12
+
+def test_criterion_10_cost_decomposition():
+    defect, se = _defect(preset("example3"),
+                         SimConfig(n_paths=100_000, dt=1e-3, seed=3))
+    band = 3.0 * se
+    noisy_ok = abs(defect) <= band
+
+    clean_defect, _ = _defect(preset("example3", sigma_hat2=1.0, eta_hat2=1.0),
+                              SimConfig(n_paths=20_000, dt=1e-3, seed=3))
+    clean_ok = abs(clean_defect) <= 1e-12
     ok = noisy_ok and clean_ok
-    _verdict(10, ok, f"cost decomposition defect {report.defect:.2e} within "
+    _verdict(10, ok, f"cost decomposition defect {defect:.2e} within "
                      f"{band:.2e}; fully observed defect "
-                     f"{clean_report.defect:.1e} (tol 1e-12)")
+                     f"{clean_defect:.1e} (tol 1e-12)")
     assert ok
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import pytest
@@ -35,6 +36,19 @@ D2 = 0 0; 0 0
 T = 1.0
 """
 
+PARTIAL_CFG = """
+[partial_obs]
+sigma_hat = 0.6
+sigma_tilde = 0.8
+eta_hat = 0.8
+eta_tilde = 0.6
+s = 0.25
+x = 1.0
+T = 1.0
+D1 = 0.8
+D2 = 0.4
+"""
+
 SIM_CFG = SCALAR_CFG + """
 [simulation]
 n_paths = 777
@@ -43,9 +57,15 @@ seed = 5
 """
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def read_json(path):
+    # Strict JSON: NaN and Infinity, which json.dump writes by default, are
+    # no JSON numbers.
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def test_solve_preset_writes_outputs(tmp_path):
@@ -280,6 +300,24 @@ def test_verify_entries_carry_measured_values(tmp_path, capsys):
     assert matrix["terminal-exactness"]["measured"] == 0.0
 
 
+@pytest.mark.parametrize("text, measured", [
+    (MATRIX_CFG.replace("Q = 1 0; 0 1", "Q = 1 0.5; 0 1"), pytest.approx(0.75)),
+    (SCALAR_CFG.replace("sigma = 1.0", "sigma = table 0:1 0.5:1"), None)],
+    ids=["asymmetric-Q", "short-sigma-table"])
+def test_unmeasured_assumptions_write_strict_json(tmp_path, capsys, text,
+                                                  measured):
+    # Q is not symmetric: the smallest eigenvalue of its symmetric part is
+    # still recorded.  sigma does not cover [0, T]: Q is never measured.
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    read_json(tmp_path / "manifest.json")
+    assumptions = read_json(tmp_path / "verify.json")["checks"][0]
+    assert assumptions["name"] == "assumptions" and not assumptions["passed"]
+    assert assumptions["measured"] == measured
+
+
 def test_verify_all_presets_pass(tmp_path, capsys):
     start = time.monotonic()
     names = {}
@@ -386,7 +424,8 @@ def test_exit_code_argument_errors(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: argument:")
     assert list(tmp_path.iterdir()) == []    # bad args leave no partial outputs
-    for bad in ("nan", "inf", "-inf"):
+    # A state whose square overflows would give an infinite value.
+    for bad in ("nan", "inf", "-inf", "1e200"):
         rc = main(["solve", "--preset", "example1", "--x", bad,
                    "--out", str(tmp_path)])
         assert rc == 2, bad
@@ -396,16 +435,22 @@ def test_exit_code_argument_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_too_few_paths_rejected(tmp_path, capsys, command):
-    # With one path the standard error is zero and the band is all bias.
-    rc = main([command, "--preset", "example1", "--paths", "1", "--dt", "0.1",
-               "--seed", "3", "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: argument:")
-    cfg = tmp_path / "one_path.ini"
-    cfg.write_text(SIM_CFG.replace("n_paths = 777", "n_paths = 1"))
-    rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: argument:")
+    # With one path the standard error is zero and the band is all bias.  A
+    # negative seed is refused by name, before any solve.
+    for flags, name, value in ((("--paths", "1", "--seed", "3"), "n_paths", "1"),
+                               (("--paths", "2", "--seed", "-1"), "seed", "-1")):
+        rc = main([command, "--preset", "example1", "--dt", "0.1", *flags,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument:") and name in err
+        cfg = tmp_path / "bad_sim.ini"
+        cfg.write_text(re.sub(rf"^{name} = .*$", f"{name} = {value}", SIM_CFG,
+                              flags=re.M))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument:") and name in err
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -423,6 +468,11 @@ def test_exit_code_config_error(tmp_path, capsys):
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: config:")
+    # Nor is a state whose square overflows reported as an infinite value.
+    cfg.write_text(PARTIAL_CFG.replace("x = 1.0", "x = 1e200"))
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: config: [partial_obs] x:")
 
 
 def test_exit_code_validation_error(tmp_path, capsys):

@@ -6,11 +6,17 @@ import pytest
 from mflqg import (AssumptionError, DomainError, PartialObsSpec, Reduction,
                    SimConfig, closed_form, cost_decomposition_check,
                    cost_from_cloud, cost_oracle, error_variance, evolve_cloud,
-                   evolve_partial, mc_tolerance, optimal_feedback,
-                   partial_preset, reduced_problem, scalar_preset,
-                   solve_riccati)
+                   mc_tolerance, optimal_feedback, partial_preset,
+                   reduced_problem, scalar_preset, solve_riccati)
 
 ROOT_HALF = math.sqrt(0.5)
+
+
+def _partial_run(spec, law, cfg):
+    """The prediction cloud from the point estimate and E_T, as simulate and
+    verify draw them."""
+    red = Reduction.of(spec)
+    return evolve_cloud(red.problem, law, red.initial(spec.x), cfg), red.error(cfg)
 
 
 def test_spec_invariants():
@@ -152,57 +158,45 @@ def test_prediction_feedback_gains():
     assert np.array_equal(law.alpha, -sol.phi1)  # B = Q = 1
 
 
-def test_evolve_partial_is_reproducible():
+def test_partial_run_is_reproducible():
     spec = partial_preset("example3", sigma_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
     law = optimal_feedback(reduced_problem(spec), sol)
     cfg = SimConfig(2000, 1e-3, 17)
-    t1 = evolve_partial(spec, law, cfg)
-    t2 = evolve_partial(spec, law, cfg)
-    assert np.array_equal(t1.xhat, t2.xhat)
-    assert np.array_equal(t1.err, t2.err)
-    # clock runs from s to T, and p carries the exact error variance
-    assert t1.times[0] == 0.25 and t1.times[-1] == 1.0
-    assert t1.p[0] == pytest.approx(error_variance(spec, 0.25))
-    assert t1.p[-1] == pytest.approx(error_variance(spec, 1.0))
+    (c1, e1), (c2, e2) = _partial_run(spec, law, cfg), _partial_run(spec, law, cfg)
+    assert np.array_equal(c1.states, c2.states)
+    assert np.array_equal(c1.m2, c2.m2)
+    assert np.array_equal(e1, e2)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25])
-def test_evolve_partial_is_evolve_cloud_on_reduced_problem(s):
-    # X_hat is the fully observed engine on the reduced problem, bit for bit;
+def test_reduction_initial_law_and_error(s):
+    # The prediction cloud starts from N(x, eta_hat^2 s), a Dirac at s = 0;
     # E is drawn at T only, and its variance is the closed-form P_T.
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=s)
-    reduced = reduced_problem(spec)
-    law = optimal_feedback(reduced, solve_riccati(reduced, 1000))
+    red = Reduction.of(spec)
+    assert red.initial(spec.x) == ((spec.x, spec.eta_hat ** 2 * s) if s > 0.0
+                                   else spec.x)
     n = 20_000
     cfg = SimConfig(n, 1e-2, 13)
-    traj = evolve_partial(spec, law, cfg)
-    initial = (spec.x, spec.eta_hat ** 2 * s) if s > 0.0 else spec.x
-    cloud = evolve_cloud(reduced, law, initial, cfg)
-    assert np.array_equal(traj.xhat, cloud.states)
-    assert np.array_equal(traj.m1_hat, cloud.m1)
-    assert np.array_equal(traj.m2_hat, cloud.m2)
-    assert np.array_equal(traj.run_costs, cloud.run_costs)
-    assert np.array_equal(traj.m2, traj.m2_hat + traj.p)
-    assert traj.p.tolist() == [error_variance(spec, float(t)) for t in traj.times]
+    err = red.error(cfg)
+    assert err.shape == (n,)
     p_T = error_variance(spec, spec.T)
     se = p_T * math.sqrt(2.0 / (n - 1))
-    assert abs(traj.err.var(ddof=1) - p_T) <= 4.0 * se
+    assert abs(err.var(ddof=1) - p_T) <= 4.0 * se
+    # A fully observed spec is its own reduction: a Dirac start, no error.
+    full = Reduction.of(scalar_preset("example1"))
+    assert (full.initial(spec.x), full.error(cfg)) == (spec.x, 0.0)
 
 
 def test_hidden_noise_stream_is_independent():
     # changing the split must not change which numbers drive the prediction:
     # with eta fixed, the hat-noise draws are the same for both sigma splits
     cfg = SimConfig(500, 1e-2, 23)
-    trajs = []
-    for sh2 in (0.25, 1.0):
-        spec = partial_preset("example3", sigma_hat2=sh2)
-        sol = solve_riccati(reduced_problem(spec), 100)
-        law = optimal_feedback(reduced_problem(spec), sol)
-        trajs.append(evolve_partial(spec, law, cfg))
-    # same seed, same gains structure: the scaled increments differ only by
-    # sigma_hat, so rescaling one trajectory's noise reproduces the other's err
-    e1, e2 = trajs[0].err, trajs[1].err
+    errs = [Reduction.of(partial_preset("example3", sigma_hat2=sh2)).error(cfg)
+            for sh2 in (0.25, 1.0)]
+    # E reads its own stream and the hidden weights only
+    e1, e2 = errs
     assert np.allclose(e2, 0.0)                      # sigma_tilde = 0 there
     assert not np.allclose(e1, 0.0)
 
@@ -212,8 +206,8 @@ def test_estimation_error_uncorrelated_with_prediction():
     sol = solve_riccati(reduced_problem(spec), 750)
     law = optimal_feedback(reduced_problem(spec), sol)
     n = 50_000
-    traj = evolve_partial(spec, law, SimConfig(n, 1e-3, 29))
-    corr = np.corrcoef(traj.xhat, traj.err)[0, 1]
+    cloud, err = _partial_run(spec, law, SimConfig(n, 1e-3, 29))
+    corr = np.corrcoef(cloud.states, err)[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(n), f"corr {corr:.4f}"
 
 
@@ -223,8 +217,8 @@ def test_simulate_partial_matches_oracle_plus_compensation():
     sol = solve_riccati(red, 1000)
     law = optimal_feedback(reduced_problem(spec), sol)
     cfg = SimConfig(20_000, 1e-3, 42)
-    traj = evolve_partial(spec, law, cfg)
-    mc = cost_from_cloud(spec, traj.xhat + traj.err, traj.run_costs)
+    cloud, err = _partial_run(spec, law, cfg)
+    mc = cost_from_cloud(spec, cloud.states + err, cloud.run_costs)
     oracle = Reduction.of(spec).oracle(law, spec.x, 2000).total
     # The reduction adds D1 P_T itself; built here independently of it.
     m2 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
@@ -239,21 +233,22 @@ def test_decomposition_defect_within_band():
     spec = partial_preset("example3", sigma_hat2=0.5, eta_hat2=0.5, s=0.25)
     sol = solve_riccati(reduced_problem(spec), 750)
     law = optimal_feedback(reduced_problem(spec), sol)
-    traj = evolve_partial(spec, law, SimConfig(50_000, 1e-3, 7))
-    d = cost_decomposition_check(spec, traj)
-    # J is read off the per-path full state; traj.m2 = m2_hat + P_t would
-    # make the defect vanish by construction
-    x = traj.xhat + traj.err
-    assert d.total == pytest.approx(
-        traj.run_costs.mean() + spec.D1 * (x * x).mean()
+    red = Reduction.of(spec)
+    cloud, err = _partial_run(spec, law, SimConfig(50_000, 1e-3, 7))
+    # J is read off the per-path full state; m2_hat + P_t would make the
+    # defect vanish by construction
+    x = cloud.states + err
+    full = cost_from_cloud(red.problem, x, cloud.run_costs)
+    assert full.total == pytest.approx(
+        cloud.run_costs.mean() + spec.D1 * (x * x).mean()
         + spec.D2 * x.mean() ** 2, rel=1e-12)
-    assert d.defect != 0.0
-    assert d.error_compensation == pytest.approx(
-        spec.D1 * error_variance(spec, spec.T))
-    assert abs(d.defect) <= 3.0 * d.defect_std_error, \
-        f"defect {d.defect:.3e} band {3 * d.defect_std_error:.3e}"
-    assert d.total == pytest.approx(
-        d.prediction_total + d.error_compensation + d.defect)
+    defect, se = cost_decomposition_check(red, cloud, err, full)
+    assert defect != 0.0
+    pred = (cloud.run_costs.mean() + spec.D1 * cloud.m2[-1]
+            + spec.D2 * cloud.m1[-1] ** 2)
+    assert defect == pytest.approx(
+        full.total - pred - spec.D1 * error_variance(spec, spec.T), abs=1e-12)
+    assert abs(defect) <= 3.0 * se, f"defect {defect:.3e} band {3 * se:.3e}"
 
 
 def test_decomposition_exact_when_fully_observed():
@@ -262,19 +257,30 @@ def test_decomposition_exact_when_fully_observed():
     spec = partial_preset("example3", sigma_hat2=1.0, eta_hat2=1.0)
     sol = solve_riccati(reduced_problem(spec), 500)
     law = optimal_feedback(reduced_problem(spec), sol)
-    d = cost_decomposition_check(spec, evolve_partial(spec, law, SimConfig(5000, 1e-3, 3)))
-    assert abs(d.defect) <= 1e-12
-    assert d.error_compensation == 0.0
+    red = Reduction.of(spec)
+    cloud, err = _partial_run(spec, law, SimConfig(5000, 1e-3, 3))
+    full = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
+    defect, _ = cost_decomposition_check(red, cloud, err, full)
+    assert abs(defect) <= 1e-12
+    assert red.comp == 0.0
 
 
 def test_partial_trajectory_csv(tmp_path):
+    # The cloud runs on the reduced clock tau; the table is on t = s + tau,
+    # and its m2 adds the exact error variance to the prediction's m2_hat.
     from mflqg.partial_obs import partial_trajectory_to_csv
-    spec = partial_preset("example3")
+    spec = partial_preset("example3", s=0.25, sigma_hat2=0.5, eta_hat2=0.5)
     sol = solve_riccati(reduced_problem(spec), 100)
     law = optimal_feedback(reduced_problem(spec), sol)
-    traj = evolve_partial(spec, law, SimConfig(100, 1e-2, 0))
+    cloud, _ = _partial_run(spec, law, SimConfig(100, 1e-2, 0))
     path = tmp_path / "partial.csv"
-    partial_trajectory_to_csv(traj, path)
+    partial_trajectory_to_csv(spec, cloud, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,P_t,m1_hat,m2_hat,m2"
-    assert len(lines) == traj.times.size + 1
+    assert len(lines) == cloud.times.size + 1
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    t, p, m1_hat, m2_hat, m2 = rows.T
+    assert (t[0], t[-1]) == (spec.s, spec.T)
+    assert np.array_equal(m1_hat, cloud.m1) and np.array_equal(m2_hat, cloud.m2)
+    assert np.array_equal(p, error_variance(spec, t))
+    assert np.allclose(m2 - m2_hat, error_variance(spec, t), rtol=0.0, atol=1e-12)

@@ -154,18 +154,18 @@ def test_one_increment_block_per_run(monkeypatch):
     # so a run holds one block of increments at a time.
     import tracemalloc
 
-    from mflqg import partial_obs, partial_preset
-    from mflqg.partial_obs import evolve_partial
+    from mflqg import Reduction, partial_preset
 
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 400_000)
     cfg = SimConfig(2000, 1e-3, 4)
     block_bytes = 400_000 * 8
     spec, _, law = _optimal()
     pspec = partial_preset("example3")
-    reduced = partial_obs.reduced_problem(pspec)
-    plaw = optimal_feedback(reduced, solve_riccati(reduced, 1000))
+    red = Reduction.of(pspec)
+    plaw = optimal_feedback(red.problem, solve_riccati(red.problem, 1000))
     for run in (lambda: evolve_cloud(spec, law, 1.0, cfg),
-                lambda: evolve_partial(pspec, plaw, cfg)):
+                lambda: (evolve_cloud(red.problem, plaw, red.initial(pspec.x),
+                                      cfg), red.error(cfg))):
         tracemalloc.start()
         try:
             run()

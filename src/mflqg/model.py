@@ -11,6 +11,7 @@ so a distribution enters every formula only through ``(m1, m2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -39,10 +40,19 @@ class Coefficient:
     kind = "table":    data = (ts, vs) with strictly increasing knots; values
                        interpolate linearly and evaluation outside the knot
                        range raises DomainError.
+
+    Every number in data must be finite.
     """
 
     kind: str
     data: tuple
+
+    def __post_init__(self):
+        if self.kind == "table":
+            _finite("table knots", *self.data[0])
+            _finite("table values", *self.data[1])
+        else:
+            _finite(f"{self.kind} coefficient", *self.data)
 
     @staticmethod
     def constant(c: float) -> "Coefficient":
@@ -96,6 +106,20 @@ class Coefficient:
 CoefficientLike = Union[Coefficient, float, int]
 
 
+def _finite(name: str, *values: float) -> None:
+    """Refuse a non-finite number where it enters, naming its field; it
+    would otherwise surface later as a misleading finite escape."""
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+
+
+def _finite_float(name: str, value) -> float:
+    value = float(value)
+    _finite(name, value)
+    return value
+
+
 def as_coefficient(value: CoefficientLike) -> Coefficient:
     """Coerce a bare number to a constant coefficient; pass Coefficients through."""
     if isinstance(value, Coefficient):
@@ -111,7 +135,8 @@ class ProblemSpec:
 
     Dynamics  dX = (A(t) X + B(t) u) dt + sigma(t) dW, control cost Q(t) u^2,
     terminal cost D1 * m2 + D2 * m1^2 at time T.  Numbers passed for the
-    time-varying fields are coerced to constant coefficients.
+    time-varying fields are coerced to constant coefficients.  A non-finite
+    number raises DomainError naming its field.
     """
 
     A: Coefficient
@@ -123,13 +148,14 @@ class ProblemSpec:
     T: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_coefficient(self.A))
-        object.__setattr__(self, "B", as_coefficient(self.B))
-        object.__setattr__(self, "sigma", as_coefficient(self.sigma))
-        object.__setattr__(self, "Q", as_coefficient(self.Q))
-        object.__setattr__(self, "D1", float(self.D1))
-        object.__setattr__(self, "D2", float(self.D2))
-        object.__setattr__(self, "T", float(self.T))
+        for name in ("A", "B", "sigma", "Q"):
+            try:
+                coef = as_coefficient(getattr(self, name))
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, coef)
+        for name in ("D1", "D2", "T"):
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
 
@@ -222,8 +248,9 @@ MatrixLike = Union[np.ndarray, Sequence[Sequence[float]]]
 class MatrixProblemSpec:
     """Vector-state variant of :class:`ProblemSpec` in dimension d.
 
-    A, B, sigma, Q, D1 and D2 are constant d x d matrices, copied and locked
-    on construction.  D1 and D2 must be symmetric.
+    A, B, sigma, Q, D1 and D2 are constant d x d matrices of finite
+    numbers, copied and locked on construction.  D1 and D2 must be
+    symmetric.
     """
 
     d: int
@@ -240,13 +267,14 @@ class MatrixProblemSpec:
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", _finite_float("T", self.T))
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
         for name in ("A", "B", "sigma", "Q", "D1", "D2"):
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             if arr.shape != (d, d):
                 raise DomainError(f"{name} must have shape ({d}, {d}), got {arr.shape}")
+            _finite(name, *arr.ravel().tolist())
             if name in ("D1", "D2"):
                 if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
                     raise AssumptionError(f"terminal weight {name} must be symmetric")
@@ -266,8 +294,7 @@ def validate_matrix_spec(spec: MatrixProblemSpec) -> ValidationResult:
     """Matrix analogue of :func:`validate_spec`: Q must be symmetric positive
     definite."""
     q = spec.Q
-    lam = (float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-           if np.isfinite(q).all() else None)
+    lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
     if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
         return ValidationResult(False, "assumption A1: Q is not symmetric",
                                 None, lam)

@@ -60,7 +60,8 @@ def stage_times(nodes: np.ndarray) -> np.ndarray:
     return times
 
 
-def rk4(rhs, y0, nodes: np.ndarray, names) -> list[np.ndarray]:
+def rk4(rhs, y0, nodes: np.ndarray, names,
+        limit: float = DIVERGENCE_LIMIT) -> list[np.ndarray]:
     """Classical fixed-step RK4 from y0 at nodes[0] along `nodes`, which may
     run backwards in time; returns each component at every node, in the
     order of `nodes`.
@@ -68,9 +69,9 @@ def rk4(rhs, y0, nodes: np.ndarray, names) -> list[np.ndarray]:
     y0 is a list of components, each a float or a numpy array.  rhs(j, y)
     returns one derivative per component at index j of stage_times(nodes),
     so it can read coefficients tabulated there once.  A component that
-    turns non-finite or leaves [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] at a
-    node raises FiniteEscapeError with that node's time and the component's
-    entry in `names`.
+    turns non-finite or leaves [-limit, limit] at a node raises
+    FiniteEscapeError with that node's time and the component's entry in
+    `names`.
     """
     out = [np.empty((nodes.size,) + np.shape(c)) for c in y0]
     hs = np.diff(nodes).tolist()
@@ -78,7 +79,7 @@ def rk4(rhs, y0, nodes: np.ndarray, names) -> list[np.ndarray]:
     for k in range(nodes.size):
         for row, c, name in zip(out, y, names):
             size = abs(c) if isinstance(c, float) else np.abs(c).max()
-            if not size <= DIVERGENCE_LIMIT:
+            if not size <= limit:
                 raise FiniteEscapeError(float(nodes[k]), name)
             row[k] = c
         if k == len(hs):
@@ -202,10 +203,6 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixRiccatiSolution:
     """Matrix-valued phi1, phi2 (shape (n, d, d)) and scalar phi3 on a grid."""
@@ -247,36 +244,43 @@ def _matrix_coefs(spec: MatrixProblemSpec):
     return spec.A, m, spec.sigma @ spec.sigma.T
 
 
-def _matrix_derivs(a, m, ss, p1, p2):
-    """phi' from A, M and sigma sigma^T; the two matrix components are
-    symmetrized so symmetry errors cannot feed back through the quadratic
-    terms:
+def _stack_derivs(a2t, m, ss, p):
+    """phi' on the stack p = (phi1, phi2), from 2 A^T, M and sigma sigma^T:
 
         phi1' = phi1^T M phi1 - 2 A^T phi1
         phi2' = 2 phi2^T M phi1 + phi2^T M phi2 - 2 A^T phi2
         phi3' = -tr(sigma sigma^T phi1)
+
+    Four products for the stack: P^T M, (P^T M) phi1, (phi2^T M) phi2 and
+    (2 A^T) P.  The derivative stack is symmetrized so symmetry errors
+    cannot feed back through the quadratic terms.
     """
-    d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
-    d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
-    return (_sym(d1), _sym(d2), -float(np.trace(ss @ p1)))
+    pm = p.transpose(0, 2, 1) @ m
+    dp = pm @ p[0]
+    dp[1] *= 2.0
+    dp[1] += pm[1] @ p[1]
+    dp -= a2t @ p
+    return 0.5 * (dp + dp.transpose(0, 2, 1)), -float((ss @ p[0]).trace())
 
 
 def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRiccatiSolution:
-    """Backward RK4 for the matrix system from phi(T) = (D1, D2, 0).
+    """Backward RK4 for the matrix system from phi(T) = (D1, D2, 0), with
+    phi1 and phi2 stepped as one (2, d, d) stack.
 
     D1, D2 and every derivative are bitwise symmetric, and RK4 only adds and
     scales them entrywise, so every stage input and the stored phi1, phi2
     are bitwise symmetric at all grid times.
     """
     grid = _grid(spec.T, steps)
-    coefs = _matrix_coefs(spec)
+    a, m, ss = _matrix_coefs(spec)
+    a2t = 2.0 * a.T
 
     def rhs(j, y):
-        return _matrix_derivs(*coefs, y[0], y[1])
+        return _stack_derivs(a2t, m, ss, y[0])
 
-    phi = rk4(rhs, [np.array(spec.D1), np.array(spec.D2), 0.0], grid[::-1],
-              ("phi", "phi", "phi"))
-    return MatrixRiccatiSolution(grid, *(c[::-1] for c in phi))
+    phi, phi3 = rk4(rhs, [np.array([spec.D1, spec.D2]), 0.0], grid[::-1],
+                    ("phi", "phi"))
+    return MatrixRiccatiSolution(grid, phi[::-1, 0], phi[::-1, 1], phi3[::-1])
 
 
 def _write_csv(path, header, columns) -> None:

@@ -147,7 +147,8 @@ def _moment_pass(spec: ProblemSpec, laws, m1_0: float, m2_0: float,
     Returns (m1, m2, running cost) at T: floats for a single law (stepping
     floats is several times faster than width-1 arrays), arrays with one
     entry per law otherwise.  Coefficients and gains are tabulated once at
-    the stage times.
+    the stage times and folded there into the five factors the moment ODEs
+    read.
     """
     nodes = _grid(spec.T, steps)
     m1_0 = float(m1_0)
@@ -160,30 +161,50 @@ def _moment_pass(spec: ProblemSpec, laws, m1_0: float, m2_0: float,
     if any(law.T < T - 1e-12 * max(1.0, T) for law in laws):
         raise DomainError("feedback law does not cover the horizon")
     times = stage_times(nodes)
-    a = spec.A.on(times).tolist()
-    b = spec.B.on(times).tolist()
+    a = spec.A.on(times)[:, None]
+    b = spec.B.on(times)[:, None]
     sig = spec.sigma.on(times)
     s2 = (sig * sig).tolist()
     q = spec.Q.on(times).tolist()
-    gains = [law.gains_on(times) for law in laws]
+    al = np.empty((times.size, len(laws)))
+    be = np.empty((times.size, len(laws)))
+    for i, law in enumerate(laws):
+        al[:, i], be[:, i] = law.gains_on(times)
+    # The gain factors of the moment ODEs at every stage, formed in place,
+    # each with the operations and association of the per-stage derivatives.
+    f1 = al + be
+    f1 *= b
+    f1 += a                   # a + b (alpha + beta)
+    f2 = b * al
+    f2 += a
+    f2 *= 2.0                 # 2 (a + b alpha)
+    f3 = 2.0 * b * be         # 2 b beta
+    f5 = 2.0 * al
+    f5 *= be
+    be *= be
+    f5 += be                  # 2 alpha beta + beta^2
+    del be
+    al *= al                  # alpha^2
+    f4 = al
     if len(laws) == 1:
-        al, be = gains[0][0].tolist(), gains[0][1].tolist()
+        f1, f2, f3, f4, f5 = (f.ravel().tolist() for f in (f1, f2, f3, f4, f5))
         y0 = [m1_0, m2_0, 0.0]
     else:
-        al = np.column_stack([g[0] for g in gains])
-        be = np.column_stack([g[1] for g in gains])
         y0 = [np.full(len(laws), m1_0), np.full(len(laws), m2_0),
               np.zeros(len(laws))]
 
     def rhs(j, y):
         m1, m2, _ = y
-        alj, bej, aj, bj = al[j], be[j], a[j], b[j]
-        dm1 = (aj + bj * (alj + bej)) * m1
-        dm2 = 2.0 * (aj + bj * alj) * m2 + 2.0 * bj * bej * m1 * m1 + s2[j]
-        drun = q[j] * (alj * alj * m2 + (2.0 * alj * bej + bej * bej) * m1 * m1)
-        return dm1, dm2, drun
+        return (f1[j] * m1,
+                f2[j] * m2 + f3[j] * m1 * m1 + s2[j],
+                q[j] * (f4[j] * m2 + f5[j] * m1 * m1))
 
-    m1, m2, run = rk4(rhs, y0, nodes, ("moments",) * 3)
+    # Only a non-finite moment stops the pass: a large finite state is a
+    # valid start, and the oracle's cost is finite with it.  An overflow is
+    # reported as the FiniteEscapeError, not as a numpy warning too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2, run = rk4(rhs, y0, nodes, ("moments",) * 3,
+                          limit=np.finfo(float).max)
     return m1[-1], m2[-1], run[-1]
 
 

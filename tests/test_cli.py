@@ -123,6 +123,59 @@ def test_solve_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# A time-varying scalar problem and a d = 3 matrix problem with a
+# non-symmetric A and D2 != 0.
+TIME_VARYING_CFG = """
+[problem]
+A = -0.3
+B = poly 1 0.5
+sigma = table 0:1 0.5:0.7 1:0.5
+Q = poly 1 0.2
+D1 = 1
+D2 = 0.5
+T = 1
+"""
+
+MATRIX_D3_CFG = """
+[matrix_problem]
+d = 3
+A = -0.2 0.5 0; 0.1 -0.3 0.4; 0 -0.2 0.1
+B = 1 0 0; 0 1 0; 0.2 0 1
+sigma = 0.6 0 0; 0.1 0.5 0; 0 0.2 0.4
+Q = 1 0 0; 0 2 0; 0 0 1
+D1 = 1 0 0; 0 1 0; 0 0 1
+D2 = 0.5 0.1 0; 0.1 0.3 0; 0 0 0.2
+T = 1
+"""
+
+
+def test_reruns_in_one_process_write_the_same_bytes(tmp_path, capsys):
+    # Repeated main() calls in one interpreter must not leak state (a
+    # stacked buffer, a tabulated factor) from one call into the next.
+    scalar, matrix = tmp_path / "scalar.ini", tmp_path / "matrix.ini"
+    scalar.write_text(TIME_VARYING_CFG)
+    matrix.write_text(MATRIX_D3_CFG)
+    ops = {
+        "matrix": ["solve", "--config", str(matrix), "--steps", "4000"],
+        "scalar": ["solve", "--config", str(scalar), "--x", "0", "--x", "1"],
+        "verify": ["verify", "--config", str(scalar), "--paths", "500",
+                   "--dt", "0.05", "--seed", "3"],
+    }
+    codes = {}
+    for run in ("a", "b"):
+        for name, argv in ops.items():
+            codes[run, name] = main(argv + ["--out", str(tmp_path / run / name)])
+    capsys.readouterr()
+    for name in ops:
+        assert codes["a", name] == codes["b", name]
+        a, b = tmp_path / "a" / name, tmp_path / "b" / name
+        files = sorted(f.name for f in a.iterdir())
+        assert files == sorted(f.name for f in b.iterdir())
+        for f in files:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
+    assert codes["a", "matrix"] == codes["a", "scalar"] == 0
+
+
 def test_manifest_shape(tmp_path):
     main(["solve", "--preset", "example1", "--out", str(tmp_path)])
     raw = read_json(tmp_path / "manifest.json")
@@ -178,6 +231,18 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+
+def test_simulate_accepts_a_large_finite_state(tmp_path):
+    # m2 starts at x^2 = 1e14, past the Riccati's divergence bound; the
+    # moment oracle must still price it, and agree with solve's value.
+    args = ["--preset", "example1", "--x", "1e7"]
+    assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+    assert main(["simulate", *args, "--paths", "100", "--dt", "0.1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    value = read_json(tmp_path / "solve" / "summary.json")["values"][0]["value"]
+    oracle = read_json(tmp_path / "sim" / "summary.json")["oracle"]["total"]
+    assert oracle == pytest.approx(value, rel=1e-9)
 
 
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):

@@ -64,6 +64,40 @@ def test_problem_spec_rejects_nonpositive_horizon():
         ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=-1.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+UNIT = dict(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
+MATRIX_UNIT = dict(d=2, A=np.zeros((2, 2)), B=np.eye(2), sigma=np.eye(2),
+                   Q=np.eye(2), D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Coefficient.constant(NAN), "constant coefficient"),
+    (lambda: Coefficient.poly([1.0, -INF]), "poly coefficient"),
+    (lambda: Coefficient.table([0.0, NAN], [1.0, 1.0]), "table knots"),
+    (lambda: Coefficient.table([0.0, 1.0], [1.0, INF]), "table values"),
+], ids=["constant", "poly", "table-knots", "table-values"])
+def test_coefficient_rejects_non_finite(make, field):
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A", NAN), ("B", INF), ("sigma", NAN), ("Q", -INF),
+    ("D1", NAN), ("D2", INF), ("T", INF),
+])
+def test_problem_spec_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=f"^{field}[: ]"):
+        ProblemSpec(**{**UNIT, field: value})
+
+
+@pytest.mark.parametrize("field", ["A", "B", "sigma", "Q", "D1", "D2", "T"])
+def test_matrix_spec_rejects_non_finite(field):
+    value = NAN if field == "T" else [[1.0, 0.0], [0.0, NAN]]
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        MatrixProblemSpec(**{**MATRIX_UNIT, field: value})
+
+
 def test_dirac_moments():
     mu = MeasureMoments.dirac(-3.0)
     assert (mu.m1, mu.m2) == (-3.0, 9.0)

@@ -7,8 +7,8 @@ from mflqg import (AssumptionError, Coefficient, DomainError,
                    FiniteEscapeError, MatrixProblemSpec, ProblemSpec,
                    closed_form, sample_solution, scalar_preset,
                    solve_matrix_riccati, solve_riccati)
-from mflqg.riccati import (DIVERGENCE_LIMIT, _matrix_coefs, _matrix_derivs,
-                           _riccati_derivs, matrix_solution_to_csv,
+from mflqg.riccati import (DIVERGENCE_LIMIT, _matrix_coefs, _riccati_derivs,
+                           _stack_derivs, matrix_solution_to_csv,
                            solution_to_csv)
 
 # A != 0, B a polynomial, sigma a table with a knot inside the horizon.
@@ -29,6 +29,10 @@ FULL_Q = dict(
     d=2, A=[[0.1, -0.4], [0.3, -0.2]], B=[[1.0, 0.5], [0.0, 1.0]],
     sigma=[[0.5, 0.0], [0.2, 0.3]], Q=[[2.0, 0.6], [0.6, 1.0]],
     D1=[[1.0, 0.2], [0.2, 0.5]], D2=[[0.3, -0.1], [-0.1, 0.4]], T=0.8)
+
+# d = 1, so phi1 and phi2 are stepped as a (2, 1, 1) stack.
+MATRIX_D1 = dict(d=1, A=[[-0.3]], B=[[1.2]], sigma=[[0.5]], Q=[[2.0]],
+                 D1=[[1.0]], D2=[[0.5]], T=1.0)
 
 
 # Hand-unrolled RK4 references: the loops solve_riccati and
@@ -136,7 +140,8 @@ def test_solve_riccati_matches_unrolled_loop(spec):
     assert (sol.phi3 == ref[2]).all()
 
 
-@pytest.mark.parametrize("fields", [MATRIX_D3, FULL_Q], ids=["constant", "full-q"])
+@pytest.mark.parametrize("fields", [MATRIX_D3, FULL_Q, MATRIX_D1],
+                         ids=["constant", "full-q", "d1"])
 def test_solve_matrix_riccati_matches_unrolled_loop(fields):
     spec = MatrixProblemSpec(**fields)
     sol = solve_matrix_riccati(spec, 400)
@@ -344,6 +349,14 @@ def _matrix_unit(d=2, D1=None, D2=None, T=1.0):
                              D2=z if D2 is None else D2, T=T)
 
 
+def _stack(spec, p1, p2):
+    """The stacked right-hand side at (phi1, phi2), unpacked to
+    (phi1', phi2', phi3')."""
+    a, m, ss = _matrix_coefs(spec)
+    dp, d3 = _stack_derivs(2.0 * a.T, m, ss, np.array([p1, p2]))
+    return dp[0], dp[1], d3
+
+
 def test_matrix_rhs_matches_scalar_in_d1():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -353,8 +366,7 @@ def test_matrix_rhs_matches_scalar_in_d1():
         mspec = MatrixProblemSpec(d=1, A=[[a]], B=[[b]], sigma=[[sig]],
                                   Q=[[q]], D1=[[1.0]], D2=[[0.0]], T=1.0)
         want = _riccati_derivs(a, b * b / q, sig * sig, p[0], p[1])
-        got = _matrix_derivs(*_matrix_coefs(mspec), np.array([[p[0]]]),
-                             np.array([[p[1]]]))
+        got = _stack(mspec, np.array([[p[0]]]), np.array([[p[1]]]))
         assert got[0][0, 0] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
         assert got[1][0, 0] == pytest.approx(want[1], rel=1e-14, abs=1e-14)
         assert got[2] == pytest.approx(want[2], rel=1e-14, abs=1e-14)
@@ -363,7 +375,7 @@ def test_matrix_rhs_matches_scalar_in_d1():
 def test_matrix_rhs_unit_case():
     # identity data: phi1' = I, phi2' = 0, phi3' = -tr(phi1) = -d
     spec = _matrix_unit(2)
-    d1, d2, d3 = _matrix_derivs(*_matrix_coefs(spec), np.eye(2), np.zeros((2, 2)))
+    d1, d2, d3 = _stack(spec, np.eye(2), np.zeros((2, 2)))
     assert np.array_equal(d1, np.eye(2))
     assert np.array_equal(d2, np.zeros((2, 2)))
     assert d3 == -2.0

@@ -100,12 +100,25 @@ def test_oracle_rejects_inconsistent_moments():
 
 
 def test_oracle_detects_moment_blowup():
-    # destabilizing feedback alpha >> 0 with a long horizon explodes m2
+    # Destabilizing feedback alpha >> 0 with a long horizon: m2' = 2 alpha m2
+    # + 1.  At alpha = 3, m2(30) ~ 1e78 is large but finite, and the cost is
+    # m2(T) + 9 int m2.  At alpha = 30, m2 ~ e^(60 t) overflows near
+    # t = 709.8 / 60 = 11.83 (the running cost first), which is an escape.
     spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=30.0)
-    law = FeedbackLaw(grid=np.array([0.0, 30.0]),
-                      alpha=np.array([3.0, 3.0]), beta=np.zeros(2))
-    with pytest.raises(FiniteEscapeError):
-        cost_oracle(spec, law, 1.0, 1.0, 3000)
+
+    def law(alpha):
+        return FeedbackLaw(grid=np.array([0.0, 30.0]),
+                           alpha=np.array([alpha, alpha]), beta=np.zeros(2))
+
+    e = math.exp(180.0)
+    m2_T = 7.0 / 6.0 * e - 1.0 / 6.0
+    run = 9.0 * (7.0 / 36.0 * (e - 1.0) - 30.0 / 6.0)
+    got = cost_oracle(spec, law(3.0), 1.0, 1.0, 3000)
+    assert got.terminal == pytest.approx(m2_T, rel=1e-4)
+    assert got.running == pytest.approx(run, rel=1e-4)
+    with pytest.raises(FiniteEscapeError) as err:
+        cost_oracle(spec, law(30.0), 1.0, 1.0, 3000)
+    assert 11.0 < err.value.time < 11.9
 
 
 def test_oracle_respects_law_domain():

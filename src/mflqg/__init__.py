@@ -24,8 +24,9 @@ from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       residual_sweep, value_function)
 from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
                        GaussianityReport, SimConfig, cost_from_cloud,
-                       cost_oracle, evolve_cloud, gaussianity_check,
-                       mc_tolerance, perturbation_sweep, simulate_mc)
+                       cost_oracle, cost_oracles, evolve_cloud,
+                       gaussianity_check, mc_tolerance, perturbation_sweep,
+                       simulate_mc)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
@@ -48,8 +49,9 @@ __all__ = [
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
     # simulate
     "CloudTrajectory", "CostReport", "EM_BIAS_CONST", "GaussianityReport",
-    "SimConfig", "cost_from_cloud", "cost_oracle", "evolve_cloud",
-    "gaussianity_check", "mc_tolerance", "perturbation_sweep", "simulate_mc",
+    "SimConfig", "cost_from_cloud", "cost_oracle", "cost_oracles",
+    "evolve_cloud", "gaussianity_check", "mc_tolerance", "perturbation_sweep",
+    "simulate_mc",
     # partial observation
     "PartialObsSpec", "Reduction", "cost_decomposition_check",
     "error_variance", "reduced_problem",

@@ -42,8 +42,8 @@ from .presets import PRESET_NAMES, preset
 from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
                       solve_matrix_riccati, solve_riccati)
 from .simulate import (CloudTrajectory, CostReport, SimConfig, cost_from_cloud,
-                       evolve_cloud, gaussianity_check, mc_tolerance,
-                       perturbation_sweep, stream_layout, trajectory_to_csv)
+                       cost_oracles, evolve_cloud, gaussianity_check,
+                       mc_tolerance, stream_layout, trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
            "cmd_solve", "cmd_simulate", "cmd_verify", "cmd_report"]
@@ -210,11 +210,10 @@ class _MonteCarlo:
 
 
 def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
-                 oracle_steps: int) -> _MonteCarlo:
+                 oracle: CostReport) -> _MonteCarlo:
     """Run the particles from x0, estimate the full-state cost and compare it
-    with the oracle on a grid of oracle_steps intervals: simulate's
+    with `oracle`, the law's oracle cost from x0: simulate's
     within_threshold is verify's mc-vs-oracle check."""
-    oracle = red.oracle(law, x0, oracle_steps)
     cloud = evolve_cloud(red.problem, law, red.initial(x0), sim)
     err = red.error(sim)
     mc = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
@@ -283,7 +282,7 @@ def cmd_simulate(args) -> int:
     x0 = xs[0]
     _require_validated(red.problem)
     law = optimal_feedback(red.problem, solve_riccati(red.problem, steps))
-    run = _monte_carlo(red, law, sim, x0, steps)
+    run = _monte_carlo(red, law, sim, x0, red.oracle(law, x0, steps))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
                "mc": dataclasses.asdict(run.mc), "kind": red.kind,
@@ -359,18 +358,18 @@ def _gaussianity_entry(states) -> _Check:
                   f"{gauss.excess_kurtosis:.4f}")
 
 
-def _perturbation_entry(red: Reduction, law, x0: float, steps: int) -> _Check:
-    """Constant gain offsets around the optimum, all in one oracle pass: every
-    margin over the zero-offset cost must be positive, and each channel's
-    margin must grow with exponent 2 in the offset."""
-    sizes = np.array([0.05, 0.1, 0.2, 0.4])
-    offsets = [sign * d for d in sizes.tolist() for sign in (1.0, -1.0)]
-    deltas = ([(0.0, 0.0)] + [(o, 0.0) for o in offsets]
-              + [(0.0, o) for o in offsets])
-    mu = red.moments(x0)
-    swept = perturbation_sweep(red.problem, law, deltas, mu.m1, mu.m2, steps)
-    totals = np.array([total for _, total in swept])
-    margins = totals[1:] - totals[0]
+# Constant gain offsets of perturbation-margin: the zero offset, then each
+# size with both signs on alpha, then on beta.
+_SIZES = np.array([0.05, 0.1, 0.2, 0.4])
+_OFFSETS = [sign * d for d in _SIZES.tolist() for sign in (1.0, -1.0)]
+_DELTAS = [(0.0, 0.0)] + [(o, 0.0) for o in _OFFSETS] + [(0.0, o) for o in _OFFSETS]
+
+
+def _perturbation_entry(totals) -> _Check:
+    """Oracle costs of the law under each of _DELTAS: every margin over the
+    zero-offset cost must be positive, and each channel's margin must grow
+    with exponent 2 in the offset."""
+    margins = np.array(totals[1:]) - totals[0]
     fit_ok = True
     details = []
     worst_dev = 0.0
@@ -380,7 +379,7 @@ def _perturbation_entry(red: Reduction, law, x0: float, steps: int) -> _Check:
             fit_ok = False
             details.append(f"{channel}: non-positive margin")
             continue
-        slope = float(np.polyfit(np.log(sizes), np.log(vals), 1)[0])
+        slope = float(np.polyfit(np.log(_SIZES), np.log(vals), 1)[0])
         if not 1.8 <= slope <= 2.2:
             fit_ok = False
         worst_dev = max(worst_dev, abs(slope - 2.0))
@@ -388,6 +387,26 @@ def _perturbation_entry(red: Reduction, law, x0: float, steps: int) -> _Check:
     details.append(f"smallest margin {margins.min():.3e}")
     return _Check("perturbation-margin", bool((margins > 0.0).all()) and fit_ok,
                   worst_dev, 0.2, "; ".join(details))
+
+
+def _oracle_entries(red: Reduction, sol_fine, law_fine, law, probe_xs: list,
+                    x0: float, steps: int) -> tuple[list[_Check], CostReport]:
+    """oracle-vs-value at each of probe_xs, perturbation-margin at x0, and
+    the oracle cost of `law` from x0 for mc-vs-oracle, all from one moment
+    pass on the refined grid of sol_fine and law_fine."""
+    mu = red.moments(x0)
+    columns = [(law_fine, m.m1, m.m2) for m in map(red.moments, probe_xs)]
+    columns += [(law_fine.shifted(*d), mu.m1, mu.m2) for d in _DELTAS]
+    costs = cost_oracles(red.problem, columns + [(law, mu.m1, mu.m2)], steps)
+    values = [red.value(sol_fine, x) for x in probe_xs]
+    gap = max(0.0, *(abs(red.compensated(c).total - v) for c, v in zip(costs, values)))
+    # The band widens with the values only where float64 cannot resolve it.
+    band = max(1e-5, 1e-11 * max(map(abs, values)))
+    what = ("max |oracle - ansatz value|" if red.partial is None
+            else "|oracle + error compensation - value|")
+    return ([_Check("oracle-vs-value", gap <= band, gap, band, f"{what} = {gap:.3e}"),
+             _perturbation_entry([c.total for c in costs[len(values):-1]])],
+            red.compensated(costs[-1]))
 
 
 def _decomposition_entry(red: Reduction, run: _MonteCarlo) -> _Check:
@@ -434,20 +453,14 @@ def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
     law_fine = optimal_feedback(spec, sol_fine)
     v1 = red.value(sol, x0)
     gap = abs(v1 - red.value(sol_fine, x0))
-    checks.append(_Check("value-consistency", gap <= 1e-6, gap, 1e-6,
+    band = max(1e-6, 1e-12 * abs(v1))
+    checks.append(_Check("value-consistency", gap <= band, gap, band,
                          f"value {v1:.9f}, refined-grid shift {gap:.3e}"))
 
-    worst_gap = 0.0
-    for x in probe_xs:
-        oracle = red.oracle(law_fine, x, fine_steps)
-        worst_gap = max(worst_gap, abs(oracle.total - red.value(sol_fine, x)))
-    what = ("max |oracle - ansatz value|" if red.partial is None
-            else "|oracle + error compensation - value|")
-    checks.append(_Check("oracle-vs-value", worst_gap <= 1e-5, worst_gap, 1e-5,
-                         f"{what} = {worst_gap:.3e}"))
-    checks.append(_perturbation_entry(red, law_fine, x0, fine_steps))
-
-    run = _monte_carlo(red, law, sim, x0, fine_steps)
+    entries, oracle = _oracle_entries(red, sol_fine, law_fine, law, probe_xs,
+                                      x0, fine_steps)
+    checks += entries
+    run = _monte_carlo(red, law, sim, x0, oracle)
     checks.append(run.check)
     checks.append(_gaussianity_entry(run.cloud.states))
     if red.partial is not None:

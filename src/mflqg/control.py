@@ -113,27 +113,20 @@ def optimal_feedback(spec: ProblemSpec, sol: RiccatiSolution) -> FeedbackLaw:
     return FeedbackLaw(grid=grid.copy(), alpha=-ratio * sol.phi1, beta=-ratio * sol.phi2)
 
 
-def _stencil_node(spec: ProblemSpec, grid: np.ndarray, t: float) -> int:
-    """Index of the grid node nearest t whose five-point stencil lies in
-    [0, T] and has no knot of a tabulated coefficient strictly inside.
+def _stencil_nodes(spec: ProblemSpec, grid: np.ndarray) -> np.ndarray:
+    """Indices of the grid nodes whose five-point stencil lies in [0, T]
+    and has no knot of a tabulated coefficient strictly inside.
 
     Across such a knot phi has a jump in a higher derivative, and the
     stencil's error there is O(h) rather than O(h^4).
     """
-    T = float(grid[-1])
-    if not 0.0 < t < T:
-        raise DomainError(f"t = {t:.6g} must lie strictly inside (0, {T:.6g})")
     ok = np.zeros(grid.size, dtype=bool)
     ok[2:-2] = True
     for coef in (spec.A, spec.B, spec.sigma, spec.Q):
         if coef.kind == "table":
             for knot in coef.data[0]:
                 ok[2:-2] &= ~((grid[:-4] < knot) & (knot < grid[4:]))
-    nodes = np.flatnonzero(ok)
-    if not nodes.size:
-        raise DomainError("no grid node has a five-point stencil inside [0, T] "
-                          "clear of the coefficient table knots")
-    return int(nodes[np.argmin(np.abs(grid[nodes] - t))])
+    return np.flatnonzero(ok)
 
 
 def _node_residual(spec: ProblemSpec, sol: RiccatiSolution, k: int,
@@ -173,16 +166,25 @@ def master_residual(spec: ProblemSpec, sol: RiccatiSolution, t: float,
     inside [0, T] and off the knots of tabulated coefficients, so no
     interpolation error enters.
     """
-    return _node_residual(spec, sol, _stencil_node(spec, sol.grid, float(t)), mu)
+    return residual_sweep(spec, sol, [(t, mu)])[0][3]
 
 
 def residual_sweep(spec: ProblemSpec, sol: RiccatiSolution, points) -> list[tuple]:
     """Evaluate the residual at each (t, mu) in points; rows (t, m1, m2,
     residual), where t is the grid node the residual was evaluated at."""
+    g = sol.grid
+    T = float(g[-1])
+    nodes = _stencil_nodes(spec, g)
     rows = []
     for t, mu in points:
-        k = _stencil_node(spec, sol.grid, float(t))
-        rows.append((float(sol.grid[k]), mu.m1, mu.m2,
+        t = float(t)
+        if not 0.0 < t < T:
+            raise DomainError(f"t = {t:.6g} must lie strictly inside (0, {T:.6g})")
+        if not nodes.size:
+            raise DomainError("no grid node has a five-point stencil inside [0, T] "
+                              "clear of the coefficient table knots")
+        k = int(nodes[np.argmin(np.abs(g[nodes] - t))])
+        rows.append((float(g[k]), mu.m1, mu.m2,
                      _node_residual(spec, sol, k, mu)))
     return rows
 

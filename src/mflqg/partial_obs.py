@@ -34,7 +34,7 @@ import numpy as np
 
 from .control import FeedbackLaw, value_function
 from .errors import AssumptionError, DomainError
-from .model import MeasureMoments, ProblemSpec
+from .model import MeasureMoments, ProblemSpec, _finite_float
 from .riccati import RiccatiSolution, _write_csv
 from .simulate import (CloudTrajectory, CostReport, SimConfig, cost_from_cloud,
                        cost_oracle)
@@ -72,7 +72,7 @@ class PartialObsSpec:
     def __post_init__(self):
         for name in ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde",
                      "s", "x", "T", "D1", "D2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         for name in ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde"):
             if getattr(self, name) < 0.0:
                 raise AssumptionError(f"{name} must be >= 0")
@@ -155,7 +155,10 @@ class Reduction:
         """Moment-oracle cost of `law` on `problem` from x, comp included in
         total and terminal, as in value."""
         mu = self.moments(x)
-        cost = cost_oracle(self.problem, law, mu.m1, mu.m2, steps)
+        return self.compensated(cost_oracle(self.problem, law, mu.m1, mu.m2, steps))
+
+    def compensated(self, cost: CostReport) -> CostReport:
+        """An oracle cost on `problem` with comp added to total and terminal."""
         return dataclasses.replace(cost, total=cost.total + self.comp,
                                    terminal=cost.terminal + self.comp)
 

@@ -37,6 +37,7 @@ __all__ = [
     "GaussianityReport",
     "EM_BIAS_CONST",
     "cost_oracle",
+    "cost_oracles",
     "evolve_cloud",
     "stream_layout",
     "cost_from_cloud",
@@ -140,25 +141,23 @@ def _steps_for(horizon: float, dt: float) -> int:
     return n
 
 
-def _moment_pass(spec: ProblemSpec, laws, m1_0: float, m2_0: float,
-                 steps: int):
-    """One RK4 pass of the moment ODEs for every law in `laws` at once.
+def _moment_pass(spec: ProblemSpec, columns: list, steps: int) -> np.ndarray:
+    """One RK4 pass of the moment ODEs for every column (law, m1_0, m2_0);
+    returns (m1, m2, running cost) at T as a (3, n) array.
 
-    Returns (m1, m2, running cost) at T: floats for a single law (stepping
-    floats is several times faster than width-1 arrays), arrays with one
-    entry per law otherwise.  Coefficients and gains are tabulated once at
-    the stage times and folded there into the five factors the moment ODEs
-    read.
+    One column steps Python floats, several times faster than width-1
+    arrays; several step one (3, n) stack, each column with the operands
+    and association of its own pass.  Coefficients and gains are tabulated
+    once at the stage times and folded into the five factors the ODEs read.
     """
     nodes = _grid(spec.T, steps)
-    m1_0 = float(m1_0)
-    m2_0 = float(m2_0)
-    if m2_0 - m1_0 * m1_0 < -1e-12 * max(1.0, abs(m2_0)):
-        raise DomainError(
-            f"inconsistent initial moments: m2 - m1^2 = {m2_0 - m1_0 * m1_0:.3e}"
-        )
+    y0 = np.array([[c[1] for c in columns], [c[2] for c in columns],
+                   [0.0] * len(columns)], dtype=float)
+    var = y0[1] - y0[0] * y0[0]
+    if (var < -1e-12 * np.maximum(1.0, np.abs(y0[1]))).any():
+        raise DomainError(f"inconsistent initial moments: m2 - m1^2 = {var.min():.3e}")
     T = spec.T
-    if any(law.T < T - 1e-12 * max(1.0, T) for law in laws):
+    if any(law.T < T - 1e-12 * max(1.0, T) for law, _, _ in columns):
         raise DomainError("feedback law does not cover the horizon")
     times = stage_times(nodes)
     a = spec.A.on(times)[:, None]
@@ -166,56 +165,81 @@ def _moment_pass(spec: ProblemSpec, laws, m1_0: float, m2_0: float,
     sig = spec.sigma.on(times)
     s2 = (sig * sig).tolist()
     q = spec.Q.on(times).tolist()
-    al = np.empty((times.size, len(laws)))
-    be = np.empty((times.size, len(laws)))
-    for i, law in enumerate(laws):
+    # The factors a + b (alpha + beta), 2 (a + b alpha), 2 b beta, alpha^2
+    # and 2 alpha beta + beta^2 at every stage, formed in place, each with
+    # the operations and association of the per-stage derivatives.
+    f = np.empty((times.size, 5, len(columns)))
+    al, be = f[:, 3], f[:, 4]
+    for i, (law, _, _) in enumerate(columns):
         al[:, i], be[:, i] = law.gains_on(times)
-    # The gain factors of the moment ODEs at every stage, formed in place,
-    # each with the operations and association of the per-stage derivatives.
-    f1 = al + be
-    f1 *= b
-    f1 += a                   # a + b (alpha + beta)
-    f2 = b * al
-    f2 += a
-    f2 *= 2.0                 # 2 (a + b alpha)
-    f3 = 2.0 * b * be         # 2 b beta
-    f5 = 2.0 * al
-    f5 *= be
+    np.add(al, be, out=f[:, 0])
+    f[:, 0] *= b
+    f[:, 0] += a
+    np.multiply(b, al, out=f[:, 1])
+    f[:, 1] += a
+    f[:, 1] *= 2.0
+    np.multiply(2.0 * b, be, out=f[:, 2])
+    cross = 2.0 * al
+    cross *= be
     be *= be
-    f5 += be                  # 2 alpha beta + beta^2
-    del be
-    al *= al                  # alpha^2
-    f4 = al
-    if len(laws) == 1:
-        f1, f2, f3, f4, f5 = (f.ravel().tolist() for f in (f1, f2, f3, f4, f5))
-        y0 = [m1_0, m2_0, 0.0]
-    else:
-        y0 = [np.full(len(laws), m1_0), np.full(len(laws), m2_0),
-              np.zeros(len(laws))]
+    be += cross
+    al *= al
+    if len(columns) == 1:
+        f1, f2, f3, f4, f5 = f[:, :, 0].T.tolist()
 
-    def rhs(j, y):
-        m1, m2, _ = y
-        return (f1[j] * m1,
-                f2[j] * m2 + f3[j] * m1 * m1 + s2[j],
-                q[j] * (f4[j] * m2 + f5[j] * m1 * m1))
+        def rhs(j, y):
+            m1, m2, _ = y
+            return (f1[j] * m1,
+                    f2[j] * m2 + f3[j] * m1 * m1 + s2[j],
+                    q[j] * (f4[j] * m2 + f5[j] * m1 * m1))
+
+        y0, names = y0[:, 0].tolist(), ("moments",) * 3
+    else:
+        gather = np.array([0, 1, 0, 1, 0])
+
+        def rhs(j, y):
+            # Rows f1 m1, f2 m2, f3 m1, f4 m2, f5 m1; then the m1 m1 terms,
+            # the sums f2 m2 + f3 m1 m1 and f4 m2 + f5 m1 m1, s2 and q.
+            g = y[0].take(gather, axis=0)
+            g *= f[j]
+            g[2::2] *= y[0][0]
+            g[1::2] += g[2::2]
+            g[2] = g[3]
+            g[1] += s2[j]
+            g[2] *= q[j]
+            return (g[:3],)
+
+        y0, names = [y0], ("moments",)
 
     # Only a non-finite moment stops the pass: a large finite state is a
     # valid start, and the oracle's cost is finite with it.  An overflow is
     # reported as the FiniteEscapeError, not as a numpy warning too.
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2, run = rk4(rhs, y0, nodes, ("moments",) * 3,
-                          limit=np.finfo(float).max)
-    return m1[-1], m2[-1], run[-1]
+        path = rk4(rhs, y0, nodes, names, limit=np.finfo(float).max)
+    return np.array([c[-1] for c in path]).reshape(3, -1)  # frees the table
+
+
+def _costs(spec: ProblemSpec, columns: list, steps: int) -> list[CostReport]:
+    if not columns:
+        return []
+    m1, m2, run = _moment_pass(spec, columns, steps)
+    terminal = spec.D1 * m2 + spec.D2 * m1 * m1
+    return [CostReport(total=t, running=r, terminal=e, std_error=0.0, n_paths=0)
+            for t, r, e in zip((run + terminal).tolist(), run.tolist(),
+                               terminal.tolist())]
 
 
 def cost_oracle(spec: ProblemSpec, law: FeedbackLaw, m1_0: float, m2_0: float,
                 steps: int = 2000) -> CostReport:
     """Exact cost of a linear feedback law via the moment ODEs, RK4 on a
     uniform grid of `steps` intervals over [0, T]."""
-    m1, m2, run = (float(v) for v in _moment_pass(spec, [law], m1_0, m2_0, steps))
-    terminal = spec.D1 * m2 + spec.D2 * m1 * m1
-    return CostReport(total=run + terminal, running=run, terminal=terminal,
-                      std_error=0.0, n_paths=0)
+    return _costs(spec, [(law, m1_0, m2_0)], steps)[0]
+
+
+def cost_oracles(spec: ProblemSpec, columns, steps: int = 2000) -> list[CostReport]:
+    """cost_oracle of every column (law, m1_0, m2_0) in one moment pass,
+    each bit for bit its own cost_oracle call; laws may differ in grid."""
+    return _costs(spec, list(columns), steps)
 
 
 def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:
@@ -393,12 +417,8 @@ def perturbation_sweep(spec: ProblemSpec, base: FeedbackLaw, deltas,
     in one moment pass, each column bit for bit its own cost_oracle call.
     """
     deltas = [(float(da), float(db)) for da, db in deltas]
-    if not deltas:
-        return []
-    laws = [base.shifted(da, db) for da, db in deltas]
-    m1, m2, run = _moment_pass(spec, laws, m1_0, m2_0, steps)
-    totals = run + (spec.D1 * m2 + spec.D2 * m1 * m1)
-    return [(d, float(total)) for d, total in zip(deltas, np.atleast_1d(totals))]
+    costs = _costs(spec, [(base.shifted(*d), m1_0, m2_0) for d in deltas], steps)
+    return [(d, cost.total) for d, cost in zip(deltas, costs)]
 
 
 def trajectory_to_csv(traj: CloudTrajectory, path) -> None:

@@ -8,6 +8,7 @@ import pytest
 import mflqg.cli
 import mflqg.partial_obs
 import mflqg.simulate
+from mflqg import FeedbackLaw, optimal_feedback
 from mflqg.cli import RunManifest, main
 
 SCALAR_CFG = """
@@ -439,22 +440,60 @@ def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, nam
 
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_verify_makes_few_moment_passes(tmp_path, monkeypatch, capsys, name):
-    # Oracle-vs-value takes one pass per probed x (two for example1), the
-    # perturbation sweep one for all its offsets, mc-vs-oracle one.
+    # One moment pass serves every oracle check: one column per probed x
+    # (0 and 1 for example1, the point estimate for example3), the zero
+    # offset and 16 perturbations, and mc-vs-oracle's working law.  The
+    # batch the CLI calls looks _moment_pass up in mflqg.simulate.
+    assert mflqg.cli.cost_oracles is mflqg.simulate.cost_oracles
     calls = []
     original = mflqg.simulate._moment_pass
 
-    def counted(spec, laws, *args, **kwargs):
-        calls.append(len(laws))
-        return original(spec, laws, *args, **kwargs)
+    def counted(spec, columns, *args, **kwargs):
+        calls.append(len(columns))
+        return original(spec, columns, *args, **kwargs)
 
     monkeypatch.setattr(mflqg.simulate, "_moment_pass", counted)
     rc = main(["verify", "--preset", name, "--paths", "2000", "--dt", "0.05",
                "--seed", "3", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc in (0, 1)
-    assert len(calls) <= 4, calls
-    assert sorted(calls)[-1] == 17  # the zero offset plus 16 perturbations
+    probes = {"example1": 2, "example3": 1}[name]
+    assert calls == [probes + 17 + 1]
+
+
+def test_value_bands_allow_for_rounding_at_large_values(tmp_path, capsys):
+    # At x = 1e7 the value is 5e13, one ulp of which is 7.8e-3: both
+    # absolute bands would ask for less than an ulp, so each has a floor
+    # relative to the value.
+    rc = main(["verify", "--preset", "example1", "--x", "1e7", "--paths", "100",
+               "--dt", "0.1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    checks = {c["name"]: c for c in read_json(tmp_path / "verify.json")["checks"]}
+    for name, floor in (("value-consistency", 1e-6), ("oracle-vs-value", 1e-5)):
+        assert checks[name]["passed"], checks[name]
+        assert floor < checks[name]["measured"] <= checks[name]["threshold"]
+
+
+def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
+                                                     capsys):
+    # beta = -B phi2 without the division by Q: on a problem with Q != 1
+    # the oracle cost of that law misses the value by about 2e-4.
+    def mutant(spec, sol):
+        law = optimal_feedback(spec, sol)
+        return FeedbackLaw(grid=law.grid, alpha=law.alpha,
+                           beta=-spec.B.on(sol.grid) * sol.phi2)
+
+    monkeypatch.setattr(mflqg.cli, "optimal_feedback", mutant)
+    cfg = tmp_path / "scalar.ini"
+    cfg.write_text(TIME_VARYING_CFG)
+    main(["verify", "--config", str(cfg), "--paths", "2000", "--dt", "0.05",
+          "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    check = next(c for c in read_json(tmp_path / "verify.json")["checks"]
+                 if c["name"] == "oracle-vs-value")
+    assert not check["passed"]
+    assert check["threshold"] == 1e-5 < 1e-4 < check["measured"]
 
 
 def test_report_merges_runs(tmp_path, capsys):

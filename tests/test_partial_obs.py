@@ -31,6 +31,21 @@ def test_spec_invariants():
                        eta_tilde=0.0, s=0.0, x=1.0, T=1.0, D1=1.0, D2=0.0)
 
 
+PARTIAL_UNIT = dict(sigma_hat=0.6, sigma_tilde=0.8, eta_hat=0.8, eta_tilde=0.6,
+                    s=0.25, x=1.0, T=1.0, D1=0.8, D2=0.4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma_hat", math.nan), ("sigma_tilde", math.inf), ("eta_hat", math.nan),
+    ("eta_tilde", -math.inf), ("s", math.nan), ("x", math.nan),
+    ("T", math.inf), ("D1", math.nan), ("D2", -math.inf),
+])
+def test_spec_rejects_non_finite(field, value):
+    # A NaN would slip past the split checks, whose comparisons are False.
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        PartialObsSpec(**{**PARTIAL_UNIT, field: value})
+
+
 def test_partial_preset_splits():
     spec = partial_preset("example3", sigma_hat2=0.25, eta_hat2=0.75)
     assert spec.sigma_hat ** 2 == pytest.approx(0.25)

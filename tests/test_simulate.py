@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
-                   MeasureMoments, ProblemSpec, SimConfig,
-                   cost_oracle, evolve_cloud, gaussianity_check, mc_tolerance,
-                   optimal_feedback, perturbation_sweep, scalar_preset,
+                   MeasureMoments, ProblemSpec, Reduction, SimConfig,
+                   cost_oracle, cost_oracles, evolve_cloud, gaussianity_check, mc_tolerance,
+                   optimal_feedback, partial_preset, perturbation_sweep,
+                   scalar_preset,
                    simulate_mc, solve_riccati, value_function)
 from mflqg import _kernels
 from mflqg import simulate as simulate_module
@@ -99,26 +100,57 @@ def test_oracle_rejects_inconsistent_moments():
         cost_oracle(spec, law, 2.0, 1.0, 100)
 
 
+def _constant_law(alpha, T):
+    return FeedbackLaw(grid=np.array([0.0, T]), alpha=np.array([alpha, alpha]),
+                       beta=np.zeros(2))
+
+
 def test_oracle_detects_moment_blowup():
     # Destabilizing feedback alpha >> 0 with a long horizon: m2' = 2 alpha m2
     # + 1.  At alpha = 3, m2(30) ~ 1e78 is large but finite, and the cost is
     # m2(T) + 9 int m2.  At alpha = 30, m2 ~ e^(60 t) overflows near
     # t = 709.8 / 60 = 11.83 (the running cost first), which is an escape.
     spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=30.0)
-
-    def law(alpha):
-        return FeedbackLaw(grid=np.array([0.0, 30.0]),
-                           alpha=np.array([alpha, alpha]), beta=np.zeros(2))
-
     e = math.exp(180.0)
     m2_T = 7.0 / 6.0 * e - 1.0 / 6.0
     run = 9.0 * (7.0 / 36.0 * (e - 1.0) - 30.0 / 6.0)
-    got = cost_oracle(spec, law(3.0), 1.0, 1.0, 3000)
+    got = cost_oracle(spec, _constant_law(3.0, 30.0), 1.0, 1.0, 3000)
     assert got.terminal == pytest.approx(m2_T, rel=1e-4)
     assert got.running == pytest.approx(run, rel=1e-4)
     with pytest.raises(FiniteEscapeError) as err:
-        cost_oracle(spec, law(30.0), 1.0, 1.0, 3000)
+        cost_oracle(spec, _constant_law(30.0, 30.0), 1.0, 1.0, 3000)
     assert 11.0 < err.value.time < 11.9
+    # In a batch, the overflowing column stops the pass at the same node.
+    with pytest.raises(FiniteEscapeError) as batch_err:
+        cost_oracles(spec, [(_constant_law(a, 30.0), 1.0, 1.0)
+                            for a in (3.0, 30.0, -1.0)], 3000)
+    assert batch_err.value.time == err.value.time
+
+
+@pytest.mark.parametrize("red", [Reduction.of(TIME_VARYING),
+                                 Reduction.of(partial_preset("example3", s=0.25,
+                                                             x=1.3))],
+                         ids=["time-varying", "example3"])
+def test_cost_oracles_columns_are_their_own_passes(red):
+    # Laws on a 1000- and a 2000-step grid, shifted laws, and the initial
+    # moments (0, 0), (1, 1) and (x, x^2 + var0) mixed in one batch: every
+    # column is bit for bit its own cost_oracle and the hand-unrolled loop.
+    spec = red.problem
+    coarse = optimal_feedback(spec, solve_riccati(spec, 1000))
+    fine = optimal_feedback(spec, solve_riccati(spec, 2000))
+    mu = red.moments(1.3)
+    columns = [(fine, 0.0, 0.0), (coarse, 1.0, 1.0), (fine, mu.m1, mu.m2),
+               (fine.shifted(0.2, 0.0), mu.m1, mu.m2),
+               (coarse.shifted(0.0, -0.3), 0.0, 0.0),
+               (coarse.shifted(-0.1, 0.05), mu.m1, mu.m2)]
+    got = cost_oracles(spec, columns, 2000)
+    assert len(got) == len(columns)
+    for (law, m1_0, m2_0), cost in zip(columns, got):
+        assert cost == cost_oracle(spec, law, m1_0, m2_0, 2000)
+        assert (cost.total, cost.running, cost.terminal) == \
+            _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)
+    assert cost_oracles(spec, columns[2:4], 2000) == got[2:4]
+    assert cost_oracles(spec, [], 2000) == []
 
 
 def test_oracle_respects_law_domain():

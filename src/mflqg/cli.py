@@ -399,7 +399,7 @@ def _oracle_entries(red: Reduction, sol_fine, law_fine, law, probe_xs: list,
     columns += [(law_fine.shifted(*d), mu.m1, mu.m2) for d in _DELTAS]
     costs = cost_oracles(red.problem, columns + [(law, mu.m1, mu.m2)], steps)
     values = [red.value(sol_fine, x) for x in probe_xs]
-    gap = max(0.0, *(abs(red.compensated(c).total - v) for c, v in zip(costs, values)))
+    gap = max(0.0, *(abs(c.total + red.comp - v) for c, v in zip(costs, values)))
     # The band widens with the values only where float64 cannot resolve it.
     band = max(1e-5, 1e-11 * max(map(abs, values)))
     what = ("max |oracle - ansatz value|" if red.partial is None

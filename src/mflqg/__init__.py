@@ -25,8 +25,7 @@ from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
 from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
                        GaussianityReport, SimConfig, cost_from_cloud,
                        cost_oracle, cost_oracles, evolve_cloud,
-                       gaussianity_check, mc_tolerance, perturbation_sweep,
-                       simulate_mc)
+                       gaussianity_check, mc_tolerance, simulate_mc)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
@@ -50,8 +49,7 @@ __all__ = [
     # simulate
     "CloudTrajectory", "CostReport", "EM_BIAS_CONST", "GaussianityReport",
     "SimConfig", "cost_from_cloud", "cost_oracle", "cost_oracles",
-    "evolve_cloud", "gaussianity_check", "mc_tolerance", "perturbation_sweep",
-    "simulate_mc",
+    "evolve_cloud", "gaussianity_check", "mc_tolerance", "simulate_mc",
     # partial observation
     "PartialObsSpec", "Reduction", "cost_decomposition_check",
     "error_variance", "reduced_problem",

@@ -1,11 +1,15 @@
 """Command line interface.
 
-Four subcommands share one problem-resolution path (--preset or --config):
+Four subcommands:
 
     solve      integrate the Riccati system, write phi/gain tables and values
     simulate   cross-check the optimal law: moment oracle vs Monte Carlo
     verify     run the full check battery for a problem; exit 1 on any failure
     report     merge manifests from earlier runs into one table
+
+solve, simulate and verify read their target through one resolver; verify
+runs one battery for every problem kind: assumptions, the solve and
+terminal-exactness, then the kind's own checks.
 
 Every command writes a manifest.json describing inputs and outputs.  Outputs
 contain no timestamps: rerunning a command with the same arguments reproduces
@@ -34,9 +38,9 @@ from .control import (law_to_csv, optimal_feedback, residual_sweep,
                       residual_to_csv)
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
-from .model import (MatrixProblemSpec, MeasureMoments, ProblemSpec,
-                    validate_matrix_spec, validate_spec)
-from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
+from .model import (MatrixProblemSpec, MeasureMoments, validate_matrix_spec,
+                    validate_spec)
+from .partial_obs import (Reduction, cost_decomposition_check,
                           partial_trajectory_to_csv)
 from .presets import PRESET_NAMES, preset
 from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
@@ -120,36 +124,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_target(args):
-    """Return (problem object, source label, sim settings from config or None)."""
+def _resolve(args):
+    """The target of solve, simulate or verify: (spec, source label, sim,
+    scalar view, initial states, grid steps).  Arguments are checked in the
+    order problem (--preset or --config), output directory, Monte Carlo
+    settings, problem kind, --x.
+
+    sim is SimConfig's defaults overridden by the config file, then by
+    flags (None for solve).  The scalar view is spec's Reduction, None for
+    a matrix problem.  The states are each --x as d comma-separated numbers
+    (floats for a scalar view), each with a finite square, since every cost
+    reads it; without --x, a partially observed spec's x, else 1 (ones for
+    a matrix problem).  The first one is simulated.  steps is --steps, or
+    1000 per unit of the horizon the Riccati system is solved on (T - s for
+    a partially observed problem).
+    """
     if args.preset is not None:
-        return preset(args.preset), f"preset:{args.preset}", None
-    resolved = load_config(args.config)
-    return resolved.the_problem(), f"config:{args.config}", resolved.simulation
-
-
-def _grid_steps(args, horizon: float) -> int:
-    """--steps, or 1000 intervals per unit of the horizon the Riccati system
-    is solved on (T - s for a partially observed problem)."""
-    if args.steps is not None:
-        return args.steps
-    return max(10, int(round(1000.0 * horizon)))
-
-
-def _sim_config(args, from_config: SimConfig | None) -> SimConfig:
-    """SimConfig's defaults, overridden by the config file, then by flags."""
-    given = {"n_paths": args.paths, "dt": args.dt, "seed": args.seed}
-    return dataclasses.replace(from_config or SimConfig(),
-                               **{k: v for k, v in given.items() if v is not None})
-
-
-def _initial_states(args, d: int) -> list[np.ndarray] | None:
-    """Each --x as d comma-separated numbers, or None without --x.  Every
-    cost reads the square of the state, so each square must be finite."""
-    if not args.x:
-        return None
-    out = []
-    for s in args.x:
+        spec, source, config_sim = preset(args.preset), f"preset:{args.preset}", None
+    else:
+        resolved = load_config(args.config)
+        spec, source = resolved.the_problem(), f"config:{args.config}"
+        config_sim = resolved.simulation
+    _ensure_outdir(args.out)
+    sim = None
+    if args.command != "solve":
+        given = {"n_paths": args.paths, "dt": args.dt, "seed": args.seed}
+        sim = dataclasses.replace(config_sim or SimConfig(),
+                                  **{k: v for k, v in given.items() if v is not None})
+    if isinstance(spec, MatrixProblemSpec):
+        if args.command == "simulate":
+            raise DomainError("simulate supports scalar and partial_obs problems")
+        red, d, default, horizon = None, spec.d, np.ones(spec.d), spec.T
+    else:
+        red = Reduction.of(spec)
+        d, horizon = 1, red.problem.T
+        default = 1.0 if red.partial is None else spec.x
+    xs = []
+    for s in args.x or ():
         try:
             vec = np.array([float(tok) for tok in s.split(",")])
         except ValueError as exc:
@@ -158,8 +169,20 @@ def _initial_states(args, d: int) -> list[np.ndarray] | None:
             raise DomainError(f"--x {s!r} has {vec.size} entries, expected {d}")
         if not all(math.isfinite(v * v) for v in vec.tolist()):
             raise DomainError(f"--x expects numbers with a finite square, got {s!r}")
-        out.append(vec)
-    return out
+        xs.append(vec if red is None else float(vec[0]))
+    steps = args.steps if args.steps is not None else max(10, int(round(1000.0 * horizon)))
+    return spec, source, sim, red, xs or [default], steps
+
+
+def _solve(spec, red, steps: int):
+    """Validate the problem whose Riccati system a kind solves (a matrix
+    spec, or the scalar view's problem) and, if it holds, solve that system
+    on `steps` intervals: (validation result, solution or None)."""
+    if red is None:
+        result = validate_matrix_spec(spec)
+        return result, solve_matrix_riccati(spec, steps) if result.ok else None
+    result = validate_spec(red.problem)
+    return result, solve_riccati(red.problem, steps) if result.ok else None
 
 
 def _ensure_outdir(path: str) -> str:
@@ -171,22 +194,6 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _require_validated(spec) -> None:
-    matrix = isinstance(spec, MatrixProblemSpec)
-    result = (validate_matrix_spec if matrix else validate_spec)(spec)
-    if not result.ok:
-        raise AssumptionError(result.message)
-
-
-def _scalar_view(spec, args) -> tuple[Reduction, list]:
-    """The scalar problem a command runs on and the requested initial
-    states, the first of which is simulated: each --x, or else a partially
-    observed spec's x, or 1."""
-    vecs = _initial_states(args, 1)
-    default = spec.x if isinstance(spec, PartialObsSpec) else 1.0
-    return Reduction.of(spec), ([float(v[0]) for v in vecs] if vecs else [default])
 
 
 @dataclass
@@ -213,10 +220,16 @@ def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
                  oracle: CostReport) -> _MonteCarlo:
     """Run the particles from x0, estimate the full-state cost and compare it
     with `oracle`, the law's oracle cost from x0: simulate's
-    within_threshold is verify's mc-vs-oracle check."""
+    within_threshold is verify's mc-vs-oracle check.  A statistic that
+    overflows is a diverged simulation: an infinite band cannot fail."""
     cloud = evolve_cloud(red.problem, law, red.initial(x0), sim)
     err = red.error(sim)
-    mc = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        mc = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
+    for name, value in (("total", mc.total), ("std_error", mc.std_error)):
+        if not math.isfinite(value):
+            raise SimulationDivergedError(
+                f"Monte Carlo {name} from x = {x0!r} is {value}, not finite")
     gap = abs(mc.total - oracle.total)
     tol = mc_tolerance(mc.std_error, sim.dt)
     check = _Check("mc-vs-oracle", gap <= tol, gap, tol,
@@ -228,41 +241,35 @@ def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
 # solve
 
 def cmd_solve(args) -> int:
-    spec, source, _ = _resolve_target(args)
-    out = _ensure_outdir(args.out)
-    outputs = {"phi": "phi.csv"}
-    summary: dict = {"source": source}
-
-    if isinstance(spec, MatrixProblemSpec):
-        steps = _grid_steps(args, spec.T)
-        vecs = _initial_states(args, spec.d) or [np.ones(spec.d)]
-        _require_validated(spec)
-        sol = solve_matrix_riccati(spec, steps)
-        matrix_solution_to_csv(sol, os.path.join(out, "phi.csv"))
+    spec, source, _, red, xs, steps = _resolve(args)
+    result, sol = _solve(spec, red, steps)
+    if sol is None:
+        raise AssumptionError(result.message)
+    phi = os.path.join(args.out, "phi.csv")
+    outputs = {"phi": "phi.csv", "summary": "summary.json"}
+    summary: dict = {"source": source, "T": spec.T, "steps": steps}
+    if red is None:
+        matrix_solution_to_csv(sol, phi)
         p1, p2, p3 = sol.at(0.0)
         values = [{"x": [float(v) for v in vec],
                    "value": float(vec @ p1 @ vec + vec @ p2 @ vec + p3)}
-                  for vec in vecs]
-        summary.update(kind="matrix", d=spec.d, T=spec.T, steps=steps, values=values)
+                  for vec in xs]
+        summary.update(kind="matrix", d=spec.d)
     else:
-        red, xs = _scalar_view(spec, args)
-        steps = _grid_steps(args, red.problem.T)
-        _require_validated(red.problem)
-        sol = solve_riccati(red.problem, steps)
-        solution_to_csv(sol, os.path.join(out, "phi.csv"))
+        solution_to_csv(sol, phi)
         law_to_csv(optimal_feedback(red.problem, sol),
-                   os.path.join(out, "gains.csv"))
+                   os.path.join(args.out, "gains.csv"))
         outputs["gains"] = "gains.csv"
         values = [{"x": x, "value": red.value(sol, x)} for x in xs]
-        summary.update(kind=red.kind, T=spec.T, steps=steps, values=values)
+        summary["kind"] = red.kind
         if red.partial is not None:
             summary.update(s=spec.s, error_compensation=red.comp)
 
-    _write_json(os.path.join(out, "summary.json"), summary)
-    outputs["summary"] = "summary.json"
+    summary["values"] = values
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     RunManifest(command="solve", source=source,
-                params={"steps": steps, "x": summary["values"][0]["x"]},
-                outputs=outputs).write(os.path.join(out, "manifest.json"))
+                params={"steps": steps, "x": values[0]["x"]},
+                outputs=outputs).write(os.path.join(args.out, "manifest.json"))
     return 0
 
 
@@ -270,18 +277,12 @@ def cmd_solve(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
-    spec, source, config_sim = _resolve_target(args)
-    out = _ensure_outdir(args.out)
-    sim = _sim_config(args, config_sim)
-
-    if isinstance(spec, MatrixProblemSpec):
-        raise DomainError("simulate supports scalar and partial_obs problems")
-
-    red, xs = _scalar_view(spec, args)
-    steps = _grid_steps(args, red.problem.T)
+    spec, source, sim, red, xs, steps = _resolve(args)
     x0 = xs[0]
-    _require_validated(red.problem)
-    law = optimal_feedback(red.problem, solve_riccati(red.problem, steps))
+    result, sol = _solve(spec, red, steps)
+    if sol is None:
+        raise AssumptionError(result.message)
+    law = optimal_feedback(red.problem, sol)
     run = _monte_carlo(red, law, sim, x0, red.oracle(law, x0, steps))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
@@ -290,19 +291,19 @@ def cmd_simulate(args) -> int:
                "discrepancy": run.check.measured,
                "threshold": run.check.threshold,
                "within_threshold": run.check.passed}
-    path = os.path.join(out, "trajectory.csv")
+    path = os.path.join(args.out, "trajectory.csv")
     if red.partial is None:
         trajectory_to_csv(run.cloud, path)
     else:
         partial_trajectory_to_csv(red.partial, run.cloud, path)
         summary["error_compensation"] = red.comp
-    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     RunManifest(command="simulate", source=source,
                 params={"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt,
                         "seed": sim.seed, **stream_layout(sim.n_paths)},
                 outputs={"trajectory": "trajectory.csv",
                          "summary": "summary.json"},
-                ).write(os.path.join(out, "manifest.json"))
+                ).write(os.path.join(args.out, "manifest.json"))
     return 0
 
 
@@ -313,29 +314,6 @@ def _random_measures(rng, count: int):
     m1 = rng.uniform(-1.0, 1.0, count)
     extra = rng.uniform(0.0, 0.25, count)
     return [MeasureMoments(float(a), float(a * a + b)) for a, b in zip(m1, extra)]
-
-
-def _solution_entries(problem: ProblemSpec, sol, steps: int,
-                      preset_name: str | None) -> list[_Check]:
-    """terminal-exactness, plus analytic-phi against the closed form on the
-    built-in presets."""
-    checks = [_terminal_entry([sol.phi1[-1] - problem.D1,
-                               sol.phi2[-1] - problem.D2, sol.phi3[-1]])]
-    if preset_name is not None:
-        ref = closed_form(problem, steps)
-        err = max(float(np.abs(sol.phi1 - ref.phi1).max()),
-                  float(np.abs(sol.phi2 - ref.phi2).max()),
-                  float(np.abs(sol.phi3 - ref.phi3).max()))
-        checks.append(_Check("analytic-phi", err <= 1e-8, err, 1e-8,
-                             f"max |phi - closed form| = {err:.3e}"))
-    return checks
-
-
-def _assumptions_entry(result, weight: str) -> _Check:
-    seen = "not measured" if result.q_min is None else f"{result.q_min:.3e}"
-    return _Check("assumptions", result.ok, result.q_min, 0.0,
-                  f"{result.message}; smallest {weight} on the grid {seen}, "
-                  f"must be > 0")
 
 
 def _terminal_entry(defects) -> _Check:
@@ -417,24 +395,23 @@ def _decomposition_entry(red: Reduction, run: _MonteCarlo) -> _Check:
                   f"defect {defect:.3e}, band {tol:.3e}")
 
 
-def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
-                   preset_name: str | None, steps: int, sim: SimConfig,
-                   out: str, outputs: dict) -> list[_Check]:
-    """The check battery of a scalar-kind problem, from xs[0]; oracle-vs-value
-    compares at each of probe_xs.  A partially observed problem adds
-    cost-decomposition."""
+def _scalar_entries(red: Reduction, sol, x0: float, probe_xs: list,
+                    preset_name: str | None, steps: int, sim: SimConfig,
+                    out: str, outputs: dict) -> list[_Check]:
+    """The checks of a scalar-kind problem after terminal-exactness, from x0:
+    analytic-phi (built-in presets only), residual-sweep, value-consistency,
+    the oracle checks (oracle-vs-value at each of probe_xs) and the Monte
+    Carlo checks.  A partially observed problem adds cost-decomposition."""
     spec = red.problem
-    x0 = xs[0]
-    checks: list[_Check] = []
-
-    result = validate_spec(spec)
-    checks.append(_assumptions_entry(result, "Q"))
-    if not result.ok:
-        return checks
-
-    sol = solve_riccati(spec, steps)
     law = optimal_feedback(spec, sol)
-    checks += _solution_entries(spec, sol, steps, preset_name)
+    checks: list[_Check] = []
+    if preset_name is not None:
+        ref = closed_form(spec, steps)
+        err = max(float(np.abs(sol.phi1 - ref.phi1).max()),
+                  float(np.abs(sol.phi2 - ref.phi2).max()),
+                  float(np.abs(sol.phi3 - ref.phi3).max()))
+        checks.append(_Check("analytic-phi", err <= 1e-8, err, 1e-8,
+                             f"max |phi - closed form| = {err:.3e}"))
 
     rng = np.random.Generator(np.random.Philox(12345))
     ts = rng.uniform(0.1 * spec.T, 0.9 * spec.T, 100)
@@ -468,69 +445,62 @@ def _verify_scalar(red: Reduction, xs: list, probe_xs: list,
     return checks
 
 
-def _verify_matrix(spec: MatrixProblemSpec, steps: int, out: str,
-                   outputs: dict) -> list[_Check]:
-    checks: list[_Check] = []
-
-    result = validate_matrix_spec(spec)
-    checks.append(_assumptions_entry(result, "eigenvalue of Q"))
-    if not result.ok:
-        return checks
-
-    sol = solve_matrix_riccati(spec, steps)
+def _matrix_entries(spec: MatrixProblemSpec, sol, steps: int, out: str,
+                    outputs: dict) -> list[_Check]:
+    """The checks of a matrix problem after terminal-exactness: symmetry and
+    grid-refinement.  Writes the solution to phi.csv."""
     matrix_solution_to_csv(sol, os.path.join(out, "phi.csv"))
     outputs["phi"] = "phi.csv"
-
-    checks.append(_terminal_entry([sol.phi1[-1] - spec.D1,
-                                   sol.phi2[-1] - spec.D2, sol.phi3[-1]]))
-
     asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
                float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))
-    checks.append(_Check("symmetry", asym <= 1e-10, asym, 1e-10,
-                         f"max |phi - phi^T| = {asym:.3e}"))
-
     sol2 = solve_matrix_riccati(spec, 2 * steps)
     gap = max(float(np.abs(sol.phi1[0] - sol2.phi1[0]).max()),
               float(np.abs(sol.phi2[0] - sol2.phi2[0]).max()),
               abs(float(sol.phi3[0]) - float(sol2.phi3[0])))
-    checks.append(_Check("grid-refinement", gap <= 1e-6, gap, 1e-6,
-                         f"|phi(0) - refined phi(0)| = {gap:.3e}"))
-    return checks
+    return [_Check("symmetry", asym <= 1e-10, asym, 1e-10,
+                   f"max |phi - phi^T| = {asym:.3e}"),
+            _Check("grid-refinement", gap <= 1e-6, gap, 1e-6,
+                   f"|phi(0) - refined phi(0)| = {gap:.3e}")]
 
 
 def cmd_verify(args) -> int:
-    spec, source, config_sim = _resolve_target(args)
-    out = _ensure_outdir(args.out)
-    sim = _sim_config(args, config_sim)
+    spec, source, sim, red, xs, steps = _resolve(args)
     outputs: dict = {}
-    params = {"n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
+    params = {"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
 
-    if isinstance(spec, MatrixProblemSpec):
-        steps = _grid_steps(args, spec.T)
-        checks = _verify_matrix(spec, steps, out, outputs)
-        kind = "matrix"
-    else:
-        red, xs = _scalar_view(spec, args)
-        steps = _grid_steps(args, red.problem.T)
-        # A fully observed problem probes the value at 0 and 1 unless --x
-        # names the states.
-        probe_xs = xs if args.x or red.partial is not None else [0.0, 1.0]
-        checks = _verify_scalar(red, xs, probe_xs, args.preset, steps, sim,
-                                out, outputs)
-        kind = red.kind
+    # One battery: every kind checks its assumptions, solves and checks
+    # terminal-exactness, then runs its own checks.
+    result, sol = _solve(spec, red, steps)
+    weight = "eigenvalue of Q" if red is None else "Q"
+    seen = "not measured" if result.q_min is None else f"{result.q_min:.3e}"
+    checks = [_Check("assumptions", result.ok, result.q_min, 0.0,
+                     f"{result.message}; smallest {weight} on the grid {seen}, "
+                     f"must be > 0")]
+    if sol is not None:
+        checks.append(_terminal_entry([sol.phi1[-1] - spec.D1,
+                                       sol.phi2[-1] - spec.D2, sol.phi3[-1]]))
+        if red is None:
+            checks += _matrix_entries(spec, sol, steps, args.out, outputs)
+        else:
+            # A fully observed problem probes the value at 0 and 1 unless
+            # --x names the states.
+            probe_xs = xs if args.x or red.partial is not None else [0.0, 1.0]
+            checks += _scalar_entries(red, sol, xs[0], probe_xs, args.preset,
+                                      steps, sim, args.out, outputs)
+    if red is not None:
         params.update(stream_layout(sim.n_paths))
 
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     passed = all(c.passed for c in checks)
     payload = {
-        "source": source, "kind": kind, "passed": passed,
-        "checks": [dataclasses.asdict(c) for c in checks],
+        "source": source, "kind": "matrix" if red is None else red.kind,
+        "passed": passed, "checks": [dataclasses.asdict(c) for c in checks],
     }
-    _write_json(os.path.join(out, "verify.json"), payload)
+    _write_json(os.path.join(args.out, "verify.json"), payload)
     outputs["verify"] = "verify.json"
-    RunManifest(command="verify", source=source, params={"steps": steps, **params},
-                outputs=outputs).write(os.path.join(out, "manifest.json"))
+    RunManifest(command="verify", source=source, params=params,
+                outputs=outputs).write(os.path.join(args.out, "manifest.json"))
     print(f"{'all checks passed' if passed else 'CHECKS FAILED'} "
           f"({sum(c.passed for c in checks)}/{len(checks)})")
     return 0 if passed else 1

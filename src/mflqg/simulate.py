@@ -44,7 +44,6 @@ __all__ = [
     "simulate_mc",
     "gaussianity_check",
     "mc_tolerance",
-    "perturbation_sweep",
     "trajectory_to_csv",
 ]
 
@@ -406,19 +405,6 @@ def gaussianity_check(states: np.ndarray) -> GaussianityReport:
     skew = float((c ** 3).mean()) / v ** 1.5
     exk = float((c ** 4).mean()) / (v * v) - 3.0
     return GaussianityReport(skew, exk, False, v, floor)
-
-
-def perturbation_sweep(spec: ProblemSpec, base: FeedbackLaw, deltas,
-                       m1_0: float, m2_0: float, steps: int = 2000) -> list[tuple]:
-    """Oracle cost of the base law under constant gain offsets.
-
-    deltas is an iterable of (d_alpha, d_beta) pairs; returns
-    [((d_alpha, d_beta), total_cost), ...] in input order.  All offsets run
-    in one moment pass, each column bit for bit its own cost_oracle call.
-    """
-    deltas = [(float(da), float(db)) for da, db in deltas]
-    costs = _costs(spec, [(base.shifted(*d), m1_0, m2_0) for d in deltas], steps)
-    return [(d, cost.total) for d, cost in zip(deltas, costs)]
 
 
 def trajectory_to_csv(traj: CloudTrajectory, path) -> None:

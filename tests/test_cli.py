@@ -50,6 +50,16 @@ D1 = 0.8
 D2 = 0.4
 """
 
+# The check lists README.md documents for verify: every kind shares the
+# assumptions -> terminal-exactness prefix, then runs its own checks.
+PREFIX = ["assumptions", "terminal-exactness"]
+SCALAR_CHECKS = PREFIX + ["residual-sweep", "value-consistency",
+                          "oracle-vs-value", "perturbation-margin",
+                          "mc-vs-oracle", "gaussianity"]
+PRESET_CHECKS = PREFIX + ["analytic-phi"] + SCALAR_CHECKS[2:]
+PARTIAL_CHECKS = PRESET_CHECKS + ["cost-decomposition"]
+MATRIX_CHECKS = PREFIX + ["symmetry", "grid-refinement"]
+
 SIM_CFG = SCALAR_CFG + """
 [simulation]
 n_paths = 777
@@ -114,6 +124,11 @@ def test_solve_matrix_config(tmp_path):
     # two decoupled unit problems: x' Phi1 x = 2 * 1/(1+T), phi3 = 2 log(1+T)
     assert summary["values"][0]["value"] == pytest.approx(
         1.0 + 2.0 * math.log(2.0), abs=1e-9)
+    # Without --x a matrix problem is solved from ones.
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    assert [v["x"] for v in summary["values"]] == [[1.0, 1.0]]
+    assert read_json(tmp_path / "manifest.json")["params"]["x"] == [1.0, 1.0]
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -246,6 +261,24 @@ def test_simulate_accepts_a_large_finite_state(tmp_path):
     assert oracle == pytest.approx(value, rel=1e-9)
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("x, paths", [("1e153", "100"), ("1e100", "20000")])
+def test_overflowing_monte_carlo_statistic_is_a_divergence(tmp_path, capsys,
+                                                           command, x, paths):
+    # At 1e153 the spread of D1 x^2 overflows.  At 1e100 the noise is lost
+    # in rounding and every path is equal, but the variance squares the
+    # rounding error of the mean (about 3e183).  An infinite std_error
+    # would make an infinite mc-vs-oracle band, which cannot fail.
+    rc = main([command, "--preset", "example1", "--x", x, "--paths", paths,
+               "--dt", "0.1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err == (f"error: divergence: Monte Carlo std_error from x = "
+                   f"{float(x)!r} is inf, not finite\n")
+    for name in ("summary.json", "trajectory.csv", "verify.json", "manifest.json"):
+        assert not (tmp_path / name).exists(), name
+
+
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
     import numpy as np
 
@@ -282,6 +315,13 @@ def test_simulate_rejects_matrix_problems(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: argument:")
+    # The kind is refused before --x is parsed, so a scalar --x (wrong
+    # dimension here) still reads as the refusal.
+    for extra in ([], ["--x", "1"]):
+        rc = main(["simulate", "--config", str(cfg), *extra, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: argument: simulate supports "
+                                           "scalar and partial_obs problems\n")
 
 
 def test_verify_scalar_config(tmp_path, capsys):
@@ -293,11 +333,12 @@ def test_verify_scalar_config(tmp_path, capsys):
     assert rc == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
     assert all(ln.startswith("[PASS]") for ln in lines)
-    names = {ln.split("]")[1].split(":")[0].strip() for ln in lines}
+    names = [ln.split("]")[1].split(":")[0].strip() for ln in lines]
     assert {"assumptions", "terminal-exactness", "residual-sweep",
             "value-consistency", "oracle-vs-value", "perturbation-margin",
-            "mc-vs-oracle", "gaussianity"} <= names
+            "mc-vs-oracle", "gaussianity"} <= set(names)
     assert "analytic-phi" not in names  # closed forms are checked on presets
+    assert names == SCALAR_CHECKS
     payload = read_json(tmp_path / "verify.json")
     assert payload["passed"] is True
     margin = next(c for c in payload["checks"]
@@ -325,6 +366,9 @@ def test_verify_matrix_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "[PASS] symmetry" in out and "[PASS] grid-refinement" in out
+    payload = read_json(tmp_path / "verify.json")
+    assert payload["kind"] == "matrix"
+    assert [c["name"] for c in payload["checks"]] == MATRIX_CHECKS
 
 
 def test_verify_reports_failed_assumptions(tmp_path, capsys):
@@ -402,6 +446,8 @@ def test_verify_all_presets_pass(tmp_path, capsys):
     assert "perturbation-margin" in scalar and "value-consistency" in scalar
     for partial in ("example3", "example4"):
         assert names[partial] == scalar + ["cost-decomposition"]
+    assert scalar == PRESET_CHECKS
+    assert names["example3"] == names["example4"] == PARTIAL_CHECKS
 
 
 @pytest.mark.parametrize("name", ["example1", "example3"])
@@ -535,6 +581,15 @@ def test_exit_code_argument_errors(tmp_path, capsys):
         assert rc == 2, bad
         assert capsys.readouterr().err.startswith("error: argument:")
     assert list(tmp_path.iterdir()) == []
+    # verify parses --x for a matrix problem too, as d numbers each.
+    cfg = tmp_path / "matrix.ini"
+    cfg.write_text(MATRIX_CFG)
+    out = tmp_path / "out"
+    for bad in ("abc", "1"):
+        rc = main(["verify", "--config", str(cfg), "--x", bad, "--out", str(out)])
+        assert rc == 2, bad
+        assert capsys.readouterr().err.startswith("error: argument: --x"), bad
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -10,8 +10,7 @@ import pytest
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
                    MeasureMoments, ProblemSpec, Reduction, SimConfig,
                    cost_oracle, cost_oracles, evolve_cloud, gaussianity_check, mc_tolerance,
-                   optimal_feedback, partial_preset, perturbation_sweep,
-                   scalar_preset,
+                   optimal_feedback, partial_preset, scalar_preset,
                    simulate_mc, solve_riccati, value_function)
 from mflqg import _kernels
 from mflqg import simulate as simulate_module
@@ -21,8 +20,8 @@ from mflqg.simulate import trajectory_to_csv
 
 # Hand-unrolled RK4 reference: the loop cost_oracle ran before it stepped
 # through riccati.rk4, with the gains and every coefficient evaluated at
-# every stage.  cost_oracle and each perturbation_sweep column must
-# reproduce it bit for bit.
+# every stage.  cost_oracle and each cost_oracles column must reproduce it
+# bit for bit.
 
 def _cost_oracle_loop(spec, law, m1_0, m2_0, steps):
     def rhs(t, m1, m2):
@@ -428,9 +427,9 @@ def test_perturbation_sweep_margins_positive_and_quadratic():
     spec, sol, law = _optimal(steps=2000)
     base = cost_oracle(spec, law, 1.0, 1.0, 2000).total
     deltas = [(d, 0.0) for d in (-0.2, -0.1, 0.1, 0.2)]
-    swept = perturbation_sweep(spec, law, deltas, 1.0, 1.0, 2000)
-    assert [d for d, _ in swept] == deltas
-    margins = {d[0]: total - base for d, total in swept}
+    swept = cost_oracles(spec, [(law.shifted(*d), 1.0, 1.0) for d in deltas], 2000)
+    assert len(swept) == len(deltas)
+    margins = {d[0]: cost.total - base for d, cost in zip(deltas, swept)}
     assert all(v > 0.0 for v in margins.values())
     # quadratic growth: doubling the offset roughly quadruples the margin
     ratio = 0.5 * (margins[0.2] + margins[-0.2]) / (0.5 * (margins[0.1] + margins[-0.1]))
@@ -469,8 +468,15 @@ def test_cost_oracle_matches_unrolled_loop(spec):
 def test_perturbation_sweep_is_one_oracle_per_delta(spec):
     law = optimal_feedback(spec, solve_riccati(spec, 1000))
     deltas = [(0.0, 0.0), (0.1, 0.0), (-0.4, 0.0), (0.0, 0.05), (0.2, -0.3)]
-    swept = perturbation_sweep(spec, law, deltas, 0.5, 0.5, 1000)
-    assert swept == [(d, cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total)
+
+    def sweep(ds):
+        columns = [(law.shifted(*d), 0.5, 0.5) for d in ds]
+        return [cost.total for cost in cost_oracles(spec, columns, 1000)]
+
+    swept = sweep(deltas)
+    assert swept == [cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total
                      for d in deltas]
-    assert perturbation_sweep(spec, law, deltas[1:2], 0.5, 0.5, 1000) == swept[1:2]
-    assert perturbation_sweep(spec, law, [], 0.5, 0.5, 1000) == []
+    assert swept == [_cost_oracle_loop(spec, law.shifted(*d), 0.5, 0.5, 1000)[0]
+                     for d in deltas]
+    assert sweep(deltas[1:2]) == swept[1:2]
+    assert sweep([]) == []

@@ -4,7 +4,8 @@ The package solves control problems whose cost couples to the state's law
 through its first two moments.  A quadratic ansatz reduces the dynamic
 programming equation on measures to a three-component Riccati system; the
 optimal feedback is linear in the state and the mean.  Two independent
-verification routes are built in: a deterministic moment-ODE oracle and an
+verification routes are built in: a deterministic oracle (a linear law's
+cost from every initial law, as backward cost coefficients) and an
 interacting-particle Monte Carlo simulation, both of which also cover the
 partially observed case via the prediction process.
 """
@@ -22,10 +23,11 @@ from .riccati import (DIVERGENCE_LIMIT, MatrixRiccatiSolution, RiccatiSolution,
 from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
-from .simulate import (CloudTrajectory, CostReport, EM_BIAS_CONST,
-                       GaussianityReport, SimConfig, cost_from_cloud,
-                       cost_oracle, cost_oracles, evolve_cloud,
-                       gaussianity_check, mc_tolerance, simulate_mc)
+from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
+                       EM_BIAS_CONST, GaussianityReport, SimConfig,
+                       cost_coefficients, cost_from_cloud, cost_oracle,
+                       evolve_cloud, gaussianity_check, mc_tolerance,
+                       simulate_mc)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
@@ -47,9 +49,9 @@ __all__ = [
     "FeedbackLaw", "hamiltonian", "hamiltonian_minimizer", "master_residual",
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
     # simulate
-    "CloudTrajectory", "CostReport", "EM_BIAS_CONST", "GaussianityReport",
-    "SimConfig", "cost_from_cloud", "cost_oracle", "cost_oracles",
-    "evolve_cloud", "gaussianity_check", "mc_tolerance", "simulate_mc",
+    "CloudTrajectory", "CostCoefficients", "CostReport", "EM_BIAS_CONST",
+    "GaussianityReport", "SimConfig", "cost_coefficients", "cost_from_cloud",
+    "cost_oracle", "evolve_cloud", "gaussianity_check", "mc_tolerance", "simulate_mc",
     # partial observation
     "PartialObsSpec", "Reduction", "cost_decomposition_check",
     "error_variance", "reduced_problem",

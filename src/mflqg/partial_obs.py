@@ -16,28 +16,29 @@ and the optimal value is read off the reduced problem's Riccati solution:
     V = phi1(s) (x^2 + eta_hat^2 s) + phi2(s) x^2 + phi3(s) + D1 * P_T.
 
 Reduction holds that split once: the reduced problem, the initial variance
-eta_hat^2 s and the constant D1 * P_T; every command reads it.  Simulation
-follows the same split: the prediction cloud is the fully observed particle
-engine run on the reduced problem from Reduction.initial, and E, which no
-cost term reads before T, is drawn once at T from its own stream by
-Reduction.error.  The reduced problem's closed form is
-riccati.closed_form(reduced_problem(spec)).
+eta_hat^2 s and the constant D1 * P_T; every command reads it.  The oracle
+follows the split: a law's cost coefficients on the reduced problem, with
+D1 * P_T added to the constant term, priced at the moments
+(x, x^2 + eta_hat^2 s).  So does simulation: the prediction cloud is the
+fully observed particle engine run on the reduced problem from
+Reduction.initial, and E, which no cost term reads before T, is drawn once
+at T from its own stream by Reduction.error.  The reduced problem's closed
+form is riccati.closed_form(reduced_problem(spec)).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control import FeedbackLaw, value_function
+from .control import value_function
 from .errors import AssumptionError, DomainError
 from .model import MeasureMoments, ProblemSpec, _finite_float
 from .riccati import RiccatiSolution, _write_csv
-from .simulate import (CloudTrajectory, CostReport, SimConfig, cost_from_cloud,
-                       cost_oracle)
+from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
+                       SimConfig, cost_from_cloud)
 
 __all__ = [
     "PartialObsSpec",
@@ -151,16 +152,12 @@ class Reduction:
         """Optimal value from x, read off a Riccati solution of `problem`."""
         return value_function(sol, 0.0, self.moments(x)) + self.comp
 
-    def oracle(self, law: FeedbackLaw, x: float, steps: int) -> CostReport:
-        """Moment-oracle cost of `law` on `problem` from x, comp included in
-        total and terminal, as in value."""
-        mu = self.moments(x)
-        return self.compensated(cost_oracle(self.problem, law, mu.m1, mu.m2, steps))
-
-    def compensated(self, cost: CostReport) -> CostReport:
-        """An oracle cost on `problem` with comp added to total and terminal."""
-        return dataclasses.replace(cost, total=cost.total + self.comp,
-                                   terminal=cost.terminal + self.comp)
+    def oracle(self, coefs: CostCoefficients, x: float) -> CostReport:
+        """Oracle cost from x of a law on `problem` with cost coefficients
+        `coefs`, comp added to the terminal constant, as in value."""
+        e1, e2, e0 = coefs.terminal
+        return CostCoefficients((e1, e2, e0 + self.comp),
+                                coefs.running).cost(self.moments(x))
 
     def initial(self, x: float) -> float | tuple:
         """The law evolve_cloud starts the prediction cloud from at the point

@@ -13,8 +13,9 @@ integrator raises FiniteEscapeError as soon as any component leaves
 [-1e12, 1e12], reporting the grid time at which that happened.
 
 rk4 is the package's one ODE integrator: the scalar and matrix Riccati
-systems here and the moment ODEs of simulate.cost_oracle all step through it,
-with coefficients and gains tabulated once at its stage times.
+systems here and the backward cost coefficients of simulate.cost_coefficients
+all step through it, with coefficients and gains tabulated once at its stage
+times.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ def stage_times(nodes: np.ndarray) -> np.ndarray:
     return times
 
 
-def rk4(rhs, y0, nodes: np.ndarray, names,
-        limit: float = DIVERGENCE_LIMIT) -> list[np.ndarray]:
+def rk4(rhs, y0, nodes: np.ndarray, names, limit: float = DIVERGENCE_LIMIT):
     """Classical fixed-step RK4 from y0 at nodes[0] along `nodes`, which may
-    run backwards in time; returns each component at every node, in the
-    order of `nodes`.
+    run backwards in time; yields the components at each node in turn, so a
+    caller keeps only the nodes it reads.
 
     y0 is a list of components, each a float or a numpy array.  rhs(j, y)
     returns one derivative per component at index j of stage_times(nodes),
@@ -73,17 +73,16 @@ def rk4(rhs, y0, nodes: np.ndarray, names,
     FiniteEscapeError with that node's time and the component's entry in
     `names`.
     """
-    out = [np.empty((nodes.size,) + np.shape(c)) for c in y0]
     hs = np.diff(nodes).tolist()
     y = y0
-    for k in range(nodes.size):
-        for row, c, name in zip(out, y, names):
+    for k, t in enumerate(nodes.tolist()):
+        for c, name in zip(y, names):
             size = abs(c) if isinstance(c, float) else np.abs(c).max()
             if not size <= limit:
-                raise FiniteEscapeError(float(nodes[k]), name)
-            row[k] = c
+                raise FiniteEscapeError(t, name)
+        yield y
         if k == len(hs):
-            return out
+            return
         h = hs[k]
         half = 0.5 * h
         sixth = h / 6.0
@@ -149,8 +148,11 @@ def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     def rhs(j, y):
         return _riccati_derivs(a[j], r[j], s2[j], y[0], y[1])
 
-    phi = rk4(rhs, [spec.D1, spec.D2, 0.0], nodes, ("phi1", "phi2", "phi3"))
-    return RiccatiSolution(grid, *(c[::-1] for c in phi))
+    phi = np.empty((nodes.size, 3))
+    for k, y in enumerate(rk4(rhs, [spec.D1, spec.D2, 0.0], nodes,
+                              ("phi1", "phi2", "phi3"))):
+        phi[k] = y
+    return RiccatiSolution(grid, *phi[::-1].T)
 
 
 def _sample(grid: np.ndarray, t: float, *tables) -> list:
@@ -278,8 +280,11 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     def rhs(j, y):
         return _stack_derivs(a2t, m, ss, y[0])
 
-    phi, phi3 = rk4(rhs, [np.array([spec.D1, spec.D2]), 0.0], grid[::-1],
-                    ("phi", "phi"))
+    phi = np.empty((grid.size, 2, spec.d, spec.d))
+    phi3 = np.empty(grid.size)
+    for k, (p, p3) in enumerate(rk4(rhs, [np.array([spec.D1, spec.D2]), 0.0],
+                                    grid[::-1], ("phi", "phi"))):
+        phi[k], phi3[k] = p, p3
     return MatrixRiccatiSolution(grid, phi[::-1, 0], phi[::-1, 1], phi3[::-1])
 
 

@@ -1,19 +1,20 @@
-"""Cost verification: a deterministic moment oracle and Monte Carlo simulation.
+"""Cost verification: a deterministic cost oracle and Monte Carlo simulation.
 
-Any feedback of the form u = alpha(t) x + beta(t) m1 keeps a coupled system of
-mean-field particles inside the Gaussian family, so the exact cost of such a
-law is computable from two moment ODEs (the "oracle"):
+A feedback u = alpha(t) x + beta(t) m1 keeps a coupled system of mean-field
+particles inside the Gaussian family, and y = (m2, m1^2, 1) solves y' = L y,
+L = [[2 (A + B alpha), 2 B beta, sigma^2], [0, 2 (A + B (alpha + beta)), 0],
+[0, 0, 0]].  So the law's exact cost is J = c1 m2_0 + c2 m1_0^2 + c0 from
+every initial law (the "oracle"), with c = e + r solving, backwards from T,
 
-    m1' = (A + B (alpha + beta)) m1
-    m2' = 2 (A + B alpha) m2 + 2 B beta m1^2 + sigma^2
+    e' = -L^T e,                                          e(T) = (D1, D2, 0)
+    r' = -(L^T r + Q (alpha^2, 2 alpha beta + beta^2, 0)),   r(T) = 0
 
-    running integrand  Q * (alpha^2 m2 + (2 alpha beta + beta^2) m1^2)
-    terminal cost      D1 m2(T) + D2 m1(T)^2
-
-The Monte Carlo route simulates n interacting particles with Euler-Maruyama,
-coupling each through the empirical mean of the same cloud, and estimates the
-cost with a left-endpoint quadrature of the running integrand.  Both routes
-accept the same FeedbackLaw, which is what makes the cross-check meaningful.
+for the terminal and running parts; c = (phi1, phi2, phi3)(0) for the
+optimal law.  The Monte Carlo route simulates n interacting particles with
+Euler-Maruyama, coupling each through the empirical mean of the same cloud,
+and estimates the cost with a left-endpoint quadrature of the running
+integrand.  Both routes accept the same FeedbackLaw, which is what makes the
+cross-check meaningful.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ import numpy as np
 from . import _kernels
 from .control import FeedbackLaw
 from .errors import DomainError, SimulationDivergedError
-from .model import ProblemSpec
+from .model import MeasureMoments, ProblemSpec
 from .riccati import _grid, _write_csv, rk4, stage_times
 
 __all__ = [
     "SimConfig",
     "CostReport",
+    "CostCoefficients",
     "CloudTrajectory",
     "GaussianityReport",
     "EM_BIAS_CONST",
     "cost_oracle",
-    "cost_oracles",
+    "cost_coefficients",
     "evolve_cloud",
     "stream_layout",
     "cost_from_cloud",
@@ -140,105 +142,93 @@ def _steps_for(horizon: float, dt: float) -> int:
     return n
 
 
-def _moment_pass(spec: ProblemSpec, columns: list, steps: int) -> np.ndarray:
-    """One RK4 pass of the moment ODEs for every column (law, m1_0, m2_0);
-    returns (m1, m2, running cost) at T as a (3, n) array.
+def _coefficient_pass(spec: ProblemSpec, laws: list, steps: int) -> np.ndarray:
+    """One backward RK4 pass of the cost coefficients of every law; returns
+    the terminal and running triples at t = 0 as a (2, 3, n) array.
 
-    One column steps Python floats, several times faster than width-1
-    arrays; several step one (3, n) stack, each column with the operands
-    and association of its own pass.  Coefficients and gains are tabulated
-    once at the stage times and folded into the five factors the ODEs read.
+    One law steps six Python floats, several times faster than width-1
+    arrays; several step one (2, 3, n) stack, each law with the operands
+    and association of its own pass.  The entries of -L^T and the running
+    sources are tabulated once per law at the stage times.
     """
-    nodes = _grid(spec.T, steps)
-    y0 = np.array([[c[1] for c in columns], [c[2] for c in columns],
-                   [0.0] * len(columns)], dtype=float)
-    var = y0[1] - y0[0] * y0[0]
-    if (var < -1e-12 * np.maximum(1.0, np.abs(y0[1]))).any():
-        raise DomainError(f"inconsistent initial moments: m2 - m1^2 = {var.min():.3e}")
-    T = spec.T
-    if any(law.T < T - 1e-12 * max(1.0, T) for law, _, _ in columns):
-        raise DomainError("feedback law does not cover the horizon")
+    nodes = _grid(spec.T, steps)[::-1]
     times = stage_times(nodes)
-    a = spec.A.on(times)[:, None]
-    b = spec.B.on(times)[:, None]
-    sig = spec.sigma.on(times)
-    s2 = (sig * sig).tolist()
-    q = spec.Q.on(times).tolist()
-    # The factors a + b (alpha + beta), 2 (a + b alpha), 2 b beta, alpha^2
-    # and 2 alpha beta + beta^2 at every stage, formed in place, each with
-    # the operations and association of the per-stage derivatives.
-    f = np.empty((times.size, 5, len(columns)))
-    al, be = f[:, 3], f[:, 4]
-    for i, (law, _, _) in enumerate(columns):
-        al[:, i], be[:, i] = law.gains_on(times)
-    np.add(al, be, out=f[:, 0])
-    f[:, 0] *= b
-    f[:, 0] += a
-    np.multiply(b, al, out=f[:, 1])
-    f[:, 1] += a
-    f[:, 1] *= 2.0
-    np.multiply(2.0 * b, be, out=f[:, 2])
-    cross = 2.0 * al
-    cross *= be
-    be *= be
-    be += cross
-    al *= al
-    if len(columns) == 1:
-        f1, f2, f3, f4, f5 = f[:, :, 0].T.tolist()
+    a, b, sig, q = (c.on(times) for c in (spec.A, spec.B, spec.sigma, spec.Q))
+    f = np.empty((times.size, 6, len(laws)))
+    f[:, 2] = -(sig * sig)[:, None]
+    for i, law in enumerate(laws):
+        al, be = law.gains_on(times)
+        f[:, [0, 1, 3, 4, 5], i] = np.stack(
+            [-2.0 * (a + b * al), -2.0 * b * be, -2.0 * (a + b * (al + be)),
+             q * (al * al), q * (2.0 * al * be + be * be)], axis=1)
+    if len(laws) == 1:
+        f0, f1, f2, f3, u1, u2 = f[:, :, 0].T.tolist()
 
         def rhs(j, y):
-            m1, m2, _ = y
-            return (f1[j] * m1,
-                    f2[j] * m2 + f3[j] * m1 * m1 + s2[j],
-                    q[j] * (f4[j] * m2 + f5[j] * m1 * m1))
+            e1, e2, _, r1, r2, _ = y
+            return (f0[j] * e1, f1[j] * e1 + f3[j] * e2, f2[j] * e1,
+                    f0[j] * r1 - u1[j], f1[j] * r1 + f3[j] * r2 - u2[j],
+                    f2[j] * r1)
 
-        y0, names = y0[:, 0].tolist(), ("moments",) * 3
+        y0 = [spec.D1, spec.D2, 0.0, 0.0, 0.0, 0.0]
     else:
-        gather = np.array([0, 1, 0, 1, 0])
+        gather = np.array([0, 0, 0, 1])
 
         def rhs(j, y):
-            # Rows f1 m1, f2 m2, f3 m1, f4 m2, f5 m1; then the m1 m1 terms,
-            # the sums f2 m2 + f3 m1 m1 and f4 m2 + f5 m1 m1, s2 and q.
-            g = y[0].take(gather, axis=0)
-            g *= f[j]
-            g[2::2] *= y[0][0]
-            g[1::2] += g[2::2]
-            g[2] = g[3]
-            g[1] += s2[j]
-            g[2] *= q[j]
-            return (g[:3],)
+            # Rows f0 c1, f1 c1, f2 c1, f3 c2 of both triples; then
+            # f1 c1 + f3 c2, and the sources off the running triple.
+            g = y[0].take(gather, axis=1)
+            g *= f[j, :4]
+            g[:, 1] += g[:, 3]
+            g[1, :2] -= f[j, 4:]
+            return (g[:, :3],)
 
-        y0, names = [y0], ("moments",)
+        y0 = np.zeros((2, 3, len(laws)))
+        y0[0, :2] = [[spec.D1], [spec.D2]]
+        y0 = [y0]
 
-    # Only a non-finite moment stops the pass: a large finite state is a
-    # valid start, and the oracle's cost is finite with it.  An overflow is
-    # reported as the FiniteEscapeError, not as a numpy warning too.
+    # Only a non-finite coefficient stops the pass, as a FiniteEscapeError
+    # and not as a numpy warning too.
     with np.errstate(over="ignore", invalid="ignore"):
-        path = rk4(rhs, y0, nodes, names, limit=np.finfo(float).max)
-    return np.array([c[-1] for c in path]).reshape(3, -1)  # frees the table
+        for y in rk4(rhs, y0, nodes, ("cost coefficients",) * len(y0),
+                     limit=np.finfo(float).max):
+            pass
+    return np.reshape(y if len(laws) == 1 else y[0], (2, 3, -1))
 
 
-def _costs(spec: ProblemSpec, columns: list, steps: int) -> list[CostReport]:
-    if not columns:
+@dataclass(frozen=True)
+class CostCoefficients:
+    """A law's terminal and running cost coefficients on the basis
+    (m2_0, m1_0^2, 1); their sum is phi(0) for the optimal law."""
+
+    terminal: tuple[float, float, float]
+    running: tuple[float, float, float]
+
+    def cost(self, mu: MeasureMoments) -> CostReport:
+        """The law's cost from an initial law with moments mu."""
+        sq = mu.m1 * mu.m1
+        terminal, running = (c1 * mu.m2 + c2 * sq + c0
+                             for c1, c2, c0 in (self.terminal, self.running))
+        return CostReport(running + terminal, running, terminal, 0.0, 0)
+
+
+def cost_coefficients(spec: ProblemSpec, laws, steps: int = 2000) -> list[CostCoefficients]:
+    """The cost coefficients of every law from one backward RK4 pass on a
+    uniform grid of `steps` intervals over [0, T], each bit for bit those of
+    its own pass; laws may differ in grid."""
+    laws = list(laws)
+    if not laws:
         return []
-    m1, m2, run = _moment_pass(spec, columns, steps)
-    terminal = spec.D1 * m2 + spec.D2 * m1 * m1
-    return [CostReport(total=t, running=r, terminal=e, std_error=0.0, n_paths=0)
-            for t, r, e in zip((run + terminal).tolist(), run.tolist(),
-                               terminal.tolist())]
+    e, r = _coefficient_pass(spec, laws, steps).tolist()
+    return [CostCoefficients(te, ru) for te, ru in zip(zip(*e), zip(*r))]
 
 
 def cost_oracle(spec: ProblemSpec, law: FeedbackLaw, m1_0: float, m2_0: float,
                 steps: int = 2000) -> CostReport:
-    """Exact cost of a linear feedback law via the moment ODEs, RK4 on a
-    uniform grid of `steps` intervals over [0, T]."""
-    return _costs(spec, [(law, m1_0, m2_0)], steps)[0]
-
-
-def cost_oracles(spec: ProblemSpec, columns, steps: int = 2000) -> list[CostReport]:
-    """cost_oracle of every column (law, m1_0, m2_0) in one moment pass,
-    each bit for bit its own cost_oracle call; laws may differ in grid."""
-    return _costs(spec, list(columns), steps)
+    """Exact cost of a linear feedback law from initial moments (m1_0, m2_0),
+    with its cost_coefficients on `steps` intervals."""
+    return cost_coefficients(spec, [law], steps)[0].cost(
+        MeasureMoments(m1_0, m2_0))
 
 
 def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:

@@ -12,8 +12,9 @@ import numpy as np
 
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
                    ProblemSpec, Reduction, SimConfig, closed_form,
-                   cost_decomposition_check, cost_from_cloud, cost_oracle,
-                   cost_oracles, evolve_cloud, gaussianity_check,
+                   cost_coefficients, cost_decomposition_check,
+                   cost_from_cloud, cost_oracle, evolve_cloud,
+                   gaussianity_check,
                    master_residual, optimal_feedback,
                    preset, reduced_problem, simulate_mc, solve_matrix_riccati,
                    solve_riccati, value_function)
@@ -112,9 +113,10 @@ def test_criterion_05_perturbation_optimality():
                     deltas.append((sign * size, 0.0) if channel == "alpha"
                                   else (0.0, sign * size))
             margins = {size: 0.0 for size in sizes}
-            columns = [(law.shifted(*d), 1.0, 1.0) for d in deltas]
-            for (da, db), cost in zip(deltas, cost_oracles(spec, columns, 2000)):
-                margin = cost.total - base
+            laws = [law.shifted(*d) for d in deltas]
+            for (da, db), coefs in zip(deltas,
+                                       cost_coefficients(spec, laws, 2000)):
+                margin = coefs.cost(MeasureMoments(1.0, 1.0)).total - base
                 if margin <= 0.0:
                     ok = False
                 margins[abs(da) + abs(db)] += 0.5 * margin

@@ -7,6 +7,7 @@ import pytest
 
 import mflqg.cli
 import mflqg.partial_obs
+import mflqg.riccati
 import mflqg.simulate
 from mflqg import FeedbackLaw, optimal_feedback
 from mflqg.cli import RunManifest, main
@@ -279,6 +280,22 @@ def test_overflowing_monte_carlo_statistic_is_a_divergence(tmp_path, capsys,
         assert not (tmp_path / name).exists(), name
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_state_near_the_float_range_is_a_monte_carlo_divergence(tmp_path, capsys,
+                                                               command):
+    # At x = 1e154 the oracle's cost is the finite 5.0e307 that solve gives,
+    # since no moment is integrated.  The particles' sum of x^2 overflows:
+    # that is the Monte Carlo run's divergence, on one line of stderr.
+    rc = main([command, "--preset", "example1", "--x", "1e154", "--paths",
+               "100", "--dt", "0.1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err == ("error: divergence: Monte Carlo total from x = 1e+154 "
+                   "is inf, not finite\n")
+    for name in ("summary.json", "trajectory.csv", "verify.json", "manifest.json"):
+        assert not (tmp_path / name).exists(), name
+
+
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
     import numpy as np
 
@@ -410,6 +427,30 @@ def test_verify_entries_carry_measured_values(tmp_path, capsys):
     assert matrix["terminal-exactness"]["measured"] == 0.0
 
 
+def test_gaussianity_records_the_statistic_that_decides():
+    # measured and threshold agree with the verdict: a symmetric
+    # heavy-tailed cloud (no skew, excess kurtosis 1.24) fails on its
+    # kurtosis, a two-point cloud with p (1 - p) = 1/6 (skew 1.41, excess
+    # kurtosis near 0) on its skew, and a passing cloud records the
+    # statistic nearer its band.
+    import numpy as np
+
+    heavy = np.concatenate([np.full(900, 1.0), np.full(100, 4.0)])
+    heavy = np.concatenate([heavy, -heavy])
+    lopsided = np.concatenate([np.full(2113, 1.0), np.full(7887, 0.0)])
+    normal = np.random.Generator(np.random.Philox(7)).standard_normal(200_000)
+    for states, ok, threshold in ((heavy, False, 0.1), (lopsided, False, 0.05),
+                                  (normal, True, None)):
+        check = mflqg.cli._gaussianity_entry(states)
+        assert check.passed is ok
+        assert (check.measured < check.threshold) is ok
+        if threshold is not None:
+            assert check.threshold == threshold
+    heavy_check = mflqg.cli._gaussianity_entry(heavy)
+    assert heavy_check.measured == pytest.approx(1.24)
+    assert "skew 0.0000" in heavy_check.detail
+
+
 @pytest.mark.parametrize("text, measured", [
     (MATRIX_CFG.replace("Q = 1 0; 0 1", "Q = 1 0.5; 0 1"), pytest.approx(0.75)),
     (SCALAR_CFG.replace("sigma = 1.0", "sigma = table 0:1 0.5:1"), None)],
@@ -486,39 +527,48 @@ def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, nam
 
 @pytest.mark.parametrize("name", ["example1", "example3"])
 def test_verify_makes_few_moment_passes(tmp_path, monkeypatch, capsys, name):
-    # One moment pass serves every oracle check: one column per probed x
-    # (0 and 1 for example1, the point estimate for example3), the zero
-    # offset and 16 perturbations, and mc-vs-oracle's working law.  The
-    # batch the CLI calls looks _moment_pass up in mflqg.simulate.
-    assert mflqg.cli.cost_oracles is mflqg.simulate.cost_oracles
+    # One coefficient pass serves every oracle check, however many --x are
+    # given: the refined-grid law under the zero offset and 16
+    # perturbations, and mc-vs-oracle's working law.  The batch the CLI
+    # calls looks _coefficient_pass up in mflqg.simulate.
+    assert mflqg.cli.cost_coefficients is mflqg.simulate.cost_coefficients
     calls = []
-    original = mflqg.simulate._moment_pass
+    original = mflqg.simulate._coefficient_pass
 
-    def counted(spec, columns, *args, **kwargs):
-        calls.append(len(columns))
-        return original(spec, columns, *args, **kwargs)
+    def counted(spec, laws, *args, **kwargs):
+        calls.append(len(laws))
+        return original(spec, laws, *args, **kwargs)
 
-    monkeypatch.setattr(mflqg.simulate, "_moment_pass", counted)
-    rc = main(["verify", "--preset", name, "--paths", "2000", "--dt", "0.05",
-               "--seed", "3", "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert rc in (0, 1)
-    probes = {"example1": 2, "example3": 1}[name]
-    assert calls == [probes + 17 + 1]
+    monkeypatch.setattr(mflqg.simulate, "_coefficient_pass", counted)
+    for xs in ([], ["--x", "0.5"], ["--x", "0", "--x", "2", "--x", "-3"]):
+        rc = main(["verify", "--preset", name, "--paths", "2000", "--dt",
+                   "0.05", "--seed", "3", "--out", str(tmp_path), *xs])
+        capsys.readouterr()
+        assert rc in (0, 1)
+        assert calls == [17 + 1]
+        calls.clear()
 
 
 def test_value_bands_allow_for_rounding_at_large_values(tmp_path, capsys):
-    # At x = 1e7 the value is 5e13, one ulp of which is 7.8e-3: both
-    # absolute bands would ask for less than an ulp, so each has a floor
-    # relative to the value.
+    # At x = 1e7 the value is 5e13, one ulp of which is 7.8e-3: the absolute
+    # band of value-consistency would ask for less than an ulp, so it has a
+    # floor relative to the value.  oracle-vs-value compares cost
+    # coefficients, which do not grow with x; the bound it implies on
+    # |oracle - value| at x, band (2 x^2 + 1), is still no wider than the
+    # former max(1e-5, 1e-11 |v|).
     rc = main(["verify", "--preset", "example1", "--x", "1e7", "--paths", "100",
                "--dt", "0.1", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc in (0, 1)
     checks = {c["name"]: c for c in read_json(tmp_path / "verify.json")["checks"]}
-    for name, floor in (("value-consistency", 1e-6), ("oracle-vs-value", 1e-5)):
-        assert checks[name]["passed"], checks[name]
-        assert floor < checks[name]["measured"] <= checks[name]["threshold"]
+    consistency = checks["value-consistency"]
+    assert consistency["passed"], consistency
+    assert 1e-6 < consistency["measured"] <= consistency["threshold"]
+    oracle = checks["oracle-vs-value"]
+    assert oracle["passed"], oracle
+    assert oracle["measured"] <= oracle["threshold"]
+    value = 0.5e14 + math.log(2.0)
+    assert oracle["threshold"] * (2e14 + 1.0) <= max(1e-5, 1e-11 * value)
 
 
 def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
@@ -539,7 +589,30 @@ def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
     check = next(c for c in read_json(tmp_path / "verify.json")["checks"]
                  if c["name"] == "oracle-vs-value")
     assert not check["passed"]
-    assert check["threshold"] == 1e-5 < 1e-4 < check["measured"]
+    assert check["threshold"] <= 1e-11 < 1e-4 < check["measured"]
+
+
+def test_oracle_vs_value_catches_a_flipped_riccati_sign(tmp_path, monkeypatch,
+                                                       capsys):
+    # phi1' with +2 A phi1 for -2 A phi1: on a problem with A = -0.3 the
+    # solution is no longer the value of its own feedback law, which the
+    # cost coefficients of that law show.
+    original = mflqg.riccati._riccati_derivs
+
+    def mutant(a, r, s2, p1, p2):
+        d1, d2, d3 = original(a, r, s2, p1, p2)
+        return r * p1 * p1 + 2.0 * a * p1, d2, d3
+
+    monkeypatch.setattr(mflqg.riccati, "_riccati_derivs", mutant)
+    cfg = tmp_path / "scalar.ini"
+    cfg.write_text(TIME_VARYING_CFG)
+    main(["verify", "--config", str(cfg), "--paths", "2000", "--dt", "0.05",
+          "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    check = next(c for c in read_json(tmp_path / "verify.json")["checks"]
+                 if c["name"] == "oracle-vs-value")
+    assert not check["passed"]
+    assert check["measured"] > 1e6 * check["threshold"]
 
 
 def test_report_merges_runs(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, DomainError, PartialObsSpec, Reduction,
+from mflqg import (AssumptionError, DomainError, MeasureMoments,
+                   PartialObsSpec, Reduction,
                    SimConfig, closed_form, cost_decomposition_check,
-                   cost_from_cloud, cost_oracle, error_variance, evolve_cloud,
+                   cost_coefficients, cost_from_cloud, cost_oracle,
+                   error_variance, evolve_cloud,
                    mc_tolerance, optimal_feedback, partial_preset,
                    reduced_problem, scalar_preset, solve_riccati)
 
@@ -234,11 +237,17 @@ def test_simulate_partial_matches_oracle_plus_compensation():
     cfg = SimConfig(20_000, 1e-3, 42)
     cloud, err = _partial_run(spec, law, cfg)
     mc = cost_from_cloud(spec, cloud.states + err, cloud.run_costs)
-    oracle = Reduction.of(spec).oracle(law, spec.x, 2000).total
-    # The reduction adds D1 P_T itself; built here independently of it.
+    coefs, = cost_coefficients(red, [law], 2000)
+    oracle = Reduction.of(spec).oracle(coefs, spec.x).total
+    # The reduction adds D1 P_T to the constant term itself; built here
+    # independently of it.
     m2 = spec.x * spec.x + spec.eta_hat ** 2 * spec.s
-    assert oracle == cost_oracle(red, law, spec.x, m2, 2000).total \
-        + spec.D1 * error_variance(spec, spec.T)
+    comp = spec.D1 * error_variance(spec, spec.T)
+    e1, e2, e0 = coefs.terminal
+    assert oracle == dataclasses.replace(coefs, terminal=(e1, e2, e0 + comp)
+                                         ).cost(MeasureMoments(spec.x, m2)).total
+    assert oracle == pytest.approx(
+        cost_oracle(red, law, spec.x, m2, 2000).total + comp, rel=1e-14, abs=0)
     gap = abs(mc.total - oracle)
     tol = mc_tolerance(mc.std_error, cfg.dt)
     assert gap <= tol, f"gap {gap:.3e} tol {tol:.3e}"

@@ -9,7 +9,8 @@ import pytest
 
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
                    MeasureMoments, ProblemSpec, Reduction, SimConfig,
-                   cost_oracle, cost_oracles, evolve_cloud, gaussianity_check, mc_tolerance,
+                   cost_coefficients, cost_oracle, evolve_cloud, gaussianity_check,
+                   mc_tolerance,
                    optimal_feedback, partial_preset, scalar_preset,
                    simulate_mc, solve_riccati, value_function)
 from mflqg import _kernels
@@ -18,10 +19,49 @@ from mflqg.errors import SimulationDivergedError
 from mflqg.simulate import trajectory_to_csv
 
 
-# Hand-unrolled RK4 reference: the loop cost_oracle ran before it stepped
-# through riccati.rk4, with the gains and every coefficient evaluated at
-# every stage.  cost_oracle and each cost_oracles column must reproduce it
-# bit for bit.
+# Hand-unrolled RK4 references, with the gains and every coefficient
+# evaluated at every stage.  _cost_coefficient_loop steps the terminal and
+# running cost coefficients backwards from T; cost_coefficients, each law of
+# a batch, and so cost_oracle must reproduce it bit for bit.
+# _cost_oracle_loop is the forward moment loop the oracle ran before, an
+# independent reference they agree with to rounding.
+
+def _cost_coefficient_loop(spec, law, steps):
+    def rhs(t, e1, e2, r1, r2):
+        al, be = law.at(t)
+        a, b, sig, q = spec.A(t), spec.B(t), spec.sigma(t), spec.Q(t)
+        p = -2.0 * (a + b * al)
+        c = -2.0 * b * be
+        g = -2.0 * (a + b * (al + be))
+        s2 = -(sig * sig)
+        return (p * e1, c * e1 + g * e2, s2 * e1,
+                p * r1 - q * (al * al),
+                c * r1 + g * r2 - q * (2.0 * al * be + be * be), s2 * r1)
+
+    def shifted(y, h, d):
+        return [y[i] + h * d[i] for i in (0, 1, 3, 4)]
+
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    y = [spec.D1, spec.D2, 0.0, 0.0, 0.0, 0.0]
+    for k in range(steps, 0, -1):
+        t0, t1 = float(grid[k]), float(grid[k - 1])
+        h = t1 - t0
+        k1 = rhs(t0, y[0], y[1], y[3], y[4])
+        k2 = rhs(t0 + 0.5 * h, *shifted(y, 0.5 * h, k1))
+        k3 = rhs(t0 + 0.5 * h, *shifted(y, 0.5 * h, k2))
+        k4 = rhs(t1, *shifted(y, h, k3))
+        y = [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+             for i in range(6)]
+    return tuple(y[:3]), tuple(y[3:])
+
+
+def _priced(coefs, m1_0, m2_0):
+    """(total, running, terminal) of the loop's coefficients from
+    (m1_0, m2_0), each part c1 m2_0 + c2 m1_0^2 + c0."""
+    sq = m1_0 * m1_0
+    terminal, running = (c1 * m2_0 + c2 * sq + c0 for c1, c2, c0 in coefs)
+    return running + terminal, running, terminal
+
 
 def _cost_oracle_loop(spec, law, m1_0, m2_0, steps):
     def rhs(t, m1, m2):
@@ -107,8 +147,12 @@ def _constant_law(alpha, T):
 def test_oracle_detects_moment_blowup():
     # Destabilizing feedback alpha >> 0 with a long horizon: m2' = 2 alpha m2
     # + 1.  At alpha = 3, m2(30) ~ 1e78 is large but finite, and the cost is
-    # m2(T) + 9 int m2.  At alpha = 30, m2 ~ e^(60 t) overflows near
-    # t = 709.8 / 60 = 11.83 (the running cost first), which is an escape.
+    # m2(T) + 9 int m2.  At alpha = 30 the cost coefficients grow going
+    # backwards as e^(60 (T - t)), so they overflow (e^709.8) near
+    # t = 30 - 709.8 / 60 = 18.17, which is an escape.  The running one,
+    # c1 = 15 (e^(60 (T - t)) - 1), and RK4's weighted sum of four
+    # derivatives (about 6 * 60 c1) bring the overflow forward by at most
+    # log(15 * 6 * 60 * 2) / 60 = 0.15.
     spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=30.0)
     e = math.exp(180.0)
     m2_T = 7.0 / 6.0 * e - 1.0 / 6.0
@@ -118,38 +162,55 @@ def test_oracle_detects_moment_blowup():
     assert got.running == pytest.approx(run, rel=1e-4)
     with pytest.raises(FiniteEscapeError) as err:
         cost_oracle(spec, _constant_law(30.0, 30.0), 1.0, 1.0, 3000)
-    assert 11.0 < err.value.time < 11.9
-    # In a batch, the overflowing column stops the pass at the same node.
+    assert 30.0 - 709.8 / 60.0 < err.value.time \
+        < 30.0 - (709.8 - math.log(15.0 * 6.0 * 60.0 * 2.0)) / 60.0
+    # In a batch, the overflowing law stops the pass at the same node.
     with pytest.raises(FiniteEscapeError) as batch_err:
-        cost_oracles(spec, [(_constant_law(a, 30.0), 1.0, 1.0)
-                            for a in (3.0, 30.0, -1.0)], 3000)
+        cost_coefficients(spec, [_constant_law(a, 30.0)
+                                 for a in (3.0, 30.0, -1.0)], 3000)
     assert batch_err.value.time == err.value.time
+
+
+def test_oracle_prices_states_near_the_float_range():
+    # At x = 1e154, m2 = 1e308: no moment is integrated, so the cost is the
+    # finite 5.0e307 solve reports as the value.
+    spec, sol, law = _optimal()
+    got = cost_oracle(spec, law, 1e154, 1e308, 1000)
+    value = Reduction.of(spec).value(sol, 1e154)
+    assert math.isfinite(got.total) and value > 4e307
+    assert got.total == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("red", [Reduction.of(TIME_VARYING),
                                  Reduction.of(partial_preset("example3", s=0.25,
                                                              x=1.3))],
                          ids=["time-varying", "example3"])
-def test_cost_oracles_columns_are_their_own_passes(red):
-    # Laws on a 1000- and a 2000-step grid, shifted laws, and the initial
-    # moments (0, 0), (1, 1) and (x, x^2 + var0) mixed in one batch: every
-    # column is bit for bit its own cost_oracle and the hand-unrolled loop.
+def test_batched_laws_are_their_own_passes(red):
+    # Laws on a 1000- and a 2000-step grid and shifted laws mixed in one
+    # batch: every law's coefficients are bit for bit its own pass and the
+    # hand-unrolled backward loop, and priced at (0, 0), (1, 1) and
+    # (x, x^2 + var0) they agree with the forward loop to rounding.
     spec = red.problem
     coarse = optimal_feedback(spec, solve_riccati(spec, 1000))
     fine = optimal_feedback(spec, solve_riccati(spec, 2000))
     mu = red.moments(1.3)
-    columns = [(fine, 0.0, 0.0), (coarse, 1.0, 1.0), (fine, mu.m1, mu.m2),
-               (fine.shifted(0.2, 0.0), mu.m1, mu.m2),
-               (coarse.shifted(0.0, -0.3), 0.0, 0.0),
-               (coarse.shifted(-0.1, 0.05), mu.m1, mu.m2)]
-    got = cost_oracles(spec, columns, 2000)
-    assert len(got) == len(columns)
-    for (law, m1_0, m2_0), cost in zip(columns, got):
-        assert cost == cost_oracle(spec, law, m1_0, m2_0, 2000)
-        assert (cost.total, cost.running, cost.terminal) == \
-            _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)
-    assert cost_oracles(spec, columns[2:4], 2000) == got[2:4]
-    assert cost_oracles(spec, [], 2000) == []
+    laws = [fine, coarse, fine.shifted(0.2, 0.0), coarse.shifted(0.0, -0.3),
+            coarse.shifted(-0.1, 0.05)]
+    got = cost_coefficients(spec, laws, 2000)
+    assert len(got) == len(laws)
+    for law, coefs in zip(laws, got):
+        assert [coefs] == cost_coefficients(spec, [law], 2000)
+        assert (coefs.terminal, coefs.running) == \
+            _cost_coefficient_loop(spec, law, 2000)
+        for m1_0, m2_0 in ((0.0, 0.0), (1.0, 1.0), (mu.m1, mu.m2)):
+            cost = coefs.cost(MeasureMoments(m1_0, m2_0))
+            assert cost == cost_oracle(spec, law, m1_0, m2_0, 2000)
+            assert cost.total == cost.running + cost.terminal
+            for a, b in zip((cost.total, cost.running, cost.terminal),
+                            _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert cost_coefficients(spec, laws[2:4], 2000) == got[2:4]
+    assert cost_coefficients(spec, [], 2000) == []
 
 
 def test_oracle_respects_law_domain():
@@ -427,9 +488,10 @@ def test_perturbation_sweep_margins_positive_and_quadratic():
     spec, sol, law = _optimal(steps=2000)
     base = cost_oracle(spec, law, 1.0, 1.0, 2000).total
     deltas = [(d, 0.0) for d in (-0.2, -0.1, 0.1, 0.2)]
-    swept = cost_oracles(spec, [(law.shifted(*d), 1.0, 1.0) for d in deltas], 2000)
+    swept = cost_coefficients(spec, [law.shifted(*d) for d in deltas], 2000)
     assert len(swept) == len(deltas)
-    margins = {d[0]: cost.total - base for d, cost in zip(deltas, swept)}
+    margins = {d[0]: coefs.cost(MeasureMoments(1.0, 1.0)).total - base
+               for d, coefs in zip(deltas, swept)}
     assert all(v > 0.0 for v in margins.values())
     # quadratic growth: doubling the offset roughly quadruples the margin
     ratio = 0.5 * (margins[0.2] + margins[-0.2]) / (0.5 * (margins[0.1] + margins[-0.1]))
@@ -457,10 +519,14 @@ def test_cost_oracle_matches_unrolled_loop(spec):
     # the law is tabulated on a coarser grid than the oracle's, so the gains
     # are interpolated between law nodes
     law = optimal_feedback(spec, solve_riccati(spec, 500))
+    coefs = _cost_coefficient_loop(spec, law, 2000)
     for m1_0, m2_0 in ((1.0, 1.0), (-0.5, 0.75)):
         got = cost_oracle(spec, law, m1_0, m2_0, 2000)
         assert (got.total, got.running, got.terminal) == \
-            _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)
+            _priced(coefs, m1_0, m2_0)
+        for a, b in zip((got.total, got.running, got.terminal),
+                        _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", [scalar_preset("example2"), TIME_VARYING],
@@ -470,13 +536,17 @@ def test_perturbation_sweep_is_one_oracle_per_delta(spec):
     deltas = [(0.0, 0.0), (0.1, 0.0), (-0.4, 0.0), (0.0, 0.05), (0.2, -0.3)]
 
     def sweep(ds):
-        columns = [(law.shifted(*d), 0.5, 0.5) for d in ds]
-        return [cost.total for cost in cost_oracles(spec, columns, 1000)]
+        laws = [law.shifted(*d) for d in ds]
+        return [c.cost(MeasureMoments(0.5, 0.5)).total
+                for c in cost_coefficients(spec, laws, 1000)]
 
     swept = sweep(deltas)
     assert swept == [cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total
                      for d in deltas]
-    assert swept == [_cost_oracle_loop(spec, law.shifted(*d), 0.5, 0.5, 1000)[0]
-                     for d in deltas]
+    assert swept == [_priced(_cost_coefficient_loop(spec, law.shifted(*d), 1000),
+                             0.5, 0.5)[0] for d in deltas]
+    for total, d in zip(swept, deltas):
+        forward = _cost_oracle_loop(spec, law.shifted(*d), 0.5, 0.5, 1000)[0]
+        assert total == pytest.approx(forward, rel=1e-12, abs=1e-12)
     assert sweep(deltas[1:2]) == swept[1:2]
     assert sweep([]) == []

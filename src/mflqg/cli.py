@@ -43,8 +43,8 @@ from .model import (MatrixProblemSpec, MeasureMoments, validate_matrix_spec,
 from .partial_obs import (Reduction, cost_decomposition_check,
                           partial_trajectory_to_csv)
 from .presets import PRESET_NAMES, preset
-from .riccati import (closed_form, matrix_solution_to_csv, solution_to_csv,
-                      solve_matrix_riccati, solve_riccati)
+from .riccati import (closed_form, solution_to_csv, solve_matrix_riccati,
+                      solve_riccati)
 from .simulate import (CloudTrajectory, CostReport, SimConfig,
                        cost_coefficients, cost_from_cloud, evolve_cloud,
                        gaussianity_check, mc_tolerance, stream_layout,
@@ -221,8 +221,9 @@ def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
                  oracle: CostReport) -> _MonteCarlo:
     """Run the particles from x0, estimate the full-state cost and compare it
     with `oracle`, the law's oracle cost from x0: simulate's
-    within_threshold is verify's mc-vs-oracle check.  A statistic that
-    overflows is a diverged simulation: an infinite band cannot fail."""
+    within_threshold is verify's mc-vs-oracle check.  A statistic or a
+    recorded moment that overflows is a diverged simulation: an infinite
+    band cannot fail, and trajectory.csv must not hold inf."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         cloud = evolve_cloud(red.problem, law, red.initial(x0), sim)
         err = red.error(sim)
@@ -231,6 +232,12 @@ def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
         if not math.isfinite(value):
             raise SimulationDivergedError(
                 f"Monte Carlo {name} from x = {x0!r} is {value}, not finite")
+    for name, values in (("m1", cloud.m1), ("m2", cloud.m2)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise SimulationDivergedError(
+                f"Monte Carlo {name} from x = {x0!r} reaches {float(bad[0])}, "
+                f"not finite")
     gap = abs(mc.total - oracle.total)
     tol = mc_tolerance(mc.std_error, sim.dt)
     check = _Check("mc-vs-oracle", gap <= tol, gap, tol,
@@ -246,18 +253,16 @@ def cmd_solve(args) -> int:
     result, sol = _solve(spec, red, steps)
     if sol is None:
         raise AssumptionError(result.message)
-    phi = os.path.join(args.out, "phi.csv")
+    solution_to_csv(sol, os.path.join(args.out, "phi.csv"))
     outputs = {"phi": "phi.csv", "summary": "summary.json"}
     summary: dict = {"source": source, "T": spec.T, "steps": steps}
     if red is None:
-        matrix_solution_to_csv(sol, phi)
         p1, p2, p3 = sol.at(0.0)
         values = [{"x": [float(v) for v in vec],
                    "value": float(vec @ p1 @ vec + vec @ p2 @ vec + p3)}
                   for vec in xs]
         summary.update(kind="matrix", d=spec.d)
     else:
-        solution_to_csv(sol, phi)
         law_to_csv(optimal_feedback(red.problem, sol),
                    os.path.join(args.out, "gains.csv"))
         outputs["gains"] = "gains.csv"
@@ -454,7 +459,7 @@ def _matrix_entries(spec: MatrixProblemSpec, sol, steps: int, out: str,
                     outputs: dict) -> list[_Check]:
     """The checks of a matrix problem after terminal-exactness: symmetry and
     grid-refinement.  Writes the solution to phi.csv."""
-    matrix_solution_to_csv(sol, os.path.join(out, "phi.csv"))
+    solution_to_csv(sol, os.path.join(out, "phi.csv"))
     outputs["phi"] = "phi.csv"
     asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
                float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))

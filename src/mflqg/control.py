@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import MeasureMoments, ProblemSpec
-from .riccati import RiccatiSolution, _write_csv, sample_solution
+from .riccati import RiccatiSolution, _write_csv
 
 __all__ = [
     "FeedbackLaw",
@@ -84,13 +84,13 @@ class FeedbackLaw:
 
 
 def value_function(sol: RiccatiSolution, t: float, mu: MeasureMoments) -> float:
-    p1, p2, p3 = sample_solution(sol, t)
+    p1, p2, p3 = sol.at(t)
     return p1 * mu.m2 + p2 * mu.m1 * mu.m1 + p3
 
 
 def mu_derivative(sol: RiccatiSolution, t: float, mu: MeasureMoments, x: float) -> float:
     """Measure derivative of the value ansatz, evaluated at state x."""
-    p1, p2, _ = sample_solution(sol, t)
+    p1, p2, _ = sol.at(t)
     return 2.0 * p1 * float(x) + 2.0 * p2 * mu.m1
 
 

@@ -17,7 +17,8 @@ class AssumptionError(ValueError):
 
 
 class FiniteEscapeError(RuntimeError):
-    """A backward Riccati or moment integration crossed the divergence threshold."""
+    """A Riccati solve crossed the divergence threshold, or a backward cost
+    coefficient pass turned non-finite."""
 
     def __init__(self, time: float, component: str = "phi"):
         self.time = float(time)

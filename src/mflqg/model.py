@@ -216,12 +216,14 @@ class ValidationResult:
 
 
 def validate_spec(spec: ProblemSpec) -> ValidationResult:
-    """Check the standing assumptions on a uniform time grid.
+    """Check the standing assumptions on a time grid.
 
     A1 (positive control weight) requires Q(t) > 0; it is checked at 256
-    equally spaced times including both endpoints.  The other coefficients
-    are probed at the endpoints so tabulated data covering less than [0, T]
-    is reported rather than raising later, mid-integration.
+    equally spaced times including both endpoints, plus every time inside
+    (0, T) where Q can have its minimum: a table knot, or the real part of
+    a root of a polynomial's derivative.  The other coefficients are probed
+    at the endpoints so tabulated data covering less than [0, T] is
+    reported rather than raising later, mid-integration.
     """
     for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
                        ("Q", spec.Q)):
@@ -232,7 +234,10 @@ def validate_spec(spec: ProblemSpec) -> ValidationResult:
                 return ValidationResult(
                     False, f"coefficient {name} not evaluable: {exc}", t
                 )
-    times = np.linspace(0.0, spec.T, 256)
+    extra = (np.array(spec.Q.data[0]) if spec.Q.kind == "table" else
+             np.roots([k * c for k, c in enumerate(spec.Q.data)][:0:-1]).real)
+    times = np.sort(np.concatenate([np.linspace(0.0, spec.T, 256),
+                                    extra[(0.0 < extra) & (extra < spec.T)]]))
     q_min = float(spec.Q.on(times).min())
     try:
         spec.control_weight_on(times)

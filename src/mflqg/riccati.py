@@ -8,9 +8,11 @@ solve, backwards from phi(T) = (D1, D2, 0),
     phi2' = (B^2/Q) phi2^2 + 2 (B^2/Q) phi1 phi2 - 2 A phi2
     phi3' = -sigma^2 phi1
 
-Solutions can blow up in finite time when a terminal weight is negative; the
-integrator raises FiniteEscapeError as soon as any component leaves
-[-1e12, 1e12], reporting the grid time at which that happened.
+and in dimension d the same system has d x d matrices phi1, phi2; both solves
+return a RiccatiSolution.  A solution can blow up in finite time when a
+terminal weight is negative: the solves raise FiniteEscapeError as soon as a
+component leaves [-1e12, 1e12], with the grid time at which that happened.
+(The cost coefficient pass stops only on a non-finite value.)
 
 rk4 is the package's one ODE integrator: the scalar and matrix Riccati
 systems here and the backward cost coefficients of simulate.cost_coefficients
@@ -32,13 +34,10 @@ __all__ = [
     "stage_times",
     "rk4",
     "RiccatiSolution",
-    "MatrixRiccatiSolution",
     "solve_riccati",
-    "sample_solution",
     "closed_form",
     "solve_matrix_riccati",
     "solution_to_csv",
-    "matrix_solution_to_csv",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -96,7 +95,8 @@ def rk4(rhs, y0, nodes: np.ndarray, names, limit: float = DIVERGENCE_LIMIT):
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """phi = (phi1, phi2, phi3) tabulated on a uniform grid over [0, T]."""
+    """phi = (phi1, phi2, phi3) tabulated on a uniform grid over [0, T]: one
+    number per node, or for a matrix problem a d x d phi1 and phi2 per node."""
 
     grid: np.ndarray
     phi1: np.ndarray
@@ -111,15 +111,30 @@ class RiccatiSolution:
         n = self.grid.size
         if n < 2:
             raise DomainError("solution grid needs at least two points")
-        if any(getattr(self, k).size != n for k in ("phi1", "phi2", "phi3")):
+        if any(p.shape[:1] != (n,) for p in (self.phi1, self.phi2, self.phi3)):
             raise DomainError("phi arrays must match the grid length")
 
     @property
     def T(self) -> float:
         return float(self.grid[-1])
 
-    def at(self, t: float) -> tuple[float, float, float]:
-        return sample_solution(self, t)
+    def at(self, t: float):
+        """Linear interpolation of phi at t in [0, T]; grid nodes are exact.
+        Floats for a scalar solution, (array, array, float) for a matrix one."""
+        grid = self.grid
+        t = float(t)
+        if t < grid[0] or t > grid[-1]:
+            raise DomainError(f"t = {t:.6g} outside [{grid[0]:.6g}, {grid[-1]:.6g}]")
+        i = int(np.searchsorted(grid, t, side="right")) - 1
+        tables = (self.phi1, self.phi2, self.phi3)
+        if i >= grid.size - 1:
+            p1, p2, p3 = [v[-1] for v in tables]
+        else:
+            w = (t - grid[i]) / (grid[i + 1] - grid[i])
+            p1, p2, p3 = [v[i] + w * (v[i + 1] - v[i]) for v in tables]
+        if self.phi1.ndim == 1:
+            return float(p1), float(p2), float(p3)
+        return np.array(p1), np.array(p2), float(p3)
 
 
 def _riccati_derivs(a, r, s2, p1, p2):
@@ -155,23 +170,6 @@ def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     return RiccatiSolution(grid, *phi[::-1].T)
 
 
-def _sample(grid: np.ndarray, t: float, *tables) -> list:
-    """Linear interpolation of each node-indexed table at t; nodes are exact."""
-    t = float(t)
-    if t < grid[0] or t > grid[-1]:
-        raise DomainError(f"t = {t:.6g} outside [{grid[0]:.6g}, {grid[-1]:.6g}]")
-    i = int(np.searchsorted(grid, t, side="right")) - 1
-    if i >= grid.size - 1:
-        return [v[-1] for v in tables]
-    w = (t - grid[i]) / (grid[i + 1] - grid[i])
-    return [v[i] + w * (v[i + 1] - v[i]) for v in tables]
-
-
-def sample_solution(sol: RiccatiSolution, t: float) -> tuple[float, float, float]:
-    """Linear interpolation of phi at t in [0, T]; grid nodes are exact."""
-    return tuple(float(v) for v in _sample(sol.grid, t, sol.phi1, sol.phi2, sol.phi3))
-
-
 def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     """Closed-form phi on the solve_riccati grid, for constant coefficients
     with A = 0 and B != 0.
@@ -205,37 +203,6 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixRiccatiSolution:
-    """Matrix-valued phi1, phi2 (shape (n, d, d)) and scalar phi3 on a grid."""
-
-    grid: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
-
-    def __post_init__(self):
-        for name in ("grid", "phi1", "phi2", "phi3"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.grid.size
-        if self.phi1.shape[0] != n or self.phi2.shape[0] != n or self.phi3.size != n:
-            raise DomainError("phi arrays must match the grid length")
-
-    @property
-    def d(self) -> int:
-        return int(self.phi1.shape[1])
-
-    @property
-    def T(self) -> float:
-        return float(self.grid[-1])
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        p1, p2, p3 = _sample(self.grid, t, self.phi1, self.phi2, self.phi3)
-        return np.array(p1), np.array(p2), float(p3)
-
-
 def _matrix_coefs(spec: MatrixProblemSpec):
     """A, M = B Q^{-1} B^T and sigma sigma^T."""
     b = spec.B
@@ -265,7 +232,7 @@ def _stack_derivs(a2t, m, ss, p):
     return 0.5 * (dp + dp.transpose(0, 2, 1)), -float((ss @ p[0]).trace())
 
 
-def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRiccatiSolution:
+def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> RiccatiSolution:
     """Backward RK4 for the matrix system from phi(T) = (D1, D2, 0), with
     phi1 and phi2 stepped as one (2, d, d) stack.
 
@@ -285,7 +252,7 @@ def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> MatrixRi
     for k, (p, p3) in enumerate(rk4(rhs, [np.array([spec.D1, spec.D2]), 0.0],
                                     grid[::-1], ("phi", "phi"))):
         phi[k], phi3[k] = p, p3
-    return MatrixRiccatiSolution(grid, phi[::-1, 0], phi[::-1, 1], phi3[::-1])
+    return RiccatiSolution(grid, phi[::-1, 0], phi[::-1, 1], phi3[::-1])
 
 
 def _write_csv(path, header, columns) -> None:
@@ -302,18 +269,11 @@ def _write_csv(path, header, columns) -> None:
 
 
 def solution_to_csv(sol: RiccatiSolution, path) -> None:
-    """Write columns t, phi1, phi2, phi3."""
-    _write_csv(path, ["t", "phi1", "phi2", "phi3"],
-               [sol.grid, sol.phi1, sol.phi2, sol.phi3])
-
-
-def matrix_solution_to_csv(sol: MatrixRiccatiSolution, path) -> None:
-    """Write t, row-major phi1 entries, row-major phi2 entries, phi3."""
-    d = sol.d
-    header = ["t"]
-    header += [f"phi1_{i}{j}" for i in range(d) for j in range(d)]
-    header += [f"phi2_{i}{j}" for i in range(d) for j in range(d)]
-    header += ["phi3"]
+    """Write columns t, phi1, phi2, phi3; a matrix solution writes phi1 and
+    phi2 as row-major entry columns phi1_ij and phi2_ij."""
     k = sol.grid.size
+    d = sol.phi1.shape[1] if sol.phi1.ndim == 3 else 0
+    ij = [f"_{i}{j}" for i in range(d) for j in range(d)] or [""]
+    header = ["t", *("phi1" + e for e in ij), *("phi2" + e for e in ij), "phi3"]
     _write_csv(path, header, [sol.grid, *sol.phi1.reshape(k, -1).T,
                               *sol.phi2.reshape(k, -1).T, sol.phi3])

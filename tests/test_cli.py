@@ -286,14 +286,19 @@ def test_state_near_the_float_range_is_a_monte_carlo_divergence(tmp_path, capsys
     # At x = 1e154 the oracle's cost is the finite 5.0e307 that solve gives,
     # since no moment is integrated.  The particles' sum of x^2 overflows:
     # that is the Monte Carlo run's divergence, on one line of stderr.
-    rc = main([command, "--preset", "example1", "--x", "1e154", "--paths",
-               "100", "--dt", "0.1", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 5
-    assert err == ("error: divergence: Monte Carlo total from x = 1e+154 "
-                   "is inf, not finite\n")
-    for name in ("summary.json", "trajectory.csv", "verify.json", "manifest.json"):
-        assert not (tmp_path / name).exists(), name
+    # With fewer than 8 paths the total and its std_error stay finite, but
+    # the recorded m2 is inf: that too is a divergence, not a trajectory.csv.
+    for paths, stat in (("100", "total from x = 1e+154 is inf"),
+                        ("4", "m2 from x = 1e+154 reaches inf")):
+        out = tmp_path / paths
+        rc = main([command, "--preset", "example1", "--x", "1e154", "--paths",
+                   paths, "--dt", "0.1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err == f"error: divergence: Monte Carlo {stat}, not finite\n"
+        for name in ("summary.json", "trajectory.csv", "verify.json",
+                     "manifest.json"):
+            assert not (out / name).exists(), name
 
 
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
@@ -396,6 +401,33 @@ def test_verify_reports_failed_assumptions(tmp_path, capsys):
     assert rc == 1
     assert "[FAIL] assumptions" in out
     assert "CHECKS FAILED" in out
+
+
+# Q is negative only between sample points of a 256-point grid: on
+# (0.50005, 0.5001) at a table knot, or on (0.5001, 0.5003) around the
+# critical point 0.5002 of a quadratic.
+DIPPING_Q = [SCALAR_CFG.replace("Q = 1.0", f"Q = {q}") for q in (
+    "table 0:1 0.5:1 0.50005:-1 0.5001:1 1:1", "poly 0.25020003 -1.0004 1")]
+
+
+@pytest.mark.parametrize("text", DIPPING_Q, ids=["table", "poly"])
+def test_assumptions_see_q_between_sample_points(tmp_path, capsys, text):
+    # The check samples Q where its minimum can lie, so verify fails
+    # assumptions at any step count, before a solve can hit the dip
+    # mid-battery, and solve refuses the problem.
+    cfg = tmp_path / "dip.ini"
+    cfg.write_text(text)
+    for steps in ([], ["--steps", "10000"]):
+        out = tmp_path / f"verify{len(steps)}"
+        rc = main(["verify", "--config", str(cfg), "--out", str(out), *steps])
+        assert rc == 1
+        assert "[FAIL] assumptions" in capsys.readouterr().out
+        assumptions, = read_json(out / "verify.json")["checks"]
+        assert not assumptions["passed"] and assumptions["measured"] <= 0.0
+        read_json(out / "manifest.json")
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: validation: assumption A1")
 
 
 def test_verify_entries_carry_measured_values(tmp_path, capsys):

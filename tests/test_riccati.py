@@ -5,11 +5,10 @@ import pytest
 
 from mflqg import (AssumptionError, Coefficient, DomainError,
                    FiniteEscapeError, MatrixProblemSpec, ProblemSpec,
-                   closed_form, sample_solution, scalar_preset,
-                   solve_matrix_riccati, solve_riccati)
+                   closed_form, scalar_preset, solve_matrix_riccati,
+                   solve_riccati)
 from mflqg.riccati import (DIVERGENCE_LIMIT, _matrix_coefs, _riccati_derivs,
-                           _stack_derivs, matrix_solution_to_csv,
-                           solution_to_csv)
+                           _stack_derivs, solution_to_csv)
 
 # A != 0, B a polynomial, sigma a table with a knot inside the horizon.
 TIME_VARYING = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
@@ -266,17 +265,25 @@ def test_escape_closed_form_satisfies_ode():
 
 
 def test_sample_solution_interpolates_and_checks_domain():
-    sol = solve_riccati(scalar_preset("example1"), 10)
-    # node hits are exact
-    p = sample_solution(sol, float(sol.grid[3]))
-    assert p == (sol.phi1[3], sol.phi2[3], sol.phi3[3])
-    # midpoints are averages on a uniform grid
-    mid = sample_solution(sol, float(0.5 * (sol.grid[3] + sol.grid[4])))
-    assert mid[0] == pytest.approx(0.5 * (sol.phi1[3] + sol.phi1[4]))
-    with pytest.raises(DomainError):
-        sample_solution(sol, -0.01)
-    with pytest.raises(DomainError):
-        sample_solution(sol, 1.01)
+    # One interpolator for both layouts: floats from a scalar solution,
+    # (matrix, matrix, float) from a matrix one.
+    for sol in (solve_riccati(scalar_preset("example1"), 10),
+                solve_matrix_riccati(MatrixProblemSpec(**MATRIX_D3), 10)):
+        # node hits are exact
+        p = sol.at(float(sol.grid[3]))
+        for got, table in zip(p, (sol.phi1, sol.phi2, sol.phi3)):
+            assert np.array_equal(got, table[3])
+        assert np.shape(p[0]) == np.shape(p[1]) == sol.phi1.shape[1:]
+        assert isinstance(p[2], float)
+        # midpoints are averages on a uniform grid
+        mid = sol.at(float(0.5 * (sol.grid[3] + sol.grid[4])))
+        for got, table in zip(mid, (sol.phi1, sol.phi2, sol.phi3)):
+            np.testing.assert_allclose(got, 0.5 * (table[3] + table[4]),
+                                       rtol=1e-12, atol=1e-15)
+        with pytest.raises(DomainError):
+            sol.at(-0.01)
+        with pytest.raises(DomainError):
+            sol.at(1.01)
 
 
 def test_solution_at_terminal_time():
@@ -434,9 +441,11 @@ def test_csv_writers(tmp_path):
     assert len(lines) == 12
     msol = solve_matrix_riccati(_matrix_unit(2), 10)
     mpath = tmp_path / "mphi.csv"
-    matrix_solution_to_csv(msol, mpath)
-    header = mpath.read_text().splitlines()[0]
-    assert header.startswith("t,phi1_00,phi1_01,phi1_10,phi1_11,phi2_00")
+    solution_to_csv(msol, mpath)
+    mlines = mpath.read_text().splitlines()
+    assert mlines[0] == ("t,phi1_00,phi1_01,phi1_10,phi1_11,"
+                         "phi2_00,phi2_01,phi2_10,phi2_11,phi3")
+    assert len(mlines) == 12
 
 
 def _csv_writer_bytes(path, header, rows):
@@ -464,11 +473,14 @@ def test_write_csv_matches_csv_writer(tmp_path):
         tmp_path / "ref.csv", ["t", "a_1", "P_t"], zip(*cols))
     _write_csv(tmp_path / "empty.csv", ["t", "m1"], [[], []])
     assert (tmp_path / "empty.csv").read_bytes() == b"t,m1\r\n"
-    # The matrix writer lays out phi1 and phi2 row-major after t.
-    msol = solve_matrix_riccati(_matrix_unit(2), 10)
-    matrix_solution_to_csv(msol, tmp_path / "mphi.csv")
-    rows = [[msol.grid[k], *msol.phi1[k].ravel(), *msol.phi2[k].ravel(),
-             msol.phi3[k]] for k in range(msol.grid.size)]
-    header = (tmp_path / "mphi.csv").read_text().splitlines()[0].split(",")
-    assert (tmp_path / "mphi.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "mref.csv", header, rows)
+    # solution_to_csv writes a scalar solution's phi columns as they are,
+    # and lays out a matrix solution's phi1 and phi2 row-major after t.
+    for name, sol in (("phi", solve_riccati(scalar_preset("example1"), 10)),
+                      ("mphi", solve_matrix_riccati(_matrix_unit(2), 10))):
+        solution_to_csv(sol, tmp_path / f"{name}.csv")
+        rows = [[sol.grid[k], *np.ravel(sol.phi1[k]), *np.ravel(sol.phi2[k]),
+                 sol.phi3[k]] for k in range(sol.grid.size)]
+        header = (tmp_path / f"{name}.csv").read_text().splitlines()[0].split(",")
+        assert len(header) == len(rows[0])
+        assert (tmp_path / f"{name}.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / f"{name}-ref.csv", header, rows)

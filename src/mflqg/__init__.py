@@ -23,12 +23,12 @@ from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
 from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
-                       EM_BIAS_CONST, GaussianityReport, SimConfig,
-                       cost_coefficients, cost_from_cloud, cost_oracle,
-                       evolve_cloud, gaussianity_check, mc_tolerance,
-                       simulate_mc)
+                       GaussianityReport, SimConfig, cost_coefficients,
+                       cost_from_cloud, cost_oracle, evolve_cloud,
+                       gaussianity_check, simulate_mc)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
+from .checks import EM_BIAS_CONST, mc_tolerance
 from .presets import PRESET_NAMES, partial_preset, preset, scalar_preset
 from .config import ResolvedConfig, load_config, parse_config
 

@@ -7,9 +7,10 @@ Four subcommands:
     verify     run the full check battery for a problem; exit 1 on any failure
     report     merge manifests from earlier runs into one table
 
-solve, simulate and verify read their target through one resolver; verify
-runs one battery for every problem kind: assumptions, the solve and
-terminal-exactness, then the kind's own checks.
+This module is plumbing: solve, simulate and verify read their target
+through one resolver, and each command writes its outputs once its numbers
+are computed.  verify's checks are mflqg.checks.battery, which only
+computes, so a verify that stops on an error leaves no file behind.
 
 Every command writes a manifest.json describing inputs and outputs.  Outputs
 contain no timestamps: rerunning a command with the same arguments reproduces
@@ -33,21 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .checks import battery, monte_carlo
 from .config import load_config
-from .control import (law_to_csv, optimal_feedback, residual_sweep,
-                      residual_to_csv)
+from .control import law_to_csv, optimal_feedback, residual_to_csv
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
-from .model import (MatrixProblemSpec, MeasureMoments, validate_matrix_spec,
-                    validate_spec)
-from .partial_obs import (Reduction, cost_decomposition_check,
-                          partial_trajectory_to_csv)
+from .model import MatrixProblemSpec, validate_matrix_spec, validate_spec
+from .partial_obs import Reduction, partial_trajectory_to_csv
 from .presets import PRESET_NAMES, preset
-from .riccati import (closed_form, solution_to_csv, solve_matrix_riccati,
-                      solve_riccati)
-from .simulate import (CloudTrajectory, CostReport, SimConfig,
-                       cost_coefficients, cost_from_cloud, evolve_cloud,
-                       gaussianity_check, mc_tolerance, stream_layout,
+from .riccati import solution_to_csv, solve_matrix_riccati, solve_riccati
+from .simulate import (SimConfig, _steps_for, cost_coefficients, stream_layout,
                        trajectory_to_csv)
 
 __all__ = ["RunManifest", "main", "build_parser",
@@ -129,7 +125,9 @@ def _resolve(args):
     """The target of solve, simulate or verify: (spec, source label, sim,
     scalar view, initial states, grid steps).  Arguments are checked in the
     order problem (--preset or --config), output directory, Monte Carlo
-    settings, problem kind, --x.
+    settings, problem kind, --dt against the horizon the particles run on,
+    --x: a --dt that does not divide it is refused before any solve.  A
+    matrix problem has no particle run, so its verify ignores --dt.
 
     sim is SimConfig's defaults overridden by the config file, then by
     flags (None for solve).  The scalar view is spec's Reduction, None for
@@ -160,6 +158,8 @@ def _resolve(args):
         red = Reduction.of(spec)
         d, horizon = 1, red.problem.T
         default = 1.0 if red.partial is None else spec.x
+        if sim is not None:
+            _steps_for(horizon, sim.dt)
     xs = []
     for s in args.x or ():
         try:
@@ -195,54 +195,6 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-@dataclass
-class _Check:
-    name: str
-    passed: bool
-    measured: float | None  # None: the check stopped before measuring
-    threshold: float
-    detail: str
-
-
-@dataclass(frozen=True, eq=False)
-class _MonteCarlo:
-    """One seeded particle run and its verdict against the oracle."""
-
-    cloud: CloudTrajectory   # the controlled (prediction) process
-    err: np.ndarray | float  # E_T per path, 0.0 when fully observed
-    mc: CostReport           # cost of the full state cloud.states + err
-    oracle: CostReport
-    check: _Check         # mc-vs-oracle
-
-
-def _monte_carlo(red: Reduction, law, sim: SimConfig, x0: float,
-                 oracle: CostReport) -> _MonteCarlo:
-    """Run the particles from x0, estimate the full-state cost and compare it
-    with `oracle`, the law's oracle cost from x0: simulate's
-    within_threshold is verify's mc-vs-oracle check.  A statistic or a
-    recorded moment that overflows is a diverged simulation: an infinite
-    band cannot fail, and trajectory.csv must not hold inf."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        cloud = evolve_cloud(red.problem, law, red.initial(x0), sim)
-        err = red.error(sim)
-        mc = cost_from_cloud(red.problem, cloud.states + err, cloud.run_costs)
-    for name, value in (("total", mc.total), ("std_error", mc.std_error)):
-        if not math.isfinite(value):
-            raise SimulationDivergedError(
-                f"Monte Carlo {name} from x = {x0!r} is {value}, not finite")
-    for name, values in (("m1", cloud.m1), ("m2", cloud.m2)):
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise SimulationDivergedError(
-                f"Monte Carlo {name} from x = {x0!r} reaches {float(bad[0])}, "
-                f"not finite")
-    gap = abs(mc.total - oracle.total)
-    tol = mc_tolerance(mc.std_error, sim.dt)
-    check = _Check("mc-vs-oracle", gap <= tol, gap, tol,
-                   f"|MC - oracle| = {gap:.3e}, band {tol:.3e}")
-    return _MonteCarlo(cloud, err, mc, oracle, check)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +242,7 @@ def cmd_simulate(args) -> int:
         raise AssumptionError(result.message)
     law = optimal_feedback(red.problem, sol)
     coefs, = cost_coefficients(red.problem, [law], steps)
-    run = _monte_carlo(red, law, sim, x0, red.oracle(coefs, x0))
+    run = monte_carlo(red, law, sim, x0, red.oracle(coefs, x0))
     summary = {"source": source, "x": x0, "steps": steps,
                "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed,
                "mc": dataclasses.asdict(run.mc), "kind": red.kind,
@@ -317,185 +269,21 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _random_measures(rng, count: int):
-    m1 = rng.uniform(-1.0, 1.0, count)
-    extra = rng.uniform(0.0, 0.25, count)
-    return [MeasureMoments(float(a), float(a * a + b)) for a, b in zip(m1, extra)]
-
-
-def _terminal_entry(defects) -> _Check:
-    """phi(T) must equal (D1, D2, 0) exactly; defects are phi(T) minus that,
-    and a NaN among them makes the gap NaN and fails the check."""
-    gap = float(np.max([np.abs(d).max() for d in defects]))
-    return _Check("terminal-exactness", gap == 0.0, gap, 0.0,
-                  f"max |phi(T) - (D1, D2, 0)| = {gap:.3e}, must be exact")
-
-
-def _gaussianity_entry(states) -> _Check:
-    gauss = gaussianity_check(states)
-    if gauss.degenerate:
-        return _Check("gaussianity", True, gauss.variance, gauss.variance_floor,
-                      f"degenerate cloud: variance {gauss.variance:.3e} below "
-                      f"{gauss.variance_floor:.3e}")
-    stats = [(abs(gauss.skewness), 0.05), (abs(gauss.excess_kurtosis), 0.1)]
-    # The statistic that fails its band if one does, else the nearer one.
-    measured, threshold = max(stats, key=lambda p: (p[0] >= p[1], p[0] / p[1]))
-    return _Check("gaussianity", measured < threshold, measured, threshold,
-                  f"skew {gauss.skewness:.4f}, excess kurtosis "
-                  f"{gauss.excess_kurtosis:.4f}")
-
-
-# Constant gain offsets of perturbation-margin: the zero offset, then each
-# size with both signs on alpha, then on beta.
-_SIZES = np.array([0.05, 0.1, 0.2, 0.4])
-_OFFSETS = [sign * d for d in _SIZES.tolist() for sign in (1.0, -1.0)]
-_DELTAS = [(0.0, 0.0)] + [(o, 0.0) for o in _OFFSETS] + [(0.0, o) for o in _OFFSETS]
-
-
-def _perturbation_entry(totals) -> _Check:
-    """Oracle costs of the law under each of _DELTAS: every margin over the
-    zero-offset cost must be positive, and each channel's margin must grow
-    with exponent 2 in the offset."""
-    margins = np.array(totals[1:]) - totals[0]
-    fit_ok = True
-    details = []
-    worst_dev = 0.0
-    for channel, m in zip(("alpha", "beta"), margins.reshape(2, -1)):
-        vals = 0.5 * m[0::2] + 0.5 * m[1::2]
-        if (vals <= 0.0).any():
-            fit_ok = False
-            details.append(f"{channel}: non-positive margin")
-            continue
-        slope = float(np.polyfit(np.log(_SIZES), np.log(vals), 1)[0])
-        if not 1.8 <= slope <= 2.2:
-            fit_ok = False
-        worst_dev = max(worst_dev, abs(slope - 2.0))
-        details.append(f"{channel} exponent {slope:.3f}")
-    details.append(f"smallest margin {margins.min():.3e}")
-    return _Check("perturbation-margin", bool((margins > 0.0).all()) and fit_ok,
-                  worst_dev, 0.2, "; ".join(details))
-
-
-def _oracle_entries(red: Reduction, sol_fine, law_fine, law, x0: float,
-                    steps: int) -> tuple[list[_Check], CostReport]:
-    """oracle-vs-value, perturbation-margin at x0 and the oracle cost of
-    `law` from x0 for mc-vs-oracle, all from one coefficient pass on the
-    refined grid of sol_fine and law_fine: that law under each of _DELTAS,
-    then `law`.  oracle-vs-value compares the cost coefficients of law_fine
-    with phi_fine(0); its band is 1e-12 max(1, max |phi_fine(0)|)."""
-    coefs = cost_coefficients(
-        red.problem, [law_fine.shifted(*d) for d in _DELTAS] + [law], steps)
-    phi0 = sol_fine.at(0.0)
-    gap = max(abs(e + r - p) for e, r, p in
-              zip(coefs[0].terminal, coefs[0].running, phi0))
-    band = 1e-12 * max(1.0, *map(abs, phi0))
-    mu = red.moments(x0)
-    return ([_Check("oracle-vs-value", gap <= band, gap, band,
-                    f"max |c - phi(0)| = {gap:.3e} over the optimal law's "
-                    f"cost coefficients"),
-             _perturbation_entry([c.cost(mu).total for c in coefs[:-1]])],
-            red.oracle(coefs[-1], x0))
-
-
-def _decomposition_entry(red: Reduction, run: _MonteCarlo) -> _Check:
-    defect, se = cost_decomposition_check(red, run.cloud, run.err, run.mc)
-    spec = red.partial
-    tol = 1e-12 if spec.sigma_tilde == 0.0 and spec.eta_tilde == 0.0 else 3.0 * se
-    return _Check("cost-decomposition", abs(defect) <= tol, abs(defect), tol,
-                  f"defect {defect:.3e}, band {tol:.3e}")
-
-
-def _scalar_entries(red: Reduction, sol, x0: float, preset_name: str | None,
-                    steps: int, sim: SimConfig, out: str,
-                    outputs: dict) -> list[_Check]:
-    """The checks of a scalar-kind problem after terminal-exactness, from x0:
-    analytic-phi (built-in presets only), residual-sweep, value-consistency,
-    the oracle checks and the Monte Carlo checks.  A partially observed
-    problem adds cost-decomposition."""
-    spec = red.problem
-    law = optimal_feedback(spec, sol)
-    checks: list[_Check] = []
-    if preset_name is not None:
-        ref = closed_form(spec, steps)
-        err = max(float(np.abs(sol.phi1 - ref.phi1).max()),
-                  float(np.abs(sol.phi2 - ref.phi2).max()),
-                  float(np.abs(sol.phi3 - ref.phi3).max()))
-        checks.append(_Check("analytic-phi", err <= 1e-8, err, 1e-8,
-                             f"max |phi - closed form| = {err:.3e}"))
-
-    rng = np.random.Generator(np.random.Philox(12345))
-    ts = rng.uniform(0.1 * spec.T, 0.9 * spec.T, 100)
-    mus = _random_measures(rng, 100)
-    rows = residual_sweep(spec, sol, zip(ts, mus))
-    residual_to_csv(rows, os.path.join(out, "residual.csv"))
-    outputs["residual"] = "residual.csv"
-    worst = max(abs(r[3]) for r in rows)
-    checks.append(_Check("residual-sweep", worst <= 1e-6, worst, 1e-6,
-                         f"max |residual| = {worst:.3e} over 100 draws"))
-
-    # One refined grid, at least twice the working one, serves as the
-    # reference of value-consistency and as the grid of the oracle checks.
-    fine_steps = max(2000, 2 * steps)
-    sol_fine = solve_riccati(spec, fine_steps)
-    law_fine = optimal_feedback(spec, sol_fine)
-    v1 = red.value(sol, x0)
-    gap = abs(v1 - red.value(sol_fine, x0))
-    band = max(1e-6, 1e-12 * abs(v1))
-    checks.append(_Check("value-consistency", gap <= band, gap, band,
-                         f"value {v1:.9f}, refined-grid shift {gap:.3e}"))
-
-    entries, oracle = _oracle_entries(red, sol_fine, law_fine, law, x0,
-                                      fine_steps)
-    checks += entries
-    run = _monte_carlo(red, law, sim, x0, oracle)
-    checks.append(run.check)
-    checks.append(_gaussianity_entry(run.cloud.states))
-    if red.partial is not None:
-        checks.append(_decomposition_entry(red, run))
-    return checks
-
-
-def _matrix_entries(spec: MatrixProblemSpec, sol, steps: int, out: str,
-                    outputs: dict) -> list[_Check]:
-    """The checks of a matrix problem after terminal-exactness: symmetry and
-    grid-refinement.  Writes the solution to phi.csv."""
-    solution_to_csv(sol, os.path.join(out, "phi.csv"))
-    outputs["phi"] = "phi.csv"
-    asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
-               float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))
-    sol2 = solve_matrix_riccati(spec, 2 * steps)
-    gap = max(float(np.abs(sol.phi1[0] - sol2.phi1[0]).max()),
-              float(np.abs(sol.phi2[0] - sol2.phi2[0]).max()),
-              abs(float(sol.phi3[0]) - float(sol2.phi3[0])))
-    return [_Check("symmetry", asym <= 1e-10, asym, 1e-10,
-                   f"max |phi - phi^T| = {asym:.3e}"),
-            _Check("grid-refinement", gap <= 1e-6, gap, 1e-6,
-                   f"|phi(0) - refined phi(0)| = {gap:.3e}")]
-
-
 def cmd_verify(args) -> int:
     spec, source, sim, red, xs, steps = _resolve(args)
+    result, sol = _solve(spec, red, steps)
+    checks, rows = battery(spec, red, result, sol, xs[0], steps, sim,
+                           args.preset is not None)
     outputs: dict = {}
     params = {"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
-
-    # One battery: every kind checks its assumptions, solves and checks
-    # terminal-exactness, then runs its own checks.
-    result, sol = _solve(spec, red, steps)
-    weight = "eigenvalue of Q" if red is None else "Q"
-    seen = "not measured" if result.q_min is None else f"{result.q_min:.3e}"
-    checks = [_Check("assumptions", result.ok, result.q_min, 0.0,
-                     f"{result.message}; smallest {weight} on the grid {seen}, "
-                     f"must be > 0")]
-    if sol is not None:
-        checks.append(_terminal_entry([sol.phi1[-1] - spec.D1,
-                                       sol.phi2[-1] - spec.D2, sol.phi3[-1]]))
-        if red is None:
-            checks += _matrix_entries(spec, sol, steps, args.out, outputs)
-        else:
-            checks += _scalar_entries(red, sol, xs[0], args.preset, steps,
-                                      sim, args.out, outputs)
     if red is not None:
         params.update(stream_layout(sim.n_paths))
+        if rows is not None:
+            residual_to_csv(rows, os.path.join(args.out, "residual.csv"))
+            outputs["residual"] = "residual.csv"
+    elif sol is not None:
+        solution_to_csv(sol, os.path.join(args.out, "phi.csv"))
+        outputs["phi"] = "phi.csv"
 
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")

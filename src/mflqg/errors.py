@@ -29,7 +29,8 @@ class FiniteEscapeError(RuntimeError):
 
 
 class SimulationDivergedError(RuntimeError):
-    """A Monte Carlo particle state became non-finite."""
+    """A Monte Carlo run diverged: a particle state, the cost total or its
+    standard error, or a recorded m1 or m2 is not finite."""
 
 
 class ConfigError(ValueError):

@@ -18,7 +18,7 @@ from .errors import DomainError
 from .model import ProblemSpec
 from .partial_obs import PartialObsSpec
 
-__all__ = ["PRESET_NAMES", "preset", "scalar_preset", "partial_preset", "is_partial_preset"]
+__all__ = ["PRESET_NAMES", "preset", "scalar_preset", "partial_preset"]
 
 PRESET_NAMES = ("example1", "example2", "example3", "example4")
 
@@ -28,12 +28,6 @@ _TERMINAL = {
     "example3": (1.0, 0.0),
     "example4": (0.0, 1.0),
 }
-
-
-def is_partial_preset(name: str) -> bool:
-    if name not in PRESET_NAMES:
-        raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return name in ("example3", "example4")
 
 
 def scalar_preset(name: str, T: float = 1.0) -> ProblemSpec:
@@ -69,6 +63,8 @@ def partial_preset(name: str, *, sigma_hat2: float = 0.5, eta_hat2: float = 0.5,
 
 def preset(name: str, **overrides):
     """Build a preset by name; returns a ProblemSpec or a PartialObsSpec."""
-    if is_partial_preset(name):
+    if name not in PRESET_NAMES:
+        raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name in ("example3", "example4"):
         return partial_preset(name, **overrides)
     return scalar_preset(name, **overrides)

@@ -37,7 +37,6 @@ __all__ = [
     "CostCoefficients",
     "CloudTrajectory",
     "GaussianityReport",
-    "EM_BIAS_CONST",
     "cost_oracle",
     "cost_coefficients",
     "evolve_cloud",
@@ -45,7 +44,6 @@ __all__ = [
     "cost_from_cloud",
     "simulate_mc",
     "gaussianity_check",
-    "mc_tolerance",
     "trajectory_to_csv",
 ]
 
@@ -59,15 +57,6 @@ _CHUNK_ELEMENTS = 2_000_000
 # their own Philox stream, the seed's stream jumped b + 1 times, so a block's
 # bytes do not depend on which thread draws it or on the buffer shape.
 _BLOCK_ELEMENTS = 50_000
-
-# Euler-Maruyama carries an O(dt) weak bias on the cost; this constant sets
-# how much of it the oracle-vs-MC comparison budgets for, per unit dt.
-EM_BIAS_CONST = 10.0
-
-
-def mc_tolerance(std_error: float, dt: float) -> float:
-    """Acceptance band for |MC - oracle|: statistical noise plus weak bias."""
-    return 3.0 * float(std_error) + EM_BIAS_CONST * float(dt)
 
 InitialLaw = Union[float, int, tuple]
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import mflqg.checks
 import mflqg.cli
 import mflqg.partial_obs
 import mflqg.riccati
@@ -276,8 +277,10 @@ def test_overflowing_monte_carlo_statistic_is_a_divergence(tmp_path, capsys,
     assert rc == 5
     assert err == (f"error: divergence: Monte Carlo std_error from x = "
                    f"{float(x)!r} is inf, not finite\n")
-    for name in ("summary.json", "trajectory.csv", "verify.json", "manifest.json"):
+    for name in ("summary.json", "trajectory.csv", "verify.json", "manifest.json",
+                 "residual.csv"):
         assert not (tmp_path / name).exists(), name
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -297,8 +300,9 @@ def test_state_near_the_float_range_is_a_monte_carlo_divergence(tmp_path, capsys
         assert rc == 5
         assert err == f"error: divergence: Monte Carlo {stat}, not finite\n"
         for name in ("summary.json", "trajectory.csv", "verify.json",
-                     "manifest.json"):
+                     "manifest.json", "residual.csv"):
             assert not (out / name).exists(), name
+        assert list(out.iterdir()) == []
 
 
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
@@ -473,12 +477,12 @@ def test_gaussianity_records_the_statistic_that_decides():
     normal = np.random.Generator(np.random.Philox(7)).standard_normal(200_000)
     for states, ok, threshold in ((heavy, False, 0.1), (lopsided, False, 0.05),
                                   (normal, True, None)):
-        check = mflqg.cli._gaussianity_entry(states)
+        check = mflqg.checks._gaussianity_entry(states)
         assert check.passed is ok
         assert (check.measured < check.threshold) is ok
         if threshold is not None:
             assert check.threshold == threshold
-    heavy_check = mflqg.cli._gaussianity_entry(heavy)
+    heavy_check = mflqg.checks._gaussianity_entry(heavy)
     assert heavy_check.measured == pytest.approx(1.24)
     assert "skew 0.0000" in heavy_check.detail
 
@@ -547,7 +551,7 @@ def test_each_command_simulates_once(tmp_path, monkeypatch, capsys, command, nam
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (mflqg.cli, mflqg.simulate, mflqg.partial_obs):
+    for module in (mflqg.checks, mflqg.cli, mflqg.simulate, mflqg.partial_obs):
         if getattr(module, "evolve_cloud", None) is original:
             monkeypatch.setattr(module, "evolve_cloud", counted)
     rc = main([command, "--preset", name, "--paths", "2000", "--dt", "0.05",
@@ -612,7 +616,7 @@ def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
         return FeedbackLaw(grid=law.grid, alpha=law.alpha,
                            beta=-spec.B.on(sol.grid) * sol.phi2)
 
-    monkeypatch.setattr(mflqg.cli, "optimal_feedback", mutant)
+    monkeypatch.setattr(mflqg.checks, "optimal_feedback", mutant)
     cfg = tmp_path / "scalar.ini"
     cfg.write_text(TIME_VARYING_CFG)
     main(["verify", "--config", str(cfg), "--paths", "2000", "--dt", "0.05",
@@ -715,6 +719,34 @@ def test_too_few_paths_rejected(tmp_path, capsys, command):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: argument:") and name in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("source, flags, message", [
+    ("preset", ["--dt", "0.3"], "dt = 0.3 does not divide the horizon 1 evenly"),
+    ("partial", ["--dt", "0.1"], "dt = 0.1 does not divide the horizon 0.75 evenly"),
+    ("simulation", [], "dt = 0.3 does not divide the horizon 1 evenly")],
+    ids=["preset", "partial", "simulation"])
+def test_dt_that_does_not_divide_the_horizon_is_refused_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, source, flags, message):
+    # The particles run on T, or T - s = 0.75 for the partial config: a --dt
+    # (or a [simulation] dt) that does not divide it is refused before the
+    # Riccati solve, so no check runs and no file is written.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing dt")
+
+    monkeypatch.setattr(mflqg.cli, "solve_riccati", no_solve)
+    target = ["--preset", "example1"]
+    if source != "preset":
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(PARTIAL_CFG if source == "partial"
+                       else SIM_CFG.replace("dt = 0.01", "dt = 0.3"))
+        target = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    rc = main([command, *target, *flags, "--paths", "100", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: argument: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -9,8 +9,11 @@ as its own ``python -m mflqg.cli`` process, in a fresh working directory
 that holds the input files, with ``--out out``.  Paths are relative, so the
 ``source`` labels in the outputs match.  The script prints every output
 file, stdout, stderr or exit code that differs, then a count, and exits 1
-if anything differs.  Giving the same tree twice shows that reruns
-reproduce the same bytes.
+if anything differs.  For an output file that differs and parses as CSV or
+JSON under both trees, with its numbers in the same places, it also prints
+the largest relative difference between corresponding numbers, which tells
+a change in the last bits from a real one.  Giving the same tree twice
+shows that reruns reproduce the same bytes.
 
 The commands: every op of ``perfbench/workloads.py`` at each seed; example1
 to example4 as solve, simulate and verify at defaults; the benchmark's
@@ -23,6 +26,8 @@ list takes a few minutes per tree at the CLI's default 1e5 paths.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -109,12 +114,66 @@ def run(src: pathlib.Path, argv, inputs: dict, work: pathlib.Path) -> dict:
             "stderr": proc.stderr, "files": files}
 
 
+def numbers(data: bytes) -> dict:
+    """The numbers of a JSON document, keyed by their path, or else of CSV
+    text, keyed by (row, column); cells that are not numbers are skipped."""
+    text = data.decode()
+    found = {}
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        for i, line in enumerate(text.splitlines()):
+            for j, cell in enumerate(line.split(",")):
+                try:
+                    found[i, j] = float(cell)
+                except ValueError:
+                    pass
+        return found
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, path + (i,))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found[path] = float(node)
+
+    walk(doc, ())
+    return found
+
+
+def largest_relative_difference(a: bytes, b: bytes) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the corresponding numbers of two
+    CSV or JSON files; None when their numbers do not sit in the same
+    places.  A NaN or infinity on one side only counts as infinite."""
+    try:
+        na, nb = numbers(a), numbers(b)
+    except UnicodeDecodeError:
+        return None
+    if not na or na.keys() != nb.keys():
+        return None
+    worst = 0.0
+    for key, x in na.items():
+        y = nb[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, rel if math.isfinite(rel) else math.inf)
+    return worst
+
+
 def differences(a: dict, b: dict) -> list[str]:
     diffs = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     for name in sorted(a["files"].keys() | b["files"].keys()):
         if a["files"].get(name) != b["files"].get(name):
             where = ("only under PARENT_SRC" if name not in b["files"] else
                      "only under CHANGE_SRC" if name not in a["files"] else "bytes")
+            if where == "bytes":
+                rel = largest_relative_difference(a["files"][name], b["files"][name])
+                if rel is not None:
+                    where += f", largest relative difference {rel:.3g}"
             diffs.append(f"{name} ({where})")
     return diffs
 

@@ -18,7 +18,7 @@ from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
                     ProblemSpec, ValidationResult, as_coefficient,
                     validate_matrix_spec, validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, RiccatiSolution, closed_form,
-                      solve_matrix_riccati, solve_riccati)
+                      solve_riccati)
 from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
                       master_residual, mu_derivative, optimal_feedback,
                       residual_sweep, value_function)
@@ -42,8 +42,7 @@ __all__ = [
     "ValidationResult", "as_coefficient", "validate_matrix_spec",
     "validate_spec",
     # riccati
-    "DIVERGENCE_LIMIT", "RiccatiSolution", "closed_form",
-    "solve_matrix_riccati", "solve_riccati",
+    "DIVERGENCE_LIMIT", "RiccatiSolution", "closed_form", "solve_riccati",
     # control
     "FeedbackLaw", "hamiltonian", "hamiltonian_minimizer", "master_residual",
     "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",

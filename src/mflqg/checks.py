@@ -17,7 +17,7 @@ from .control import optimal_feedback, residual_sweep
 from .errors import SimulationDivergedError
 from .model import MeasureMoments
 from .partial_obs import Reduction, cost_decomposition_check
-from .riccati import closed_form, solve_matrix_riccati, solve_riccati
+from .riccati import closed_form, solve_riccati
 from .simulate import (CloudTrajectory, CostReport, SimConfig,
                        cost_coefficients, cost_from_cloud, evolve_cloud,
                        gaussianity_check)
@@ -155,7 +155,7 @@ def battery(spec, red: Reduction | None, result, sol, x0: float, steps: int,
     if red is None:
         asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
                    float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))
-        sol2 = solve_matrix_riccati(spec, 2 * steps)
+        sol2 = solve_riccati(spec, 2 * steps)
         gap = max(float(np.abs(sol.phi1[0] - sol2.phi1[0]).max()),
                   float(np.abs(sol.phi2[0] - sol2.phi2[0]).max()),
                   abs(float(sol.phi3[0]) - float(sol2.phi3[0])))

@@ -42,7 +42,7 @@ from .errors import (AssumptionError, ConfigError, DomainError,
 from .model import MatrixProblemSpec, validate_matrix_spec, validate_spec
 from .partial_obs import Reduction, partial_trajectory_to_csv
 from .presets import PRESET_NAMES, preset
-from .riccati import solution_to_csv, solve_matrix_riccati, solve_riccati
+from .riccati import solution_to_csv, solve_riccati
 from .simulate import (SimConfig, _steps_for, cost_coefficients, stream_layout,
                        trajectory_to_csv)
 
@@ -179,11 +179,9 @@ def _solve(spec, red, steps: int):
     """Validate the problem whose Riccati system a kind solves (a matrix
     spec, or the scalar view's problem) and, if it holds, solve that system
     on `steps` intervals: (validation result, solution or None)."""
-    if red is None:
-        result = validate_matrix_spec(spec)
-        return result, solve_matrix_riccati(spec, steps) if result.ok else None
-    result = validate_spec(red.problem)
-    return result, solve_riccati(red.problem, steps) if result.ok else None
+    problem = spec if red is None else red.problem
+    result = (validate_matrix_spec if red is None else validate_spec)(problem)
+    return result, solve_riccati(problem, steps) if result.ok else None
 
 
 def _ensure_outdir(path: str) -> str:

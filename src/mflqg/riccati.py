@@ -8,16 +8,17 @@ solve, backwards from phi(T) = (D1, D2, 0),
     phi2' = (B^2/Q) phi2^2 + 2 (B^2/Q) phi1 phi2 - 2 A phi2
     phi3' = -sigma^2 phi1
 
-and in dimension d the same system has d x d matrices phi1, phi2; both solves
-return a RiccatiSolution.  A solution can blow up in finite time when a
-terminal weight is negative: the solves raise FiniteEscapeError as soon as a
-component leaves [-1e12, 1e12], with the grid time at which that happened.
-(The cost coefficient pass stops only on a non-finite value.)
+and in dimension d the same system has d x d matrices (phi1' = phi1 M phi1 -
+A^T phi1 - phi1 A, M = B Q^{-1} B^T).  By Radon's lemma phi1 = Y X^{-1} for
+a linear system in [X; Y], and Pi = phi1 + phi2 likewise from D1 + D2, so
+solve_riccati steps one linear system for every d (a scalar problem is
+d = 1).  Where phi escapes in finite time, X turns singular; the solve
+raises FiniteEscapeError there, or where a component leaves [-1e12, 1e12].
 
-rk4 is the package's one ODE integrator: the scalar and matrix Riccati
-systems here and the backward cost coefficients of simulate.cost_coefficients
-all step through it, with coefficients and gains tabulated once at its stage
-times.
+_linear_rk4, classical RK4 for y' = G(t) y as products of step matrices, is
+the package's one ODE integrator: the Riccati solve and the cost
+coefficients of simulate.cost_coefficients (which stop only on a
+non-finite value) both step through it.
 """
 
 from __future__ import annotations
@@ -32,15 +33,17 @@ from .model import MatrixProblemSpec, ProblemSpec
 __all__ = [
     "DIVERGENCE_LIMIT",
     "stage_times",
-    "rk4",
     "RiccatiSolution",
     "solve_riccati",
     "closed_form",
-    "solve_matrix_riccati",
     "solution_to_csv",
 ]
 
 DIVERGENCE_LIMIT = 1e12
+
+# Steps per block of _linear_rk4: G and the step matrices are held for one
+# block at a time, and solve_riccati restarts X from I at every block.
+_BLOCK = 64
 
 
 def _grid(T: float, steps: int) -> np.ndarray:
@@ -52,7 +55,7 @@ def _grid(T: float, steps: int) -> np.ndarray:
 
 
 def stage_times(nodes: np.ndarray) -> np.ndarray:
-    """Times at which rk4 evaluates a right-hand side when it steps along
+    """Times at which _linear_rk4 evaluates G when it steps along
     `nodes`: node k at index 2k, the midpoint of step k at index 2k + 1."""
     times = np.empty(2 * nodes.size - 1)
     times[0::2] = nodes
@@ -60,37 +63,31 @@ def stage_times(nodes: np.ndarray) -> np.ndarray:
     return times
 
 
-def rk4(rhs, y0, nodes: np.ndarray, names, limit: float = DIVERGENCE_LIMIT):
-    """Classical fixed-step RK4 from y0 at nodes[0] along `nodes`, which may
-    run backwards in time; yields the components at each node in turn, so a
-    caller keeps only the nodes it reads.
-
-    y0 is a list of components, each a float or a numpy array.  rhs(j, y)
-    returns one derivative per component at index j of stage_times(nodes),
-    so it can read coefficients tabulated there once.  A component that
-    turns non-finite or leaves [-limit, limit] at a node raises
-    FiniteEscapeError with that node's time and the component's entry in
-    `names`.
-    """
-    hs = np.diff(nodes).tolist()
-    y = y0
-    for k, t in enumerate(nodes.tolist()):
-        for c, name in zip(y, names):
-            size = abs(c) if isinstance(c, float) else np.abs(c).max()
-            if not size <= limit:
-                raise FiniteEscapeError(t, name)
-        yield y
-        if k == len(hs):
-            return
-        h = hs[k]
-        half = 0.5 * h
-        sixth = h / 6.0
-        k1 = rhs(2 * k, y)
-        k2 = rhs(2 * k + 1, [c + half * d for c, d in zip(y, k1)])
-        k3 = rhs(2 * k + 1, [c + half * d for c, d in zip(y, k2)])
-        k4 = rhs(2 * k + 2, [c + h * d for c, d in zip(y, k3)])
-        y = [c + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-             for c, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+def _linear_rk4(tabulate, y, nodes: np.ndarray, restart=None):
+    """Classical RK4 for y' = G(t) y from y at nodes[0] along `nodes` (which
+    may run backwards): y <- R y per step, R = I + h/6 (G1 + 2 K2 + 2 K3 +
+    K4), K2 = Gm (I + h/2 G1), K3 = Gm (I + h/2 K2), K4 = G2 (I + h K3), from
+    G at the step's start, midpoint and end.  Per block of _BLOCK steps,
+    tabulate(sl) gives G at stage_times(nodes)[sl], the R are built in
+    batched matmuls and applied one by one, and (k0, ys) is yielded, ys[j]
+    being y at nodes[k0 + 1 + j]; the next block starts from restart() if
+    given."""
+    hs = np.diff(nodes)
+    for k0 in range(0, hs.size, _BLOCK):
+        h = hs[k0:k0 + _BLOCK]
+        g = tabulate(slice(2 * k0, 2 * (k0 + h.size) + 1))
+        h = h.reshape(-1, *(1,) * (g.ndim - 1))
+        g1, gm, g2 = g[:-1:2], g[1::2], g[2::2]
+        eye = np.eye(g.shape[-1])
+        k2 = gm @ (eye + 0.5 * h * g1)
+        k3 = gm @ (eye + 0.5 * h * k2)
+        k4 = g2 @ (eye + h * k3)
+        ys = np.empty((h.size,) + y.shape)
+        for j, r in enumerate(eye + h / 6.0 * (g1 + 2.0 * k2 + 2.0 * k3 + k4)):
+            y = ys[j] = r @ y
+        yield k0, ys
+        if restart is not None:
+            y = restart()
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,37 +134,114 @@ class RiccatiSolution:
         return np.array(p1), np.array(p2), float(p3)
 
 
-def _riccati_derivs(a, r, s2, p1, p2):
-    """phi' from A, r = B^2/Q and sigma^2 at one time."""
-    return (r * p1 * p1 - 2.0 * a * p1,
-            r * p2 * p2 + 2.0 * r * p1 * p2 - 2.0 * a * p2,
-            -s2 * p1)
+def _coefficients(spec, times: np.ndarray):
+    """A, M = B Q^{-1} B^T, S = sigma sigma^T at `times`, (times.size, d, d)."""
+    if isinstance(spec, MatrixProblemSpec):
+        try:
+            m = spec.B @ np.linalg.solve(spec.Q, spec.B.T)
+        except np.linalg.LinAlgError as exc:
+            raise AssumptionError("control weight Q is singular") from exc
+        return [np.broadcast_to(c, (times.size, spec.d, spec.d))
+                for c in (spec.A, m, spec.sigma @ spec.sigma.T)]
+    a, b = spec.A.on(times), spec.B.on(times)
+    m = b * b / spec.control_weight_on(times)
+    sig = spec.sigma.on(times)
+    return [c.reshape(-1, 1, 1) for c in (a, m, sig * sig)]
 
 
-def solve_riccati(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
-    """Integrate backwards from phi(T) = (D1, D2, 0) with classical RK4.
+def _escape(values, names, times):
+    """FiniteEscapeError at the first of `times` where `values` leave +-1e12."""
+    out = np.array([(~(np.abs(v) <= DIVERGENCE_LIMIT)).any(axis=tuple(range(1, np.ndim(v))))
+                    for v in values])
+    if out.any():
+        node = int(out.any(axis=0).argmax())
+        raise FiniteEscapeError(float(times[node]), names[int(out[:, node].argmax())])
 
-    Fixed uniform grid of `steps` intervals; the terminal node stores the
-    boundary data exactly.  Deterministic: the same spec and step count give
-    bit-identical output.
+
+def solve_riccati(spec, steps: int = 1000) -> RiccatiSolution:
+    """phi on a uniform grid of `steps` intervals over [0, T], for a
+    ProblemSpec or a MatrixProblemSpec of any dimension d.
+
+    Steps [X; Y]' = G [X; Y], G = [[A, -M], [0, -A^T]], backwards with
+    _linear_rk4 from [I, I; D1, D1 + D2] at T: phi1 = Y X^{-1} on the first
+    d columns, Pi = phi1 + phi2 on the last d, restarted from [I, I; phi1,
+    Pi] at every block so X cannot overflow.  phi3 is Simpson's rule with
+    phi1 at the midpoints by cubic Hermite interpolation, fourth order from
+    the integrator's stage times alone.  phi1 is not symmetrized; phi(T) is
+    (D1, D2, 0) exactly.  Deterministic.  FiniteEscapeError where X turns
+    singular or phi1 or phi2 leaves [-1e12, 1e12] on the way (phi3: once
+    phi1 and phi2 are through).
     """
     grid = _grid(spec.T, steps)
     nodes = grid[::-1]
-    times = stage_times(nodes)
-    a = spec.A.on(times).tolist()
-    b = spec.B.on(times)
-    r = (b * b / spec.control_weight_on(times)).tolist()
-    sig = spec.sigma.on(times)
-    s2 = (sig * sig).tolist()
+    a, m, ss = _coefficients(spec, stage_times(nodes))
+    d = a.shape[-1]
+    eye, hs = np.eye(d), np.diff(nodes)
+    _escape([[spec.D1], [spec.D2]], ("phi1", "phi2"), nodes[:1])
+    phi = np.empty((nodes.size, 2, d, d))  # phi1 and Pi
+    phi[0] = np.reshape([spec.D1, spec.D1 + spec.D2], (2, d, d))
+    dlog = np.empty(hs.size)  # log det X over each step, for phi3
+    start = lambda k: np.block([[eye, eye], [*phi[k]]])  # [I, I; phi1, Pi]
 
-    def rhs(j, y):
-        return _riccati_derivs(a[j], r[j], s2[j], y[0], y[1])
+    def g_at(sl):
+        g = np.zeros((a[sl].shape[0], 2 * d, 2 * d))
+        g[:, :d, :d], g[:, :d, d:], g[:, d:, d:] = a[sl], -m[sl], -a[sl].swapaxes(1, 2)
+        return g
 
-    phi = np.empty((nodes.size, 3))
-    for k, y in enumerate(rk4(rhs, [spec.D1, spec.D2, 0.0], nodes,
-                              ("phi1", "phi2", "phi3"))):
-        phi[k] = y
-    return RiccatiSolution(grid, *phi[::-1].T)
+    # Each block restarts from the phi this loop stored last, at node k1.
+    for k0, ys in _linear_rk4(g_at, start(0), nodes, lambda: start(k1)):
+        k1 = k0 + len(ys)
+        # X and Y as (k, 2, d, d) stacks over the phi1 and Pi column groups.
+        x, y = ys.reshape(-1, 2, d, 2, d).transpose(1, 0, 3, 2, 4)
+        with np.errstate(all="ignore"):  # _escape reports what is not finite
+            # phi is NaN where X or Y is not finite or X singular, or after a
+            # transfer X_{k+1} X_k^{-1} (similar to X_k^{-1} X_{k+1}) with an
+            # eigenvalue of real part <= 0, which none within max-row-sum
+            # distance 1 of I has.
+            det = np.linalg.det(x)
+            cut = ~np.isfinite(det) | (det == 0.0) | ~np.isfinite(y).all(axis=(2, 3))
+            x = np.where(cut[..., None, None], eye, x)
+            tr = np.linalg.solve(np.concatenate([[[eye, eye]], x[:-1]]), x)
+            cut |= ~np.isfinite(tr).all(axis=(2, 3))
+            far = ~cut & ~(np.abs(tr - eye).sum(axis=3).max(axis=2) < 1.0)
+            if far.any():
+                cut[far] = (np.linalg.eigvals(tr[far]).real <= 0.0).any(axis=1)
+            p = np.linalg.solve(x.swapaxes(2, 3), np.where(cut[..., None, None], 0.0, y)
+                                .swapaxes(2, 3)).swapaxes(2, 3)  # Y X^{-1}
+            p[cut] = np.nan
+            dlog[k0:k1] = np.diff(np.log(np.concatenate([[1.0], det[:, 0]])))
+        _escape([p[:, 0], p[:, 1] - p[:, 0]], ("phi1", "phi2"), nodes[k0 + 1:])
+        phi[k0 + 1:k1 + 1] = p
+
+    # phi1 at the midpoints by cubic Hermite interpolation, from the slopes
+    # phi1' = phi1 M phi1 - A^T phi1 - phi1 A at the nodes.
+    p1, nd, md = phi[:, 0], slice(0, None, 2), slice(1, None, 2)
+    slope = p1 @ m[nd] @ p1 - a[nd].swapaxes(1, 2) @ p1 - p1 @ a[nd]
+    mid = 0.5 * (p1[:-1] + p1[1:]) + hs[:, None, None] / 8.0 * (slope[:-1] - slope[1:])
+
+    def simpson(c, traced=True):
+        """Simpson's rule over each step for tr(C phi1), or for tr C."""
+        f, fm = (np.trace(c[s] @ q if traced else c[s], axis1=1, axis2=2)
+                 for s, q in ((nd, p1), (md, mid)))
+        return hs / 6.0 * (f[:-1] + 4.0 * fm + f[1:])
+
+    # tr(M phi1) integrates to tr A - (log det X)', exact up to RK4's
+    # (h |A|)^5.  Where Simpson misses that by more (phi1 too steep for the
+    # grid, as after a large terminal weight), the miss times
+    # w = tr(S dphi1) / tr(M dphi1), dphi1 the step's change of phi1, is
+    # taken out of Simpson's tr(S phi1): all of its error in a scalar
+    # problem, and nearly all where one direction of phi1 is steep.
+    miss = simpson(a, False) - simpson(m) - dlog
+    steep = np.abs(miss) > (np.abs(hs) * np.abs(a[md]).sum(axis=2).max(axis=1)) ** 5
+    ts, tm = (np.trace(c[md] @ (p1[1:] - p1[:-1]), axis1=1, axis2=2) for c in (ss, m))
+    w = np.divide(ts, tm, out=np.zeros_like(ts), where=steep & (tm != 0.0))
+    phi3 = np.cumsum(np.concatenate([[0.0], -(simpson(ss) + w * miss)]))
+    _escape([phi3], ("phi3",), nodes)
+    phi1, phi2 = phi[::-1, 0], phi[::-1, 1] - phi[::-1, 0]
+    phi2[-1] = spec.D2
+    if isinstance(spec, ProblemSpec):
+        phi1, phi2 = phi1[:, 0, 0], phi2[:, 0, 0]
+    return RiccatiSolution(grid, phi1, phi2, phi3[::-1])
 
 
 def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
@@ -201,58 +275,6 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     phi2 = pi / (1.0 + r * pi * tau) - phi1
     phi3 = spec.sigma(0.0) ** 2 / r * np.log(1.0 + r * d1 * tau)
     return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
-
-
-def _matrix_coefs(spec: MatrixProblemSpec):
-    """A, M = B Q^{-1} B^T and sigma sigma^T."""
-    b = spec.B
-    try:
-        m = b @ np.linalg.solve(spec.Q, b.T)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError("control weight Q is singular") from exc
-    return spec.A, m, spec.sigma @ spec.sigma.T
-
-
-def _stack_derivs(a2t, m, ss, p):
-    """phi' on the stack p = (phi1, phi2), from 2 A^T, M and sigma sigma^T:
-
-        phi1' = phi1^T M phi1 - 2 A^T phi1
-        phi2' = 2 phi2^T M phi1 + phi2^T M phi2 - 2 A^T phi2
-        phi3' = -tr(sigma sigma^T phi1)
-
-    Four products for the stack: P^T M, (P^T M) phi1, (phi2^T M) phi2 and
-    (2 A^T) P.  The derivative stack is symmetrized so symmetry errors
-    cannot feed back through the quadratic terms.
-    """
-    pm = p.transpose(0, 2, 1) @ m
-    dp = pm @ p[0]
-    dp[1] *= 2.0
-    dp[1] += pm[1] @ p[1]
-    dp -= a2t @ p
-    return 0.5 * (dp + dp.transpose(0, 2, 1)), -float((ss @ p[0]).trace())
-
-
-def solve_matrix_riccati(spec: MatrixProblemSpec, steps: int = 1000) -> RiccatiSolution:
-    """Backward RK4 for the matrix system from phi(T) = (D1, D2, 0), with
-    phi1 and phi2 stepped as one (2, d, d) stack.
-
-    D1, D2 and every derivative are bitwise symmetric, and RK4 only adds and
-    scales them entrywise, so every stage input and the stored phi1, phi2
-    are bitwise symmetric at all grid times.
-    """
-    grid = _grid(spec.T, steps)
-    a, m, ss = _matrix_coefs(spec)
-    a2t = 2.0 * a.T
-
-    def rhs(j, y):
-        return _stack_derivs(a2t, m, ss, y[0])
-
-    phi = np.empty((grid.size, 2, spec.d, spec.d))
-    phi3 = np.empty(grid.size)
-    for k, (p, p3) in enumerate(rk4(rhs, [np.array([spec.D1, spec.D2]), 0.0],
-                                    grid[::-1], ("phi", "phi"))):
-        phi[k], phi3[k] = p, p3
-    return RiccatiSolution(grid, phi[::-1, 0], phi[::-1, 1], phi3[::-1])
 
 
 def _write_csv(path, header, columns) -> None:

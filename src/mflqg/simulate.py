@@ -9,8 +9,9 @@ every initial law (the "oracle"), with c = e + r solving, backwards from T,
     e' = -L^T e,                                          e(T) = (D1, D2, 0)
     r' = -(L^T r + Q (alpha^2, 2 alpha beta + beta^2, 0)),   r(T) = 0
 
-for the terminal and running parts; c = (phi1, phi2, phi3)(0) for the
-optimal law.  The Monte Carlo route simulates n interacting particles with
+for the terminal and running parts, both linear: riccati's one RK4
+integrator steps them as one homogeneous system; c = (phi1, phi2, phi3)(0)
+for the optimal law.  The Monte Carlo route simulates n interacting particles with
 Euler-Maruyama, coupling each through the empirical mean of the same cloud,
 and estimates the cost with a left-endpoint quadrature of the running
 integrand.  Both routes accept the same FeedbackLaw, which is what makes the
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import _kernels
 from .control import FeedbackLaw
-from .errors import DomainError, SimulationDivergedError
+from .errors import DomainError, FiniteEscapeError, SimulationDivergedError
 from .model import MeasureMoments, ProblemSpec
-from .riccati import _grid, _write_csv, rk4, stage_times
+from .riccati import _grid, _linear_rk4, _write_csv, stage_times
 
 __all__ = [
     "SimConfig",
@@ -132,57 +133,36 @@ def _steps_for(horizon: float, dt: float) -> int:
 
 
 def _coefficient_pass(spec: ProblemSpec, laws: list, steps: int) -> np.ndarray:
-    """One backward RK4 pass of the cost coefficients of every law; returns
-    the terminal and running triples at t = 0 as a (2, 3, n) array.
-
-    One law steps six Python floats, several times faster than width-1
-    arrays; several step one (2, 3, n) stack, each law with the operands
-    and association of its own pass.  The entries of -L^T and the running
-    sources are tabulated once per law at the stage times.
-    """
+    """One backward pass of the cost coefficients of every law: the terminal
+    and running triples at t = 0 as a (2, 3, n) array.  Each law steps
+    [c; w]' = [[-L^T, -Q u], [0, 0]] [c; w] on (c1, c2, c0, w), u = (alpha^2,
+    2 alpha beta + beta^2, 0), from the terminal column (D1, D2, 0, 0) and
+    the running one (0, 0, 0, 1); a law's coefficients are bit for bit those
+    of its own pass."""
     nodes = _grid(spec.T, steps)[::-1]
     times = stage_times(nodes)
     a, b, sig, q = (c.on(times) for c in (spec.A, spec.B, spec.sigma, spec.Q))
-    f = np.empty((times.size, 6, len(laws)))
-    f[:, 2] = -(sig * sig)[:, None]
-    for i, law in enumerate(laws):
-        al, be = law.gains_on(times)
-        f[:, [0, 1, 3, 4, 5], i] = np.stack(
-            [-2.0 * (a + b * al), -2.0 * b * be, -2.0 * (a + b * (al + be)),
-             q * (al * al), q * (2.0 * al * be + be * be)], axis=1)
-    if len(laws) == 1:
-        f0, f1, f2, f3, u1, u2 = f[:, :, 0].T.tolist()
 
-        def rhs(j, y):
-            e1, e2, _, r1, r2, _ = y
-            return (f0[j] * e1, f1[j] * e1 + f3[j] * e2, f2[j] * e1,
-                    f0[j] * r1 - u1[j], f1[j] * r1 + f3[j] * r2 - u2[j],
-                    f2[j] * r1)
+    def g_at(sl):
+        al, be = np.array([law.gains_on(times[sl]) for law in laws]).transpose(1, 2, 0)
+        ak, bk, qk, z = a[sl, None], b[sl, None], q[sl, None], np.zeros_like(al)
+        rows = [[-2.0 * (ak + bk * al), z, z, -(qk * (al * al))],
+                [-2.0 * bk * be, -2.0 * (ak + bk * (al + be)), z,
+                 -(qk * (2.0 * al * be + be * be))],
+                [z - (sig[sl] * sig[sl])[:, None], z, z, z], [z, z, z, z]]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
-        y0 = [spec.D1, spec.D2, 0.0, 0.0, 0.0, 0.0]
-    else:
-        gather = np.array([0, 0, 0, 1])
-
-        def rhs(j, y):
-            # Rows f0 c1, f1 c1, f2 c1, f3 c2 of both triples; then
-            # f1 c1 + f3 c2, and the sources off the running triple.
-            g = y[0].take(gather, axis=1)
-            g *= f[j, :4]
-            g[:, 1] += g[:, 3]
-            g[1, :2] -= f[j, 4:]
-            return (g[:, :3],)
-
-        y0 = np.zeros((2, 3, len(laws)))
-        y0[0, :2] = [[spec.D1], [spec.D2]]
-        y0 = [y0]
-
+    y = np.zeros((len(laws), 4, 2))
+    y[:, 0, 0], y[:, 1, 0], y[:, 3, 1] = spec.D1, spec.D2, 1.0
     # Only a non-finite coefficient stops the pass, as a FiniteEscapeError
     # and not as a numpy warning too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in rk4(rhs, y0, nodes, ("cost coefficients",) * len(y0),
-                     limit=np.finfo(float).max):
-            pass
-    return np.reshape(y if len(laws) == 1 else y[0], (2, 3, -1))
+        for k0, ys in _linear_rk4(g_at, y, nodes):
+            bad = ~np.isfinite(ys).all(axis=(1, 2, 3))
+            if bad.any():
+                raise FiniteEscapeError(float(nodes[k0 + 1 + bad.argmax()]),
+                                        "cost coefficients")
+    return ys[-1, :, :3].transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
                    cost_from_cloud, cost_oracle, evolve_cloud,
                    gaussianity_check,
                    master_residual, optimal_feedback,
-                   preset, reduced_problem, simulate_mc, solve_matrix_riccati,
+                   preset, reduced_problem, simulate_mc,
                    solve_riccati, value_function)
 
 
@@ -67,13 +67,21 @@ def test_criterion_03_closed_forms_and_convergence():
     for name in ("example1", "example2"):
         spec = preset(name)
         err = _phi_gap(solve_riccati(spec, 1000), closed_form(preset(name), 1000))
-        errs = {steps: _phi_gap(solve_riccati(spec, steps),
-                                closed_form(preset(name), steps))
-                for steps in (125, 250, 500)}
-        f1 = errs[125] / errs[250]
-        f2 = errs[250] / errs[500]
-        ok = ok and err <= 1e-8 and f1 >= 12.0 and f2 >= 12.0
-        parts.append(f"{name} err {err:.1e}, doubling factors {f1:.1f}/{f2:.1f}")
+        ok = ok and err <= 1e-8
+        parts.append(f"{name} err {err:.1e}")
+    # With A = 0 the linear form is exact (X is linear in t), so the order
+    # shows on A != 0, against the solve on a grid 32 times finer than 125.
+    spec = ProblemSpec(A=1.5, B=1.0, sigma=0.8, Q=1.0, D1=1.0, D2=0.5, T=1.0)
+    fine = solve_riccati(spec, 4000)
+    errs = {}
+    for steps in (125, 250, 500):
+        sol = solve_riccati(spec, steps)
+        errs[steps] = max(float(np.abs(getattr(sol, c) - getattr(fine, c)[::4000 // steps]).max())
+                          for c in ("phi1", "phi2", "phi3"))
+    f1 = errs[125] / errs[250]
+    f2 = errs[250] / errs[500]
+    ok = ok and f1 >= 12.0 and f2 >= 12.0
+    parts.append(f"A = 1.5 doubling factors {f1:.1f}/{f2:.1f}")
     _verdict(3, ok, "closed-form phi @1000 steps (tol 1e-08); " + "; ".join(parts))
     assert ok
 
@@ -256,7 +264,7 @@ def test_criterion_11_matrix_reduction():
         D2 = float(rng.uniform(0.0, 1.5))
         T = float(rng.uniform(0.3, 1.5))
         scalar = solve_riccati(ProblemSpec(A, B, sigma, Q, D1, D2, T), 400)
-        matrix = solve_matrix_riccati(
+        matrix = solve_riccati(
             MatrixProblemSpec(d=1, A=np.array([[A]]), B=np.array([[B]]),
                               sigma=np.array([[sigma]]), Q=np.array([[Q]]),
                               D1=np.array([[D1]]), D2=np.array([[D2]]), T=T),
@@ -269,7 +277,7 @@ def test_criterion_11_matrix_reduction():
 
     # d = 2 diagonal spec: coordinate 0 carries the second-moment terminal
     # weight, coordinate 1 the squared-mean weight; the flow stays diagonal.
-    msol = solve_matrix_riccati(
+    msol = solve_riccati(
         MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
                           sigma=np.eye(2), Q=np.eye(2),
                           D1=np.diag([1.0, 0.0]), D2=np.diag([0.0, 1.0]),

@@ -630,16 +630,17 @@ def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
 
 def test_oracle_vs_value_catches_a_flipped_riccati_sign(tmp_path, monkeypatch,
                                                        capsys):
-    # phi1' with +2 A phi1 for -2 A phi1: on a problem with A = -0.3 the
-    # solution is no longer the value of its own feedback law, which the
-    # cost coefficients of that law show.
-    original = mflqg.riccati._riccati_derivs
+    # The Riccati system solved with -A for A (phi1' with +2 A phi1 for
+    # -2 A phi1): on a problem with A = -0.3 the solution is no longer the
+    # value of its own feedback law, which the cost coefficients of that
+    # law show.
+    original = mflqg.riccati._coefficients
 
-    def mutant(a, r, s2, p1, p2):
-        d1, d2, d3 = original(a, r, s2, p1, p2)
-        return r * p1 * p1 + 2.0 * a * p1, d2, d3
+    def mutant(spec, times):
+        a, m, ss = original(spec, times)
+        return -a, m, ss
 
-    monkeypatch.setattr(mflqg.riccati, "_riccati_derivs", mutant)
+    monkeypatch.setattr(mflqg.riccati, "_coefficients", mutant)
     cfg = tmp_path / "scalar.ini"
     cfg.write_text(TIME_VARYING_CFG)
     main(["verify", "--config", str(cfg), "--paths", "2000", "--dt", "0.05",
@@ -747,6 +748,21 @@ def test_dt_that_does_not_divide_the_horizon_is_refused_before_any_solve(
     assert rc == 2
     assert capsys.readouterr().err == f"error: argument: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_partial_simulation_section_is_a_config_error(tmp_path, capsys, command):
+    # A [simulation] section sets all three fields or is left out; flags do
+    # not fill in the ones it lacks.
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(SCALAR_CFG + "\n[simulation]\ndt = 0.01\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--paths", "100", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "error: config: [simulation] missing field(s): n_paths, seed\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_exit_code_config_error(tmp_path, capsys):

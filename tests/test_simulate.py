@@ -20,11 +20,47 @@ from mflqg.simulate import trajectory_to_csv
 
 
 # Hand-unrolled RK4 references, with the gains and every coefficient
-# evaluated at every stage.  _cost_coefficient_loop steps the terminal and
-# running cost coefficients backwards from T; cost_coefficients, each law of
-# a batch, and so cost_oracle must reproduce it bit for bit.
-# _cost_oracle_loop is the forward moment loop the oracle ran before, an
-# independent reference they agree with to rounding.
+# evaluated at every stage.  _step_matrix_coefficient_loop steps the
+# homogeneous (c1, c2, c0, w) system backwards from T one RK4 step matrix at
+# a time; cost_coefficients, each law of a batch, and so cost_oracle must
+# reproduce it bit for bit.  _cost_coefficient_loop, the six-float RK4 loop
+# the pass ran before, and _cost_oracle_loop, the forward moment loop the
+# oracle ran before that, are independent references they agree with to
+# rounding.
+
+def _step_matrix_coefficient_loop(spec, law, steps):
+    def g_at(t):
+        al, be = law.at(t)
+        a, b, sig, q = spec.A(t), spec.B(t), spec.sigma(t), spec.Q(t)
+        g = np.zeros((4, 4))
+        g[0, 0] = -2.0 * (a + b * al)
+        g[1, 0] = -2.0 * b * be
+        g[1, 1] = -2.0 * (a + b * (al + be))
+        g[2, 0] = -(sig * sig)
+        g[0, 3] = -(q * (al * al))
+        g[1, 3] = -(q * (2.0 * al * be + be * be))
+        return g
+
+    eye = np.eye(4)
+    grid = np.linspace(0.0, spec.T, steps + 1)
+    y = np.zeros((4, 2))
+    y[0, 0], y[1, 0], y[3, 1] = spec.D1, spec.D2, 1.0
+    for k in range(steps, 0, -1):
+        t0 = float(grid[k])
+        h = float(grid[k - 1]) - t0
+        g1, gm, g2 = g_at(t0), g_at(t0 + 0.5 * h), g_at(float(grid[k - 1]))
+        k2 = gm @ (eye + 0.5 * h * g1)
+        k3 = gm @ (eye + 0.5 * h * k2)
+        k4 = g2 @ (eye + h * k3)
+        y = (eye + h / 6.0 * (g1 + 2.0 * k2 + 2.0 * k3 + k4)) @ y
+    return tuple(y[:3, 0].tolist()), tuple(y[:3, 1].tolist())
+
+
+def _close(got, want):
+    """Coefficient pairs equal to rounding."""
+    return all(a == pytest.approx(b, rel=1e-12, abs=1e-12)
+               for g, w in zip(got, want) for a, b in zip(g, w))
+
 
 def _cost_coefficient_loop(spec, law, steps):
     def rhs(t, e1, e2, r1, r2):
@@ -201,7 +237,9 @@ def test_batched_laws_are_their_own_passes(red):
     for law, coefs in zip(laws, got):
         assert [coefs] == cost_coefficients(spec, [law], 2000)
         assert (coefs.terminal, coefs.running) == \
-            _cost_coefficient_loop(spec, law, 2000)
+            _step_matrix_coefficient_loop(spec, law, 2000)
+        assert _close((coefs.terminal, coefs.running),
+                      _cost_coefficient_loop(spec, law, 2000))
         for m1_0, m2_0 in ((0.0, 0.0), (1.0, 1.0), (mu.m1, mu.m2)):
             cost = coefs.cost(MeasureMoments(m1_0, m2_0))
             assert cost == cost_oracle(spec, law, m1_0, m2_0, 2000)
@@ -519,7 +557,8 @@ def test_cost_oracle_matches_unrolled_loop(spec):
     # the law is tabulated on a coarser grid than the oracle's, so the gains
     # are interpolated between law nodes
     law = optimal_feedback(spec, solve_riccati(spec, 500))
-    coefs = _cost_coefficient_loop(spec, law, 2000)
+    coefs = _step_matrix_coefficient_loop(spec, law, 2000)
+    assert _close(coefs, _cost_coefficient_loop(spec, law, 2000))
     for m1_0, m2_0 in ((1.0, 1.0), (-0.5, 0.75)):
         got = cost_oracle(spec, law, m1_0, m2_0, 2000)
         assert (got.total, got.running, got.terminal) == \
@@ -543,8 +582,11 @@ def test_perturbation_sweep_is_one_oracle_per_delta(spec):
     swept = sweep(deltas)
     assert swept == [cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total
                      for d in deltas]
-    assert swept == [_priced(_cost_coefficient_loop(spec, law.shifted(*d), 1000),
+    assert swept == [_priced(_step_matrix_coefficient_loop(spec, law.shifted(*d), 1000),
                              0.5, 0.5)[0] for d in deltas]
+    for total, d in zip(swept, deltas):
+        old = _priced(_cost_coefficient_loop(spec, law.shifted(*d), 1000), 0.5, 0.5)[0]
+        assert total == pytest.approx(old, rel=1e-12, abs=1e-12)
     for total, d in zip(swept, deltas):
         forward = _cost_oracle_loop(spec, law.shifted(*d), 0.5, 0.5, 1000)[0]
         assert total == pytest.approx(forward, rel=1e-12, abs=1e-12)

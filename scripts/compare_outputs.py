@@ -18,8 +18,10 @@ shows that reruns reproduce the same bytes.
 The commands: every op of ``perfbench/workloads.py`` at each seed; example1
 to example4 as solve, simulate and verify at defaults; the benchmark's
 ``matrix.ini`` as solve, simulate and verify, with and without ``--x 1,0,0``;
-a ``[partial_obs]`` file with ``s = 0.25``; and failure paths: a ``--dt``
-that does not divide the horizon, and Monte Carlo divergences.  The full
+a ``[partial_obs]`` file with ``s = 0.25``; verify of a ``[problem]`` file
+with constant coefficients and ``A = 0``, which has a closed form; and
+failure paths: a ``--dt`` that does not divide the horizon, and Monte Carlo
+divergences (a spread lost in rounding, overflowing statistics).  The full
 list takes a few minutes per tree at the CLI's default 1e5 paths.
 """
 
@@ -49,6 +51,17 @@ D1 = 0.8
 D2 = 0.4
 """
 
+CONSTANT_INI = """\
+[problem]
+A = 0
+B = 2
+sigma = 0.5
+Q = 0.5
+D1 = 1
+D2 = 0.5
+T = 1
+"""
+
 SCALAR_DT_INI = """\
 [problem]
 A = 0
@@ -72,6 +85,7 @@ def commands(seeds) -> tuple[dict, list[tuple[str, ...]]]:
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import workloads as wl
     inputs = dict(wl.INPUT_FILES, **{"partial.ini": PARTIAL_INI,
+                                     "constant.ini": CONSTANT_INI,
                                      "scalar_dt.ini": SCALAR_DT_INI})
     argvs = []
     for seed in seeds:
@@ -85,11 +99,14 @@ def commands(seeds) -> tuple[dict, list[tuple[str, ...]]]:
         for x in ((), ("--x", "1,0,0")):
             argvs.append((command, "--config", "inputs/matrix.ini", *x))
         argvs.append((command, "--config", "inputs/partial.ini"))
+    argvs.append(("verify", "--config", "inputs/constant.ini"))
     for command in ("simulate", "verify"):
         argvs += [
             (command, "--preset", "example1", "--dt", "0.3", "--paths", "100"),
             (command, "--config", "inputs/partial.ini", "--dt", "0.1"),
             (command, "--config", "inputs/scalar_dt.ini"),
+            (command, "--preset", "example1", "--x", "1e20", "--paths", "100",
+             "--dt", "0.1"),
             (command, "--preset", "example1", "--x", "1e153", "--paths", "100",
              "--dt", "0.1"),
             (command, "--preset", "example1", "--x", "1e154", "--paths", "4",

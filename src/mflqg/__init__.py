@@ -19,13 +19,10 @@ from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
                     validate_matrix_spec, validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, RiccatiSolution, closed_form,
                       solve_riccati)
-from .control import (FeedbackLaw, hamiltonian, hamiltonian_minimizer,
-                      master_residual, mu_derivative, optimal_feedback,
-                      residual_sweep, value_function)
+from .control import FeedbackLaw, optimal_feedback, residual_sweep, value_function
 from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
                        GaussianityReport, SimConfig, cost_coefficients,
-                       cost_from_cloud, cost_oracle, evolve_cloud,
-                       gaussianity_check, simulate_mc)
+                       cost_from_cloud, evolve_cloud, gaussianity_check)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
 from .checks import EM_BIAS_CONST, mc_tolerance
@@ -44,12 +41,11 @@ __all__ = [
     # riccati
     "DIVERGENCE_LIMIT", "RiccatiSolution", "closed_form", "solve_riccati",
     # control
-    "FeedbackLaw", "hamiltonian", "hamiltonian_minimizer", "master_residual",
-    "mu_derivative", "optimal_feedback", "residual_sweep", "value_function",
+    "FeedbackLaw", "optimal_feedback", "residual_sweep", "value_function",
     # simulate
     "CloudTrajectory", "CostCoefficients", "CostReport", "EM_BIAS_CONST",
     "GaussianityReport", "SimConfig", "cost_coefficients", "cost_from_cloud",
-    "cost_oracle", "evolve_cloud", "gaussianity_check", "mc_tolerance", "simulate_mc",
+    "evolve_cloud", "gaussianity_check", "mc_tolerance",
     # partial observation
     "PartialObsSpec", "Reduction", "cost_decomposition_check",
     "error_variance", "reduced_problem",

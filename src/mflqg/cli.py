@@ -270,8 +270,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     spec, source, sim, red, xs, steps = _resolve(args)
     result, sol = _solve(spec, red, steps)
-    checks, rows = battery(spec, red, result, sol, xs[0], steps, sim,
-                           args.preset is not None)
+    checks, rows = battery(spec, red, result, sol, xs[0], steps, sim)
     outputs: dict = {}
     params = {"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
     if red is not None:

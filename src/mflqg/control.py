@@ -1,4 +1,4 @@
-"""Value function, measure derivatives, and the optimal feedback law.
+"""Value function, optimal feedback law, and the value equation's residual.
 
 Everything here is a direct readout of a Riccati solution:
 
@@ -21,11 +21,7 @@ from .riccati import RiccatiSolution, _write_csv
 __all__ = [
     "FeedbackLaw",
     "value_function",
-    "mu_derivative",
-    "hamiltonian",
-    "hamiltonian_minimizer",
     "optimal_feedback",
-    "master_residual",
     "residual_sweep",
     "law_to_csv",
     "residual_to_csv",
@@ -88,24 +84,6 @@ def value_function(sol: RiccatiSolution, t: float, mu: MeasureMoments) -> float:
     return p1 * mu.m2 + p2 * mu.m1 * mu.m1 + p3
 
 
-def mu_derivative(sol: RiccatiSolution, t: float, mu: MeasureMoments, x: float) -> float:
-    """Measure derivative of the value ansatz, evaluated at state x."""
-    p1, p2, _ = sol.at(t)
-    return 2.0 * p1 * float(x) + 2.0 * p2 * mu.m1
-
-
-def hamiltonian(spec: ProblemSpec, t: float, x: float, dmu_v: float, a: float) -> float:
-    """(A x + B a) * dmu_v + Q a^2 for a candidate control a."""
-    return (spec.A(t) * float(x) + spec.B(t) * float(a)) * float(dmu_v) \
-        + spec.Q(t) * float(a) * float(a)
-
-
-def hamiltonian_minimizer(spec: ProblemSpec, t: float, dmu_v: float) -> float:
-    """argmin over a of the Hamiltonian: -B dmu_v / (2 Q)."""
-    q = float(spec.control_weight_on(t))
-    return -spec.B(t) * float(dmu_v) / (2.0 * q)
-
-
 def optimal_feedback(spec: ProblemSpec, sol: RiccatiSolution) -> FeedbackLaw:
     """Gains alpha = -B phi1 / Q and beta = -B phi2 / Q on the solution grid."""
     grid = sol.grid
@@ -129,64 +107,45 @@ def _stencil_nodes(spec: ProblemSpec, grid: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _node_residual(spec: ProblemSpec, sol: RiccatiSolution, k: int,
-                   mu: MeasureMoments) -> float:
-    g = sol.grid
-    h = float(g[1] - g[0])
-    t = float(g[k])
-
-    def deriv(f):
-        return float(-f[k + 2] + 8.0 * f[k + 1] - 8.0 * f[k - 1] + f[k - 2]) / (12.0 * h)
-
-    p1, p2, p3 = float(sol.phi1[k]), float(sol.phi2[k]), float(sol.phi3[k])
-    a = spec.A(t)
-    b = spec.B(t)
-    q = float(spec.control_weight_on(t))
-    sig = spec.sigma(t)
-    r = b * b / q
-    l1 = deriv(sol.phi1) - r * p1 * p1 + 2.0 * a * p1
-    l2 = deriv(sol.phi2) - r * p2 * p2 - 2.0 * r * p1 * p2 + 2.0 * a * p2
-    l3 = deriv(sol.phi3) + sig * sig * p1
-    return mu.m2 * l1 + mu.m1 * mu.m1 * l2 + l3
-
-
-def master_residual(spec: ProblemSpec, sol: RiccatiSolution, t: float,
-                    mu: MeasureMoments) -> float:
-    """Defect of the value equation at (t, mu), with phi-derivatives replaced by
-    the fourth-order central difference
+def residual_sweep(spec: ProblemSpec, sol: RiccatiSolution, points) -> list[tuple]:
+    """Defect of the value equation at each (t, mu) in points, with the
+    phi-derivatives replaced by the fourth-order central difference
 
         (-f(t+2h) + 8 f(t+h) - 8 f(t-h) + f(t-2h)) / 12h
 
-    of the tabulated solution at its own grid spacing h.
+    of the tabulated solution at its own grid spacing h; rows (t, m1, m2,
+    residual), where t is the grid node the residual was evaluated at.
 
     This recomputes the three defect operators from the problem coefficients
     directly, so it is an independent check on the integrated solution rather
-    than a restatement of the integrator.  t must lie strictly inside (0, T);
-    the defect is evaluated at the grid node nearest t whose stencil stays
-    inside [0, T] and off the knots of tabulated coefficients, so no
+    than a restatement of the integrator.  Each t must lie strictly inside
+    (0, T); the defect is evaluated at the grid node nearest t whose stencil
+    stays inside [0, T] and off the knots of tabulated coefficients, so no
     interpolation error enters.
     """
-    return residual_sweep(spec, sol, [(t, mu)])[0][3]
-
-
-def residual_sweep(spec: ProblemSpec, sol: RiccatiSolution, points) -> list[tuple]:
-    """Evaluate the residual at each (t, mu) in points; rows (t, m1, m2,
-    residual), where t is the grid node the residual was evaluated at."""
     g = sol.grid
-    T = float(g[-1])
+    ts, m1, m2 = np.array([(t, mu.m1, mu.m2) for t, mu in points],
+                          dtype=float).reshape(-1, 3).T
+    outside = ~((0.0 < ts) & (ts < g[-1]))
+    if outside.any():
+        raise DomainError(f"t = {ts[outside][0]:.6g} must lie strictly inside "
+                          f"(0, {g[-1]:.6g})")
     nodes = _stencil_nodes(spec, g)
-    rows = []
-    for t, mu in points:
-        t = float(t)
-        if not 0.0 < t < T:
-            raise DomainError(f"t = {t:.6g} must lie strictly inside (0, {T:.6g})")
-        if not nodes.size:
-            raise DomainError("no grid node has a five-point stencil inside [0, T] "
-                              "clear of the coefficient table knots")
-        k = int(nodes[np.argmin(np.abs(g[nodes] - t))])
-        rows.append((float(g[k]), mu.m1, mu.m2,
-                     _node_residual(spec, sol, k, mu)))
-    return rows
+    if not nodes.size:
+        raise DomainError("no grid node has a five-point stencil inside [0, T] "
+                          "clear of the coefficient table knots")
+    k = nodes[np.abs(g[nodes] - ts[:, None]).argmin(axis=1)]
+    f = np.stack([sol.phi1, sol.phi2, sol.phi3])
+    d1, d2, d3 = (-f[:, k + 2] + 8.0 * f[:, k + 1] - 8.0 * f[:, k - 1]
+                  + f[:, k - 2]) / (12.0 * float(g[1] - g[0]))
+    t, p1, p2 = g[k], sol.phi1[k], sol.phi2[k]
+    a, b, sig = spec.A.on(t), spec.B.on(t), spec.sigma.on(t)
+    r = b * b / spec.control_weight_on(t)
+    l1 = d1 - r * p1 * p1 + 2.0 * a * p1
+    l2 = d2 - r * p2 * p2 - 2.0 * r * p1 * p2 + 2.0 * a * p2
+    l3 = d3 + sig * sig * p1
+    res = m2 * l1 + m1 * m1 * l2 + l3
+    return list(zip(t.tolist(), m1.tolist(), m2.tolist(), res.tolist()))
 
 
 def law_to_csv(law: FeedbackLaw, path) -> None:

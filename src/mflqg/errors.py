@@ -30,7 +30,7 @@ class FiniteEscapeError(RuntimeError):
 
 class SimulationDivergedError(RuntimeError):
     """A Monte Carlo run diverged: a particle state, the cost total or its
-    standard error, or a recorded m1 or m2 is not finite."""
+    standard error, or a recorded m1 or m2 is not finite, or noise is lost in rounding."""
 
 
 class ConfigError(ValueError):

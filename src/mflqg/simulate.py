@@ -38,12 +38,10 @@ __all__ = [
     "CostCoefficients",
     "CloudTrajectory",
     "GaussianityReport",
-    "cost_oracle",
     "cost_coefficients",
     "evolve_cloud",
     "stream_layout",
     "cost_from_cloud",
-    "simulate_mc",
     "gaussianity_check",
     "trajectory_to_csv",
 ]
@@ -192,14 +190,6 @@ def cost_coefficients(spec: ProblemSpec, laws, steps: int = 2000) -> list[CostCo
     return [CostCoefficients(te, ru) for te, ru in zip(zip(*e), zip(*r))]
 
 
-def cost_oracle(spec: ProblemSpec, law: FeedbackLaw, m1_0: float, m2_0: float,
-                steps: int = 2000) -> CostReport:
-    """Exact cost of a linear feedback law from initial moments (m1_0, m2_0),
-    with its cost_coefficients on `steps` intervals."""
-    return cost_coefficients(spec, [law], steps)[0].cost(
-        MeasureMoments(m1_0, m2_0))
-
-
 def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:
     """Build the initial cloud.  A number means a Dirac mass (no randomness),
     a (mean, var) pair means a Gaussian sample."""
@@ -338,13 +328,6 @@ def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostRepo
     se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
     return CostReport(total=running + terminal, running=running,
                       terminal=terminal, std_error=se, n_paths=n)
-
-
-def simulate_mc(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
-                config: SimConfig) -> CostReport:
-    """Monte Carlo estimate of the cost of a feedback law over [0, T]."""
-    traj = evolve_cloud(spec, law, initial, config)
-    return cost_from_cloud(spec, traj.states, traj.run_costs)
 
 
 def gaussianity_check(states: np.ndarray) -> GaussianityReport:

@@ -13,11 +13,9 @@ import numpy as np
 from mflqg import (FiniteEscapeError, MatrixProblemSpec, MeasureMoments,
                    ProblemSpec, Reduction, SimConfig, closed_form,
                    cost_coefficients, cost_decomposition_check,
-                   cost_from_cloud, cost_oracle, evolve_cloud,
-                   gaussianity_check,
-                   master_residual, optimal_feedback,
-                   preset, reduced_problem, simulate_mc,
-                   solve_riccati, value_function)
+                   cost_from_cloud, evolve_cloud, gaussianity_check,
+                   optimal_feedback, preset, reduced_problem,
+                   residual_sweep, solve_riccati, value_function)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -93,12 +91,13 @@ def test_criterion_04_master_residual():
     for name in ("example1", "example2"):
         spec = preset(name)
         sol = solve_riccati(spec, 1000)
+        points = []
         for _ in range(100):
             t = rng.uniform(0.1, 0.9)
             m1 = rng.uniform(-1.0, 1.0)
             m2 = m1 * m1 + rng.uniform(0.0, 0.25)
-            r = master_residual(spec, sol, float(t), MeasureMoments(m1, m2))
-            worst = max(worst, abs(r))
+            points.append((float(t), MeasureMoments(m1, m2)))
+        worst = max(worst, *(abs(r[3]) for r in residual_sweep(spec, sol, points)))
     ok = worst <= 1e-6
     _verdict(4, ok, f"master-equation residual: max {worst:.2e} "
                     f"over 100 draws/preset (tol 1e-06)")
@@ -113,7 +112,8 @@ def test_criterion_05_perturbation_optimality():
         spec = preset(name)
         sol = solve_riccati(spec, 2000)
         law = optimal_feedback(spec, sol)
-        base = cost_oracle(spec, law, 1.0, 1.0, 2000).total
+        base = cost_coefficients(spec, [law], 2000)[0].cost(
+            MeasureMoments(1.0, 1.0)).total
         for channel in ("alpha", "beta"):
             deltas = []
             for size in sizes:
@@ -151,8 +151,10 @@ def test_criterion_06_mc_vs_oracle():
         spec = preset(name)
         sol = solve_riccati(spec, 2000)
         law = optimal_feedback(spec, sol)
-        oracle = cost_oracle(spec, law, 1.0, 1.0, 2000)
-        mc = simulate_mc(spec, law, 1.0, config)
+        oracle = cost_coefficients(spec, [law], 2000)[0].cost(
+            MeasureMoments(1.0, 1.0))
+        cloud = evolve_cloud(spec, law, 1.0, config)
+        mc = cost_from_cloud(spec, cloud.states, cloud.run_costs)
         gap = abs(mc.total - oracle.total)
         band = 3.0 * mc.std_error + 0.01
         ok = ok and gap <= band

@@ -53,13 +53,14 @@ D2 = 0.4
 """
 
 # The check lists README.md documents for verify: every kind shares the
-# assumptions -> terminal-exactness prefix, then runs its own checks.
+# assumptions -> terminal-exactness prefix, then runs its own checks.  A
+# scalar problem that riccati.closed_form covers (constant coefficients,
+# A = 0, B != 0, Q > 0), as every one here is, adds analytic-phi.
 PREFIX = ["assumptions", "terminal-exactness"]
-SCALAR_CHECKS = PREFIX + ["residual-sweep", "value-consistency",
+SCALAR_CHECKS = PREFIX + ["analytic-phi", "residual-sweep", "value-consistency",
                           "oracle-vs-value", "perturbation-margin",
                           "mc-vs-oracle", "gaussianity"]
-PRESET_CHECKS = PREFIX + ["analytic-phi"] + SCALAR_CHECKS[2:]
-PARTIAL_CHECKS = PRESET_CHECKS + ["cost-decomposition"]
+PARTIAL_CHECKS = SCALAR_CHECKS + ["cost-decomposition"]
 MATRIX_CHECKS = PREFIX + ["symmetry", "grid-refinement"]
 
 SIM_CFG = SCALAR_CFG + """
@@ -284,6 +285,54 @@ def test_overflowing_monte_carlo_statistic_is_a_divergence(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("x", ["1e16", "1e20", "1e60"])
+def test_a_spread_lost_in_rounding_is_a_divergence(tmp_path, capsys, command, x):
+    # example1's noise is about 1 per unit time.  At 1e16 the Euler steps
+    # round most of it away, and from 1e17 every particle is equal, yet the
+    # statistics stay finite: a standard error of rounding noise would judge
+    # mc-vs-oracle and a degenerate cloud would pass gaussianity.
+    rc = main([command, "--preset", "example1", "--x", x, "--paths", "100",
+               "--dt", "0.1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert re.fullmatch(
+        rf"error: divergence: Monte Carlo spread from x = {re.escape(repr(float(x)))}"
+        r" is \S+, within 4 eps max\|x\| = \S+: the noise is lost in rounding\n",
+        err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_spread_rule_leaves_resolved_and_noise_free_clouds(tmp_path, capsys, command):
+    # Up to 1e12 the noise spans thousands of eps max|x|, and at 1e120 the
+    # standard error overflows before the spread is looked at.  A problem
+    # without noise keeps its equal particles: gaussianity calls the cloud
+    # degenerate, and every check passes.
+    def run(text, x):
+        cfg = tmp_path / "problem.ini"
+        cfg.write_text(text)
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        rc = main([command, "--config", str(cfg), "--x", x, "--paths", "100",
+                   "--dt", "0.1", "--out", str(out)])
+        return rc, capsys.readouterr().err, out
+
+    for x in ("1", "1e9", "1e12"):
+        rc, err, out = run(SCALAR_CFG, x)
+        assert rc in ((0,) if command == "simulate" else (0, 1)) and err == ""
+        assert (out / "manifest.json").exists()
+    rc, err, _ = run(SCALAR_CFG, "1e120")
+    assert (rc, err) == (5, "error: divergence: Monte Carlo std_error from "
+                            "x = 1e+120 is inf, not finite\n")
+    rc, err, out = run(SCALAR_CFG.replace("sigma = 1.0", "sigma = 0.0"), "1")
+    assert (rc, err) == (0, "")
+    if command == "verify":
+        gauss = read_json(out / "verify.json")["checks"][-1]
+        assert gauss["name"] == "gaussianity" and "degenerate" in gauss["detail"]
+    else:
+        assert read_json(out / "summary.json")["within_threshold"] is True
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_state_near_the_float_range_is_a_monte_carlo_divergence(tmp_path, capsys,
                                                                command):
     # At x = 1e154 the oracle's cost is the finite 5.0e307 that solve gives,
@@ -363,7 +412,6 @@ def test_verify_scalar_config(tmp_path, capsys):
     assert {"assumptions", "terminal-exactness", "residual-sweep",
             "value-consistency", "oracle-vs-value", "perturbation-margin",
             "mc-vs-oracle", "gaussianity"} <= set(names)
-    assert "analytic-phi" not in names  # closed forms are checked on presets
     assert names == SCALAR_CHECKS
     payload = read_json(tmp_path / "verify.json")
     assert payload["passed"] is True
@@ -372,6 +420,33 @@ def test_verify_scalar_config(tmp_path, capsys):
     assert 0.0 < margin["measured"] < margin["threshold"] == 0.2
     assert "smallest margin" in margin["detail"]
     assert read_json(tmp_path / "manifest.json")["params"]["steps"] == 1000
+
+
+@pytest.mark.parametrize("change, closed", [
+    (("B = 1.0", "B = 2.0"), True),
+    (("Q = 1.0", "Q = 0.5"), True),
+    (("A = 0.0", "A = -0.3"), False),
+    (("B = 1.0", "B = 0.0"), False),
+    (("B = 1.0", "B = poly 1 0.5"), False),
+    (("sigma = 1.0", "sigma = table 0:1 0.5:0.7 1:0.5"), False),
+    (("Q = 1.0", "Q = poly 1 0.2"), False),
+], ids=["B", "Q", "A", "zero-B", "poly-B", "table-sigma", "poly-Q"])
+def test_verify_runs_analytic_phi_where_the_closed_form_applies(
+        tmp_path, capsys, change, closed):
+    # The problem decides, not how it was named: an INI file with constant
+    # coefficients, A = 0, B != 0 and Q > 0 is checked against the closed
+    # form like a preset, and passes it; any other problem is not.
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text(SCALAR_CFG.replace(*change))
+    main(["verify", "--config", str(cfg), "--paths", "200", "--dt", "0.1",
+          "--out", str(tmp_path)])
+    capsys.readouterr()
+    checks = {c["name"]: c for c in read_json(tmp_path / "verify.json")["checks"]}
+    assert ("analytic-phi" in checks) == closed
+    if closed:
+        assert checks["analytic-phi"]["passed"]
+        assert checks["analytic-phi"]["measured"] <= 1e-8 == checks["analytic-phi"]["threshold"]
+    assert list(checks)[-1] == "gaussianity"
 
 
 def test_verify_partial_uses_first_x(tmp_path, capsys):
@@ -523,7 +598,7 @@ def test_verify_all_presets_pass(tmp_path, capsys):
     assert "perturbation-margin" in scalar and "value-consistency" in scalar
     for partial in ("example3", "example4"):
         assert names[partial] == scalar + ["cost-decomposition"]
-    assert scalar == PRESET_CHECKS
+    assert scalar == SCALAR_CHECKS
     assert names["example3"] == names["example4"] == PARTIAL_CHECKS
 
 

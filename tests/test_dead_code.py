@@ -1,5 +1,6 @@
-"""Dead-code check over src/mflqg: every import is used, and every private
-module-level function or class is referenced somewhere in the package."""
+"""Dead-code check over src/mflqg: every import is used, every private
+module-level function or class is referenced somewhere in the package, and
+every public name is read by some module other than __init__."""
 
 import ast
 import pathlib
@@ -26,12 +27,13 @@ def _exported(tree) -> set:
 
 
 def _loaded(tree) -> set:
-    """Every name the module reads, and every attribute it looks up."""
+    """Every name the module reads, and every attribute it looks up; an
+    assignment is no read."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
 
@@ -72,3 +74,20 @@ def test_every_private_definition_is_referenced():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"private definitions nothing in src/ references: {dead}"
+
+
+# Public names read only outside src/: the benchmark harness records
+# _kernels.BACKEND with every result.
+READ_OUTSIDE_SRC = {"_kernels.BACKEND"}
+
+
+def test_every_public_name_is_read_in_src():
+    # __init__ only re-exports, so a name in a module's __all__ that no
+    # module reads is an API the tests alone keep alive.
+    trees = {path.stem: _parse(path) for path in MODULES}
+    read = set().union(*(_loaded(tree) for stem, tree in trees.items()
+                         if stem != "__init__"))
+    unread = {f"{stem}.{name}" for stem, tree in trees.items()
+              if stem != "__init__" for name in _exported(tree) - read}
+    assert unread == READ_OUTSIDE_SRC, \
+        f"public names nothing in src/ reads: {sorted(unread - READ_OUTSIDE_SRC)}"

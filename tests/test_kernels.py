@@ -1,6 +1,7 @@
 import numpy as np
 
-from mflqg import SimConfig, optimal_feedback, scalar_preset, simulate_mc, solve_riccati
+from mflqg import (SimConfig, cost_from_cloud, evolve_cloud, optimal_feedback,
+                   scalar_preset, solve_riccati)
 from mflqg import _kernels
 from mflqg._kernels import mc_chunk
 
@@ -116,9 +117,14 @@ def test_backends_agree_on_full_simulation(monkeypatch):
     spec = scalar_preset("example1")
     sol = solve_riccati(spec, 200)
     law = optimal_feedback(spec, sol)
-    here = simulate_mc(spec, law, 1.0, SimConfig(5000, 5e-3, 31))
+
+    def run():
+        cloud = evolve_cloud(spec, law, 1.0, SimConfig(5000, 5e-3, 31))
+        return cost_from_cloud(spec, cloud.states, cloud.run_costs)
+
+    here = run()
     monkeypatch.setattr(_kernels, "mc_chunk", _mc_chunk_loops)
-    loops = simulate_mc(spec, law, 1.0, SimConfig(5000, 5e-3, 31))
+    loops = run()
     # same increments on both paths; only reduction order differs
     assert abs(loops.total - here.total) <= 1e-9 * max(1.0, abs(here.total))
     assert abs(loops.std_error - here.std_error) <= 1e-9

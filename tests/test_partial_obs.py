@@ -7,7 +7,7 @@ import pytest
 from mflqg import (AssumptionError, DomainError, MeasureMoments,
                    PartialObsSpec, Reduction,
                    SimConfig, closed_form, cost_decomposition_check,
-                   cost_coefficients, cost_from_cloud, cost_oracle,
+                   cost_coefficients, cost_from_cloud,
                    error_variance, evolve_cloud,
                    mc_tolerance, optimal_feedback, partial_preset,
                    reduced_problem, scalar_preset, solve_riccati)
@@ -247,7 +247,7 @@ def test_simulate_partial_matches_oracle_plus_compensation():
     assert oracle == dataclasses.replace(coefs, terminal=(e1, e2, e0 + comp)
                                          ).cost(MeasureMoments(spec.x, m2)).total
     assert oracle == pytest.approx(
-        cost_oracle(red, law, spec.x, m2, 2000).total + comp, rel=1e-14, abs=0)
+        coefs.cost(MeasureMoments(spec.x, m2)).total + comp, rel=1e-14, abs=0)
     gap = abs(mc.total - oracle)
     tol = mc_tolerance(mc.std_error, cfg.dt)
     assert gap <= tol, f"gap {gap:.3e} tol {tol:.3e}"

@@ -9,10 +9,9 @@ import pytest
 
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
                    MeasureMoments, ProblemSpec, Reduction, SimConfig,
-                   cost_coefficients, cost_oracle, evolve_cloud, gaussianity_check,
-                   mc_tolerance,
-                   optimal_feedback, partial_preset, scalar_preset,
-                   simulate_mc, solve_riccati, value_function)
+                   cost_coefficients, cost_from_cloud, evolve_cloud,
+                   gaussianity_check, mc_tolerance, optimal_feedback,
+                   partial_preset, scalar_preset, solve_riccati, value_function)
 from mflqg import _kernels
 from mflqg import simulate as simulate_module
 from mflqg.errors import SimulationDivergedError
@@ -22,7 +21,7 @@ from mflqg.simulate import trajectory_to_csv
 # Hand-unrolled RK4 references, with the gains and every coefficient
 # evaluated at every stage.  _step_matrix_coefficient_loop steps the
 # homogeneous (c1, c2, c0, w) system backwards from T one RK4 step matrix at
-# a time; cost_coefficients, each law of a batch, and so cost_oracle must
+# a time; cost_coefficients, each law of a batch, and so _oracle must
 # reproduce it bit for bit.  _cost_coefficient_loop, the six-float RK4 loop
 # the pass ran before, and _cost_oracle_loop, the forward moment loop the
 # oracle ran before that, are independent references they agree with to
@@ -130,6 +129,17 @@ TIME_VARYING = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
                            Q=Coefficient.poly([1.0, 0.2]), D1=1.0, D2=0.5, T=1.0)
 
 
+def _oracle(spec, law, m1_0, m2_0, steps):
+    """The law's oracle cost from (m1_0, m2_0), as the CLI prices a law."""
+    return cost_coefficients(spec, [law], steps)[0].cost(MeasureMoments(m1_0, m2_0))
+
+
+def _mc(spec, law, initial, config):
+    """The Monte Carlo cost of the law's particle run over [0, T]."""
+    cloud = evolve_cloud(spec, law, initial, config)
+    return cost_from_cloud(spec, cloud.states, cloud.run_costs)
+
+
 def _zero_law(T=1.0):
     return FeedbackLaw(grid=np.array([0.0, T]), alpha=np.zeros(2), beta=np.zeros(2))
 
@@ -153,7 +163,7 @@ def test_oracle_uncontrolled_diffusion():
     # alpha = beta = 0 on the m2-terminal preset: m2' = sigma^2 = 1, so the
     # cost from a Dirac at 0 is exactly m2(T) = T
     spec = scalar_preset("example1")
-    report = cost_oracle(spec, _zero_law(), 0.0, 0.0, 100)
+    report = _oracle(spec, _zero_law(), 0.0, 0.0, 100)
     assert report.running == 0.0
     assert report.terminal == pytest.approx(1.0, abs=1e-12)
     assert report.total == pytest.approx(1.0, abs=1e-12)
@@ -165,14 +175,14 @@ def test_oracle_matches_ansatz_value_at_optimum():
         spec, sol, law = _optimal(name, 2000)
         for x in (0.0, 1.0, -2.0):
             v = value_function(sol, 0.0, MeasureMoments.dirac(x))
-            o = cost_oracle(spec, law, x, x * x, 2000)
+            o = _oracle(spec, law, x, x * x, 2000)
             assert abs(o.total - v) <= 1e-5, f"{name}, x={x}"
 
 
 def test_oracle_rejects_inconsistent_moments():
     spec, _, law = _optimal()
     with pytest.raises(DomainError):
-        cost_oracle(spec, law, 2.0, 1.0, 100)
+        _oracle(spec, law, 2.0, 1.0, 100)
 
 
 def _constant_law(alpha, T):
@@ -193,11 +203,11 @@ def test_oracle_detects_moment_blowup():
     e = math.exp(180.0)
     m2_T = 7.0 / 6.0 * e - 1.0 / 6.0
     run = 9.0 * (7.0 / 36.0 * (e - 1.0) - 30.0 / 6.0)
-    got = cost_oracle(spec, _constant_law(3.0, 30.0), 1.0, 1.0, 3000)
+    got = _oracle(spec, _constant_law(3.0, 30.0), 1.0, 1.0, 3000)
     assert got.terminal == pytest.approx(m2_T, rel=1e-4)
     assert got.running == pytest.approx(run, rel=1e-4)
     with pytest.raises(FiniteEscapeError) as err:
-        cost_oracle(spec, _constant_law(30.0, 30.0), 1.0, 1.0, 3000)
+        _oracle(spec, _constant_law(30.0, 30.0), 1.0, 1.0, 3000)
     assert 30.0 - 709.8 / 60.0 < err.value.time \
         < 30.0 - (709.8 - math.log(15.0 * 6.0 * 60.0 * 2.0)) / 60.0
     # In a batch, the overflowing law stops the pass at the same node.
@@ -211,7 +221,7 @@ def test_oracle_prices_states_near_the_float_range():
     # At x = 1e154, m2 = 1e308: no moment is integrated, so the cost is the
     # finite 5.0e307 solve reports as the value.
     spec, sol, law = _optimal()
-    got = cost_oracle(spec, law, 1e154, 1e308, 1000)
+    got = _oracle(spec, law, 1e154, 1e308, 1000)
     value = Reduction.of(spec).value(sol, 1e154)
     assert math.isfinite(got.total) and value > 4e307
     assert got.total == pytest.approx(value, rel=1e-12)
@@ -242,7 +252,7 @@ def test_batched_laws_are_their_own_passes(red):
                       _cost_coefficient_loop(spec, law, 2000))
         for m1_0, m2_0 in ((0.0, 0.0), (1.0, 1.0), (mu.m1, mu.m2)):
             cost = coefs.cost(MeasureMoments(m1_0, m2_0))
-            assert cost == cost_oracle(spec, law, m1_0, m2_0, 2000)
+            assert cost == _oracle(spec, law, m1_0, m2_0, 2000)
             assert cost.total == cost.running + cost.terminal
             for a, b in zip((cost.total, cost.running, cost.terminal),
                             _cost_oracle_loop(spec, law, m1_0, m2_0, 2000)):
@@ -256,16 +266,16 @@ def test_oracle_respects_law_domain():
     short = FeedbackLaw(grid=np.array([0.0, 0.5]), alpha=np.zeros(2),
                         beta=np.zeros(2))
     with pytest.raises(DomainError):
-        cost_oracle(spec, short, 0.0, 0.0, 100)
+        _oracle(spec, short, 0.0, 0.0, 100)
 
 
 def test_simulate_mc_reproducible_and_close_to_oracle():
     spec, sol, law = _optimal()
     cfg = SimConfig(20_000, 1e-3, 42)
-    r1 = simulate_mc(spec, law, 1.0, cfg)
-    r2 = simulate_mc(spec, law, 1.0, cfg)
+    r1 = _mc(spec, law, 1.0, cfg)
+    r2 = _mc(spec, law, 1.0, cfg)
     assert r1 == r2  # bit-identical, not just close
-    oracle = cost_oracle(spec, law, 1.0, 1.0, 2000)
+    oracle = _oracle(spec, law, 1.0, 1.0, 2000)
     gap = abs(r1.total - oracle.total)
     tol = mc_tolerance(r1.std_error, cfg.dt)
     assert gap <= tol, f"gap {gap:.3e} tol {tol:.3e}"
@@ -275,8 +285,8 @@ def test_simulate_mc_reproducible_and_close_to_oracle():
 
 def test_different_seeds_differ():
     spec, _, law = _optimal()
-    a = simulate_mc(spec, law, 1.0, SimConfig(1000, 1e-2, 1))
-    b = simulate_mc(spec, law, 1.0, SimConfig(1000, 1e-2, 2))
+    a = _mc(spec, law, 1.0, SimConfig(1000, 1e-2, 1))
+    b = _mc(spec, law, 1.0, SimConfig(1000, 1e-2, 2))
     assert a.total != b.total
 
 
@@ -285,10 +295,10 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     # in ten chunks of one block each after the patch.
     spec, _, law = _optimal(steps=200)
     cfg = SimConfig(500, 1e-3, 9)
-    r1 = simulate_mc(spec, law, 1.0, cfg)
+    r1 = _mc(spec, law, 1.0, cfg)
     monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 1000)
     assert simulate_module.stream_layout(500)["chunk_rows"] == 100
-    r2 = simulate_mc(spec, law, 1.0, cfg)
+    r2 = _mc(spec, law, 1.0, cfg)
     assert r1 == r2
 
 
@@ -524,7 +534,7 @@ def test_gaussianity_check_degenerate_cloud():
 
 def test_perturbation_sweep_margins_positive_and_quadratic():
     spec, sol, law = _optimal(steps=2000)
-    base = cost_oracle(spec, law, 1.0, 1.0, 2000).total
+    base = _oracle(spec, law, 1.0, 1.0, 2000).total
     deltas = [(d, 0.0) for d in (-0.2, -0.1, 0.1, 0.2)]
     swept = cost_coefficients(spec, [law.shifted(*d) for d in deltas], 2000)
     assert len(swept) == len(deltas)
@@ -560,7 +570,7 @@ def test_cost_oracle_matches_unrolled_loop(spec):
     coefs = _step_matrix_coefficient_loop(spec, law, 2000)
     assert _close(coefs, _cost_coefficient_loop(spec, law, 2000))
     for m1_0, m2_0 in ((1.0, 1.0), (-0.5, 0.75)):
-        got = cost_oracle(spec, law, m1_0, m2_0, 2000)
+        got = _oracle(spec, law, m1_0, m2_0, 2000)
         assert (got.total, got.running, got.terminal) == \
             _priced(coefs, m1_0, m2_0)
         for a, b in zip((got.total, got.running, got.terminal),
@@ -580,7 +590,7 @@ def test_perturbation_sweep_is_one_oracle_per_delta(spec):
                 for c in cost_coefficients(spec, laws, 1000)]
 
     swept = sweep(deltas)
-    assert swept == [cost_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total
+    assert swept == [_oracle(spec, law.shifted(*d), 0.5, 0.5, 1000).total
                      for d in deltas]
     assert swept == [_priced(_step_matrix_coefficient_loop(spec, law.shifted(*d), 1000),
                              0.5, 0.5)[0] for d in deltas]

@@ -172,14 +172,16 @@ class Reduction:
 
         E_T is the sum of its two independent sources,
         eta_tilde sqrt(s) Z0 + sigma_tilde sqrt(T - s) Z1, drawn on the child
-        stream SeedSequence(seed).spawn(1)[0], so it never shifts the
-        prediction cloud's draws.  No cost term reads E before T.
+        SFC64 stream of SeedSequence(seed).spawn(1)[0], child 0 of the seed,
+        a key that evolve_cloud's root (the initial cloud) and block children
+        1, 2, ... never use, so it never shifts the prediction cloud's draws.
+        No cost term reads E before T.
         """
         spec = self.partial
         if spec is None:
             return 0.0
         child = np.random.SeedSequence(config.seed).spawn(1)[0]
-        z = np.random.Generator(np.random.Philox(child)).standard_normal(
+        z = np.random.Generator(np.random.SFC64(child)).standard_normal(
             (2, config.n_paths))
         return (spec.eta_tilde * math.sqrt(spec.s) * z[0]
                 + spec.sigma_tilde * math.sqrt(spec.T - spec.s) * z[1])

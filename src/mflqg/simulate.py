@@ -14,8 +14,10 @@ integrator steps them as one homogeneous system; c = (phi1, phi2, phi3)(0)
 for the optimal law.  The Monte Carlo route simulates n interacting particles with
 Euler-Maruyama, coupling each through the empirical mean of the same cloud,
 and estimates the cost with a left-endpoint quadrature of the running
-integrand.  Both routes accept the same FeedbackLaw, which is what makes the
-cross-check meaningful.
+integrand; its normal increments come from SFC64 streams keyed by numpy's
+SeedSequence, one child key per block of steps (see evolve_cloud).  Both
+routes accept the same FeedbackLaw, which is what makes the cross-check
+meaningful.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ __all__ = [
 _CHUNK_ELEMENTS = 2_000_000
 
 # Element count of one block of increments: the steps of block b come from
-# their own Philox stream, the seed's stream jumped b + 1 times, so a block's
-# bytes do not depend on which thread draws it or on the buffer shape.
+# their own SFC64 stream, keyed as child b + 1 of the seed's SeedSequence, so
+# a block's bytes do not depend on which thread draws it or on the buffer
+# shape.
 _BLOCK_ELEMENTS = 50_000
 
 InitialLaw = Union[float, int, tuple]
@@ -210,16 +213,18 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     """Euler-Maruyama for the interacting particle system up to t_stop (default T).
 
     For a fixed config the result is bit-identical across runs, chunk sizes
-    and thread timing.  Streams: the initial cloud draws from
-    Philox(seed); the increments of steps [b S, (b + 1) S) come from
-    Philox(seed).jumped(b + 1), where S = max(1, _BLOCK_ELEMENTS // n_paths)
-    (stream_layout's block_rows).  A jump moves the counter by 2^128, so
-    these streams never overlap; partial_obs draws its estimation error from
-    the key of SeedSequence(seed).spawn(1)[0], distinct again.  The run is
-    stepped in chunks of whole blocks through two buffers: while this thread
-    steps the kernel over chunk i in one buffer, one helper thread claims the
-    blocks of chunk i + 1 from a shared iterator and fills them into the
-    other, and this thread claims the rest once its kernel call returns.
+    and thread timing.  Streams, all SFC64 keyed by numpy's SeedSequence:
+    the initial cloud draws from SFC64(seed), the root key; the increments
+    of steps [b S, (b + 1) S) come from child b + 1,
+    SFC64(SeedSequence(seed, spawn_key=(b + 1,))), where
+    S = max(1, _BLOCK_ELEMENTS // n_paths) (stream_layout's block_rows);
+    partial_obs draws its estimation error from child 0.  Distinct keys hash
+    to unrelated states, which is how SeedSequence keeps parallel streams
+    apart for a generator with no jump.  The run is stepped in chunks of
+    whole blocks through two buffers: while this thread steps the kernel
+    over chunk i in one buffer, one helper thread claims the blocks of chunk
+    i + 1 from a shared iterator and fills them into the other, and this
+    thread claims the rest once its kernel call returns.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -241,8 +246,7 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     al_k, be_k = law.gains_on(left)
 
     x = _resolve_initial(initial, n,
-                         np.random.Generator(np.random.Philox(config.seed)))
-    root = np.random.Philox(config.seed)  # only jumped, never drawn from
+                         np.random.Generator(np.random.SFC64(config.seed)))
     run = np.zeros(n)
     m1 = np.empty(n_steps + 1)
     m2 = np.empty(n_steps + 1)
@@ -257,7 +261,7 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     buffers = (np.empty((rows, n)), np.empty((min(rows, n_steps - rows), n)))
 
     def fill(i):
-        _fill_blocks(claims[i], root, block, n_steps, bounds[i][0],
+        _fill_blocks(claims[i], config.seed, block, n_steps, bounds[i][0],
                      buffers[i % 2])
 
     with ThreadPoolExecutor(1) as helper:
@@ -283,31 +287,27 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
 
 def stream_layout(n_paths: int) -> dict:
     """What a run with n_paths particles depends on besides its problem and
-    seed: the bit generator and the steps per Philox block (the streams),
+    seed: the bit generator and the steps per keyed block (the streams),
     the steps per increment buffer (where a divergence is detected) and the
     numpy version (its normal sampler)."""
     block = max(1, _BLOCK_ELEMENTS // n_paths)
     chunk = block * max(1, _CHUNK_ELEMENTS // 2 // n_paths // block)
-    return {"bit_generator": "Philox", "block_rows": block,
+    return {"bit_generator": "SFC64", "block_rows": block,
             "chunk_rows": chunk, "numpy": np.__version__}
 
 
-def _fill_blocks(claims, root, block, n_steps, k_start, out) -> None:
+def _fill_blocks(claims, seed, block, n_steps, k_start, out) -> None:
     """Draw every block claimed from the shared iterator `claims` into its
-    rows of `out`, whose first row is step k_start.  Both threads call this
-    on the same iterator; next() on it is one C call under the interpreter
-    lock, so each block is claimed once."""
-    # root.jumped(b + 1) would seed a throwaway Philox from OS entropy per
-    # block; setting the root's state and advancing it is the same jump.
-    start = root.state
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
+    rows of `out`, whose first row is step k_start; block b from child
+    b + 1 of SeedSequence(seed).  Both threads call this on the same
+    iterator; next() on it is one C call under the interpreter lock, so
+    each block is claimed once."""
     for b in claims:
         k0 = b * block
         k1 = min(k0 + block, n_steps)
-        bits.state = start
-        bits.advance((b + 1) << 128)
-        rng.standard_normal(out=out[k0 - k_start:k1 - k_start])
+        key = np.random.SeedSequence(seed, spawn_key=(b + 1,))
+        np.random.Generator(np.random.SFC64(key)).standard_normal(
+            out=out[k0 - k_start:k1 - k_start])
 
 
 def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostReport:

@@ -357,7 +357,7 @@ def test_state_near_the_float_range_is_a_monte_carlo_divergence(tmp_path, capsys
 def test_manifests_record_what_decides_the_mc_bytes(tmp_path):
     import numpy as np
 
-    layout = {"bit_generator": "Philox", "block_rows": 25, "chunk_rows": 500,
+    layout = {"bit_generator": "SFC64", "block_rows": 25, "chunk_rows": 500,
               "numpy": np.__version__}
     for command in ("simulate", "verify"):
         out = tmp_path / command

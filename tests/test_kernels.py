@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from mflqg import (SimConfig, cost_from_cloud, evolve_cloud, optimal_feedback,
@@ -34,7 +36,8 @@ def _mc_chunk_loops(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
 
 # Whole-array reference: the same arithmetic in the same order as the
 # in-place kernel, so that must reproduce it bit for bit.  The Euler update
-# is the fused affine map of x; u is formed for the running cost only.
+# is the fused affine map of x; the running cost is one square,
+# (sqrt(q dt) u)^2 with sqrt(q dt) u = (sqrt(q dt) al) x + (sqrt(q dt) be) m1.
 
 def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
     n = x.shape[0]
@@ -42,8 +45,9 @@ def _mc_chunk_expr(x, run, z, a, b, s_sqdt, q_dt, al, be, dt, m1_out, m2_out):
         m1 = x.sum() / n
         m1_out[k] = m1
         m2_out[k] = (x * x).sum() / n
-        u = al[k] * x + be[k] * m1
-        run += q_dt[k] * u * u
+        root_q = math.sqrt(q_dt[k])
+        w = x * (root_q * al[k]) + (root_q * be[k]) * m1
+        run += w * w
         x[:] = ((1.0 + (a[k] + b[k] * al[k]) * dt) * x + b[k] * be[k] * m1 * dt
                 + s_sqdt[k] * z[k])
 
@@ -85,7 +89,10 @@ def test_mc_chunk_single_step_formulas():
              0.5 * one, dt, m1, m2)
     assert m1[0] == 2.0 and m2[0] == 4.0  # pre-step moments
     u = -1.0 * 2.0 + 0.5 * 2.0  # alpha x + beta m1 = -1
-    assert run[0] == 0.2 * u * u
+    # q dt u^2 as the kernel rounds it, (sqrt(q dt) u)^2, one ulp from 0.2
+    root_q = math.sqrt(0.2)
+    assert run[0] == (2.0 * (root_q * -1.0) + (root_q * 0.5) * 2.0) ** 2
+    assert abs(run[0] - 0.2 * u * u) <= 2.0 * np.finfo(float).eps * 0.2
     assert x[0] == 2.0 + (1.0 * 2.0 + 1.0 * u) * dt + 0.3 * 0.5
 
 

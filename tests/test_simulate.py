@@ -329,18 +329,19 @@ def test_one_increment_block_per_run(monkeypatch):
 
 
 def _serial_reference(spec, law, initial, cfg):
-    # The initial cloud from Philox(seed); the increments of steps
-    # [b S, (b + 1) S) from Philox(seed).jumped(b + 1), drawn block by block
-    # in block order; then one kernel call over all steps.
+    # The initial cloud from SFC64(seed), the root key; the increments of
+    # steps [b S, (b + 1) S) from child b + 1 of SeedSequence(seed), drawn
+    # block by block in block order; then one kernel call over all steps.
     n, dt = cfg.n_paths, cfg.dt
     steps = int(round(spec.T / dt))
     times = np.linspace(0.0, spec.T, steps + 1)
     left = times[:-1]
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     x = simulate_module._resolve_initial(initial, n, rng)
     block = max(1, simulate_module._BLOCK_ELEMENTS // n)
     z = np.concatenate([
-        np.random.Generator(np.random.Philox(cfg.seed).jumped(b + 1))
+        np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(b + 1,))))
         .standard_normal((min(block, steps - k0), n))
         for b, k0 in enumerate(range(0, steps, block))])
     run = np.zeros(n)
@@ -406,16 +407,63 @@ def test_block_draws_do_not_depend_on_the_drawing_thread(monkeypatch, drawer):
     assert len(drew) == 1 and (caller in drew) == (drawer == "main")
 
 
-def test_stream_layout_keeps_streams_apart():
-    # First draws of the initial-cloud stream, the first block streams and
-    # partial_obs's estimation-error stream, over a few seeds: all distinct.
+def _block_fill(seed, n_paths, n_blocks):
+    # The increments evolve_cloud draws at block_rows = 1 (n_paths >= 50 000,
+    # the CLI default): one keyed block per step, so every row boundary is a
+    # block boundary.
+    out = np.empty((n_blocks, n_paths))
+    simulate_module._fill_blocks(iter(range(n_blocks)), seed, 1, n_blocks, 0, out)
+    return out
+
+
+def test_stream_keys_are_the_documented_children():
+    # Reduction.error draws from child 0 = SeedSequence(seed).spawn(1)[0];
+    # the initial cloud (read back from a run that leaves it unmoved) from
+    # the root SFC64(seed); block b from child b + 1.  Over four seeds the
+    # first draws of the root, child 0 and the children of blocks 0-4 are all
+    # distinct, so no two of these streams share a key.
+    pspec = partial_preset("example3", s=0.25)
+    red = Reduction.of(pspec)
+    still = ProblemSpec(A=0.0, B=1.0, sigma=0.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
     firsts = []
     for seed in range(4):
-        gens = [np.random.Philox(seed)]
-        gens += [np.random.Philox(seed).jumped(b + 1) for b in range(5)]
-        gens.append(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
-        firsts += [tuple(np.random.Generator(g).standard_normal(4)) for g in gens]
+        cfg = SimConfig(4, 0.5, seed)
+        child0 = np.random.SeedSequence(seed).spawn(1)[0]
+        assert np.array_equal(
+            child0.generate_state(8),
+            np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(8))
+        z = np.random.Generator(np.random.SFC64(child0)).standard_normal((2, 4))
+        assert np.array_equal(red.error(cfg),
+                              pspec.eta_tilde * math.sqrt(pspec.s) * z[0]
+                              + pspec.sigma_tilde * math.sqrt(pspec.T - pspec.s) * z[1])
+        root = evolve_cloud(still, _zero_law(), (0.0, 1.0), cfg).states
+        assert np.array_equal(
+            root, np.random.Generator(np.random.SFC64(seed)).standard_normal(4))
+        blocks = _block_fill(seed, 4, 5)
+        for b in range(5):
+            key = np.random.SeedSequence(seed, spawn_key=(b + 1,))
+            assert np.array_equal(
+                blocks[b],
+                np.random.Generator(np.random.SFC64(key)).standard_normal(4))
+        firsts += [tuple(root), tuple(z[0]), *map(tuple, blocks)]
     assert len(set(firsts)) == len(firsts) == 4 * 7
+
+
+def test_block_streams_are_independent_normals():
+    # 2000 paths x 1000 one-step blocks.  Each path's increments sum to
+    # N(0, 1000): the sample variance of the scaled sums lies within 5 SE of
+    # 1, SE = sqrt(2 / (n - 1)); a child reused by two blocks far apart
+    # doubles a share of the variance.  Rows on either side of each block
+    # boundary are uncorrelated: their pooled correlation lies within 5 SE
+    # of 0, SE = 1 / sqrt(pairs); a child reused by neighbouring blocks reads
+    # 1 there.
+    n, steps = 2000, 1000
+    z = _block_fill(17, n, steps)
+    sums = z.sum(axis=0) / math.sqrt(steps)
+    assert abs(sums.var(ddof=1) - 1.0) <= 5.0 * math.sqrt(2.0 / (n - 1))
+    before, after = z[:-1].ravel(), z[1:].ravel()
+    corr = np.corrcoef(before, after)[0, 1]
+    assert abs(corr) <= 5.0 / math.sqrt(before.size)
 
 
 def test_concurrent_runs_keep_their_streams(monkeypatch):

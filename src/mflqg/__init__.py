@@ -16,7 +16,7 @@ from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
 from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
                     ProblemSpec, ValidationResult, as_coefficient,
-                    validate_matrix_spec, validate_spec)
+                    validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, RiccatiSolution, closed_form,
                       solve_riccati)
 from .control import FeedbackLaw, optimal_feedback, residual_sweep, value_function
@@ -36,8 +36,7 @@ __all__ = [
     "SimulationDivergedError",
     # model
     "Coefficient", "MatrixProblemSpec", "MeasureMoments", "ProblemSpec",
-    "ValidationResult", "as_coefficient", "validate_matrix_spec",
-    "validate_spec",
+    "ValidationResult", "as_coefficient", "validate_spec",
     # riccati
     "DIVERGENCE_LIMIT", "RiccatiSolution", "closed_form", "solve_riccati",
     # control

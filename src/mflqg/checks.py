@@ -1,7 +1,8 @@
 """verify's check battery: what each check measures, its band and its verdict.
 
-battery returns the checks of one problem, in order, with the residual-sweep
-rows, and writes nothing: a run that stops on an error leaves no file.
+battery returns the checks of one problem of any dimension, in order, with
+the residual-sweep rows, and writes nothing: a run that stops on an error
+leaves no file.
 monte_carlo, one seeded particle run and its mc-vs-oracle verdict, is also
 simulate's within_threshold.
 """
@@ -15,7 +16,6 @@ import numpy as np
 
 from .control import optimal_feedback, residual_sweep
 from .errors import DomainError, SimulationDivergedError
-from .model import MeasureMoments
 from .partial_obs import Reduction, cost_decomposition_check
 from .riccati import closed_form, solve_riccati
 from .simulate import (CloudTrajectory, CostReport, SimConfig,
@@ -108,8 +108,9 @@ def _gaussianity_entry(states) -> Check:
                  f"{gauss.excess_kurtosis:.4f}")
 
 
-# Constant gain offsets of perturbation-margin: the zero offset, then each
-# size with both signs on alpha, then on beta.
+# Constant gain offsets of perturbation-margin, each a multiple of the
+# identity: the zero offset, then each size with both signs on alpha, then
+# on beta.
 _SIZES = np.array([0.05, 0.1, 0.2, 0.4])
 _OFFSETS = [sign * d for d in _SIZES.tolist() for sign in (1.0, -1.0)]
 _DELTAS = [(0.0, 0.0)] + [(o, 0.0) for o in _OFFSETS] + [(0.0, o) for o in _OFFSETS]
@@ -139,17 +140,18 @@ def _perturbation_entry(totals) -> Check:
                  worst_dev, 0.2, "; ".join(details))
 
 
-def battery(spec, red: Reduction | None, result, sol, x0: float, steps: int,
+def battery(red: Reduction, result, sol, x0, steps: int,
             sim: SimConfig) -> tuple[list[Check], list | None]:
-    """verify's checks of one problem, in order, and the residual-sweep rows
-    (None unless a scalar kind was solved).  result validates spec (a
-    matrix problem, red None) or red.problem; sol is that problem's Riccati
-    solution on `steps` intervals, None if result failed, which stops the
-    battery after assumptions.  A scalar kind runs from x0 with the
-    particle settings `sim`; analytic-phi runs where closed_form covers the
-    solved problem, and a partially observed problem adds cost-decomposition.
+    """verify's checks of one problem of any dimension d, in order, from the
+    state x0, and the residual-sweep rows.  result validates red.problem;
+    sol is its Riccati solution on `steps` intervals, None if result failed,
+    which stops the battery after assumptions (rows None).  symmetry runs
+    where d > 1 (at d = 1 it reads 0 by construction), analytic-phi where
+    closed_form covers the problem, the particle checks where d = 1 (with
+    the settings `sim`), cost-decomposition for a partially observed one.
     """
-    weight = "eigenvalue of Q" if red is None else "Q"
+    problem = red.problem
+    weight = "Q" if problem.d == 1 else "eigenvalue of Q"
     seen = "not measured" if result.q_min is None else f"{result.q_min:.3e}"
     checks = [Check("assumptions", result.ok, result.q_min, 0.0,
                     f"{result.message}; smallest {weight} on the grid {seen}, "
@@ -158,24 +160,16 @@ def battery(spec, red: Reduction | None, result, sol, x0: float, steps: int,
         return checks, None
     # phi(T) must equal (D1, D2, 0) exactly; a NaN in the defects makes the
     # gap NaN and fails the check.
-    defects = [sol.phi1[-1] - spec.D1, sol.phi2[-1] - spec.D2, sol.phi3[-1]]
+    defects = [sol.phi1[-1] - problem.D1, sol.phi2[-1] - problem.D2, sol.phi3[-1]]
     gap = float(np.max([np.abs(d).max() for d in defects]))
     checks.append(Check("terminal-exactness", gap == 0.0, gap, 0.0,
                         f"max |phi(T) - (D1, D2, 0)| = {gap:.3e}, must be exact"))
+    if problem.d > 1:
+        asym = max(float(np.abs(p - p.transpose(0, 2, 1)).max())
+                   for p in (sol.phi1, sol.phi2))
+        checks.append(Check("symmetry", asym <= 1e-10, asym, 1e-10,
+                            f"max |phi - phi^T| = {asym:.3e}"))
 
-    if red is None:
-        asym = max(float(np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()),
-                   float(np.abs(sol.phi2 - sol.phi2.transpose(0, 2, 1)).max()))
-        sol2 = solve_riccati(spec, 2 * steps)
-        gap = max(float(np.abs(sol.phi1[0] - sol2.phi1[0]).max()),
-                  float(np.abs(sol.phi2[0] - sol2.phi2[0]).max()),
-                  abs(float(sol.phi3[0]) - float(sol2.phi3[0])))
-        return checks + [Check("symmetry", asym <= 1e-10, asym, 1e-10,
-                               f"max |phi - phi^T| = {asym:.3e}"),
-                         Check("grid-refinement", gap <= 1e-6, gap, 1e-6,
-                               f"|phi(0) - refined phi(0)| = {gap:.3e}")], None
-
-    problem = red.problem
     law = optimal_feedback(problem, sol)
     try:
         ref = closed_form(problem, steps)
@@ -187,21 +181,22 @@ def battery(spec, red: Reduction | None, result, sol, x0: float, steps: int,
         checks.append(Check("analytic-phi", err <= 1e-8, err, 1e-8,
                             f"max |phi - closed form| = {err:.3e}"))
 
-    rng = np.random.Generator(np.random.Philox(12345))
-    ts = rng.uniform(0.1 * problem.T, 0.9 * problem.T, 100)
-    m1 = rng.uniform(-1.0, 1.0, 100)
-    extra = rng.uniform(0.0, 0.25, 100)
-    mus = [MeasureMoments(float(a), float(a * a + b)) for a, b in zip(m1, extra)]
-    rows = residual_sweep(problem, sol, zip(ts, mus))
-    worst = max(abs(r[3]) for r in rows)
+    rows = residual_sweep(problem, sol)
+    worst = max(r[4] for r in rows)
     checks.append(Check("residual-sweep", worst <= 1e-6, worst, 1e-6,
-                        f"max |residual| = {worst:.3e} over 100 draws"))
+                        f"max |residual| <= {worst:.3e} over |m1| <= 1, tr var "
+                        f"<= 0.25 at {len(rows)} nodes in [0.1 T, 0.9 T]"))
 
     # One refined grid, at least twice the working one, serves as the
-    # reference of value-consistency and as the grid of the oracle checks.
+    # reference of grid-refinement and value-consistency and as the grid of
+    # the oracle checks.
     fine_steps = max(2000, 2 * steps)
     sol_fine = solve_riccati(problem, fine_steps)
     law_fine = optimal_feedback(problem, sol_fine)
+    phi0 = sol_fine.at(0.0)
+    gap = max(float(np.abs(p - q).max()) for p, q in zip(sol.at(0.0), phi0))
+    checks.append(Check("grid-refinement", gap <= 1e-6, gap, 1e-6,
+                        f"|phi(0) - refined phi(0)| = {gap:.3e}"))
     v1 = red.value(sol, x0)
     gap = abs(v1 - red.value(sol_fine, x0))
     band = max(1e-6, 1e-12 * abs(v1))
@@ -213,15 +208,16 @@ def battery(spec, red: Reduction | None, result, sol, x0: float, steps: int,
     # optimal law's cost coefficients with phi_fine(0).
     coefs = cost_coefficients(
         problem, [law_fine.shifted(*d) for d in _DELTAS] + [law], fine_steps)
-    phi0 = sol_fine.at(0.0)
-    gap = max(abs(e + r - p) for e, r, p in
+    gap = max(float(np.abs(e + r - p).max()) for e, r, p in
               zip(coefs[0].terminal, coefs[0].running, phi0))
-    band = 1e-12 * max(1.0, *map(abs, phi0))
-    mu = red.moments(x0)
+    band = 1e-12 * max(1.0, *(float(np.abs(p).max()) for p in phi0))
     checks.append(Check("oracle-vs-value", gap <= band, gap, band,
                         f"max |c - phi(0)| = {gap:.3e} over the optimal law's "
                         f"cost coefficients"))
+    mu = red.moments(x0)
     checks.append(_perturbation_entry([c.cost(mu).total for c in coefs[:-1]]))
+    if problem.d > 1:
+        return checks, rows
 
     run = monte_carlo(red, law, sim, x0, red.oracle(coefs[-1], x0))
     checks.append(run.check)

@@ -8,9 +8,10 @@ Four subcommands:
     report     merge manifests from earlier runs into one table
 
 This module is plumbing: solve, simulate and verify read their target
-through one resolver, and each command writes its outputs once its numbers
-are computed.  verify's checks are mflqg.checks.battery, which only
-computes, so a verify that stops on an error leaves no file behind.
+through one resolver, as a Reduction of any dimension d, and each command
+writes its outputs once its numbers are computed.  verify's checks are
+mflqg.checks.battery, which only computes, so a verify that stops on an
+error leaves no file behind.
 
 Every command writes a manifest.json describing inputs and outputs.  Outputs
 contain no timestamps: rerunning a command with the same arguments reproduces
@@ -39,7 +40,7 @@ from .config import load_config
 from .control import law_to_csv, optimal_feedback, residual_to_csv
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
-from .model import MatrixProblemSpec, validate_matrix_spec, validate_spec
+from .model import validate_spec
 from .partial_obs import Reduction, partial_trajectory_to_csv
 from .presets import PRESET_NAMES, preset
 from .riccati import solution_to_csv, solve_riccati
@@ -123,20 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args):
     """The target of solve, simulate or verify: (spec, source label, sim,
-    scalar view, initial states, grid steps).  Arguments are checked in the
-    order problem (--preset or --config), output directory, Monte Carlo
-    settings, problem kind, --dt against the horizon the particles run on,
-    --x: a --dt that does not divide it is refused before any solve.  A
-    matrix problem has no particle run, so its verify ignores --dt.
+    Reduction.of(spec), initial states, grid steps).  Arguments are checked
+    in the order problem (--preset or --config), output directory, Monte
+    Carlo settings, dimension (simulate runs d = 1 only), --dt against the
+    horizon the particles run on (where d = 1; refused before any solve), --x.
 
     sim is SimConfig's defaults overridden by the config file, then by
-    flags (None for solve).  The scalar view is spec's Reduction, None for
-    a matrix problem.  The states are each --x as d comma-separated numbers
-    (floats for a scalar view), each with a finite square, since every cost
-    reads it; without --x, a partially observed spec's x, else 1 (ones for
-    a matrix problem).  The first one is simulated.  steps is --steps, or
-    1000 per unit of the horizon the Riccati system is solved on (T - s for
-    a partially observed problem).
+    flags (None for solve).  The states are each --x as d comma-separated
+    numbers (a number at d = 1, else a list), each with a finite square,
+    since every cost reads it; without --x, a partially observed spec's x,
+    else ones.  The first one is simulated.  steps is --steps, or 1000 per
+    unit of the horizon the Riccati system is solved on (T - s for a
+    partially observed problem).
     """
     if args.preset is not None:
         spec, source, config_sim = preset(args.preset), f"preset:{args.preset}", None
@@ -150,16 +149,12 @@ def _resolve(args):
         given = {"n_paths": args.paths, "dt": args.dt, "seed": args.seed}
         sim = dataclasses.replace(config_sim or SimConfig(),
                                   **{k: v for k, v in given.items() if v is not None})
-    if isinstance(spec, MatrixProblemSpec):
-        if args.command == "simulate":
-            raise DomainError("simulate supports scalar and partial_obs problems")
-        red, d, default, horizon = None, spec.d, np.ones(spec.d), spec.T
-    else:
-        red = Reduction.of(spec)
-        d, horizon = 1, red.problem.T
-        default = 1.0 if red.partial is None else spec.x
-        if sim is not None:
-            _steps_for(horizon, sim.dt)
+    red = Reduction.of(spec)
+    d = red.problem.d
+    if args.command == "simulate" and d > 1:
+        raise DomainError("simulate supports scalar and partial_obs problems")
+    if sim is not None and d == 1:
+        _steps_for(red.problem.T, sim.dt)
     xs = []
     for s in args.x or ():
         try:
@@ -170,18 +165,18 @@ def _resolve(args):
             raise DomainError(f"--x {s!r} has {vec.size} entries, expected {d}")
         if not all(math.isfinite(v * v) for v in vec.tolist()):
             raise DomainError(f"--x expects numbers with a finite square, got {s!r}")
-        xs.append(vec if red is None else float(vec[0]))
-    steps = args.steps if args.steps is not None else max(10, int(round(1000.0 * horizon)))
-    return spec, source, sim, red, xs or [default], steps
+        xs.append(vec)
+    default = np.ones(d) if red.partial is None else np.array([spec.x])
+    states = [np.squeeze(vec).tolist() for vec in xs or [default]]
+    steps = args.steps if args.steps is not None else max(10, int(round(1000.0 * red.problem.T)))
+    return spec, source, sim, red, states, steps
 
 
-def _solve(spec, red, steps: int):
-    """Validate the problem whose Riccati system a kind solves (a matrix
-    spec, or the scalar view's problem) and, if it holds, solve that system
-    on `steps` intervals: (validation result, solution or None)."""
-    problem = spec if red is None else red.problem
-    result = (validate_matrix_spec if red is None else validate_spec)(problem)
-    return result, solve_riccati(problem, steps) if result.ok else None
+def _solve(red, steps: int):
+    """Validate red.problem and, if it holds, solve its Riccati system on
+    `steps` intervals: (validation result, solution or None)."""
+    result = validate_spec(red.problem)
+    return result, solve_riccati(red.problem, steps) if result.ok else None
 
 
 def _ensure_outdir(path: str) -> str:
@@ -195,33 +190,24 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# solve
-
 def cmd_solve(args) -> int:
     spec, source, _, red, xs, steps = _resolve(args)
-    result, sol = _solve(spec, red, steps)
+    result, sol = _solve(red, steps)
     if sol is None:
         raise AssumptionError(result.message)
     solution_to_csv(sol, os.path.join(args.out, "phi.csv"))
     outputs = {"phi": "phi.csv", "summary": "summary.json"}
-    summary: dict = {"source": source, "T": spec.T, "steps": steps}
-    if red is None:
-        p1, p2, p3 = sol.at(0.0)
-        values = [{"x": [float(v) for v in vec],
-                   "value": float(vec @ p1 @ vec + vec @ p2 @ vec + p3)}
-                  for vec in xs]
-        summary.update(kind="matrix", d=spec.d)
-    else:
+    if red.problem.d == 1:  # no d x d gains table is written yet
         law_to_csv(optimal_feedback(red.problem, sol),
                    os.path.join(args.out, "gains.csv"))
         outputs["gains"] = "gains.csv"
-        values = [{"x": x, "value": red.value(sol, x)} for x in xs]
-        summary["kind"] = red.kind
-        if red.partial is not None:
-            summary.update(s=spec.s, error_compensation=red.comp)
-
-    summary["values"] = values
+    values = [{"x": x, "value": red.value(sol, x)} for x in xs]
+    summary: dict = {"source": source, "T": spec.T, "steps": steps,
+                     "kind": red.kind, "values": values}
+    if red.problem.d > 1:
+        summary["d"] = red.problem.d
+    if red.partial is not None:
+        summary.update(s=spec.s, error_compensation=red.comp)
     _write_json(os.path.join(args.out, "summary.json"), summary)
     RunManifest(command="solve", source=source,
                 params={"steps": steps, "x": values[0]["x"]},
@@ -229,13 +215,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# simulate
-
 def cmd_simulate(args) -> int:
     spec, source, sim, red, xs, steps = _resolve(args)
     x0 = xs[0]
-    result, sol = _solve(spec, red, steps)
+    result, sol = _solve(red, steps)
     if sol is None:
         raise AssumptionError(result.message)
     law = optimal_feedback(red.problem, sol)
@@ -264,29 +247,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-
 def cmd_verify(args) -> int:
     spec, source, sim, red, xs, steps = _resolve(args)
-    result, sol = _solve(spec, red, steps)
-    checks, rows = battery(spec, red, result, sol, xs[0], steps, sim)
+    result, sol = _solve(red, steps)
+    checks, rows = battery(red, result, sol, xs[0], steps, sim)
     outputs: dict = {}
     params = {"steps": steps, "n_paths": sim.n_paths, "dt": sim.dt, "seed": sim.seed}
-    if red is not None:
+    if red.problem.d == 1:  # the particles ran
         params.update(stream_layout(sim.n_paths))
-        if rows is not None:
-            residual_to_csv(rows, os.path.join(args.out, "residual.csv"))
-            outputs["residual"] = "residual.csv"
-    elif sol is not None:
-        solution_to_csv(sol, os.path.join(args.out, "phi.csv"))
-        outputs["phi"] = "phi.csv"
+    if rows is not None:
+        residual_to_csv(rows, os.path.join(args.out, "residual.csv"))
+        outputs["residual"] = "residual.csv"
 
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     passed = all(c.passed for c in checks)
     payload = {
-        "source": source, "kind": "matrix" if red is None else red.kind,
+        "source": source, "kind": red.kind,
         "passed": passed, "checks": [dataclasses.asdict(c) for c in checks],
     }
     _write_json(os.path.join(args.out, "verify.json"), payload)
@@ -297,9 +274,6 @@ def cmd_verify(args) -> int:
           f"({sum(c.passed for c in checks)}/{len(checks)})")
     return 0 if passed else 1
 
-
-# ---------------------------------------------------------------------------
-# report
 
 def _report_row(manifest: RunManifest, summary: dict | None) -> dict:
     row = {"source": manifest.source, "command": manifest.command,
@@ -353,8 +327,6 @@ def cmd_report(args) -> int:
         print("  ".join(r[c].ljust(widths[c]) for c in columns))
     return 0
 
-
-# ---------------------------------------------------------------------------
 
 # The exit-code table of the module docstring, as (exception, stderr label,
 # code); the first row the exception is an instance of decides, so a

@@ -1,10 +1,12 @@
 """Problem data: time-varying coefficients, problem definitions, and measures.
 
-The controlled state is scalar (a matrix-valued variant lives in
-:class:`MatrixProblemSpec`), the cost is quadratic in the control, and the
-terminal cost depends on the state law through its first two moments:
+The controlled state is a number (ProblemSpec, time-varying coefficients)
+or a vector in dimension d (MatrixProblemSpec, constant matrices); a scalar
+problem is the d = 1 case of every formula.  The cost is quadratic in the
+control, and the terminal cost depends on the state law through its first
+two moments:
 
-    g(mu) = D1 * m2(mu) + D2 * m1(mu)**2
+    g(mu) = tr(D1 m2(mu)) + m1(mu)^T D2 m1(mu)
 
 so a distribution enters every formula only through ``(m1, m2)``.
 """
@@ -27,7 +29,6 @@ __all__ = [
     "ValidationResult",
     "as_coefficient",
     "validate_spec",
-    "validate_matrix_spec",
 ]
 
 
@@ -159,6 +160,14 @@ class ProblemSpec:
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
 
+    d = 1  # the dimension of the state
+
+    @property
+    def knots(self) -> tuple:
+        """The knots of the tabulated coefficients, where phi has a kink."""
+        return tuple(knot for coef in (self.A, self.B, self.sigma, self.Q)
+                     if coef.kind == "table" for knot in coef.data[0])
+
     def control_weight_on(self, times) -> np.ndarray:
         """Q at `times`, checked against assumption A1 (Q > 0); the
         AssumptionError names the first of the times where it fails."""
@@ -174,32 +183,30 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class MeasureMoments:
-    """First two moments (m1, m2) of a state law.
+    """First two moments (m1, m2) of a state law: numbers for a scalar
+    state, a d-vector m1 and a d x d matrix m2 = E[X X^T] for a vector one.
 
-    m2 >= m1^2 must hold up to rounding: the constructor tolerates a defect of
-    -1e-12 * max(1, m2) so that empirical moments from large clouds pass.
+    m2 - m1 m1^T must be positive semidefinite up to rounding: the
+    constructor tolerates a smallest eigenvalue of -1e-12 * max(1, max|m2|)
+    so that empirical moments from large clouds pass.
     """
 
-    m1: float
-    m2: float
+    m1: float | np.ndarray
+    m2: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m1", float(self.m1))
-        object.__setattr__(self, "m2", float(self.m2))
-        slack = self.m2 - self.m1 * self.m1
-        if slack < -1e-12 * max(1.0, abs(self.m2)):
-            raise DomainError(
-                f"inconsistent moments: m2 - m1^2 = {slack:.3e} < 0"
-            )
+        m1, m2 = (np.asarray(v, dtype=np.float64) for v in (self.m1, self.m2))
+        for name, v in (("m1", m1), ("m2", m2)):
+            object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
+        slack = float(np.linalg.eigvalsh(
+            np.reshape(m2 - np.multiply.outer(m1, m1), (m1.size, m1.size))).min())
+        if slack < -1e-12 * max(1.0, float(np.abs(m2).max())):
+            raise DomainError(f"inconsistent moments: m2 - m1^2 = {slack:.3e} < 0")
 
     @classmethod
-    def dirac(cls, x: float) -> "MeasureMoments":
-        x = float(x)
-        return cls(x, x * x)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 - self.m1 * self.m1
+    def dirac(cls, x) -> "MeasureMoments":
+        x = np.asarray(x, dtype=np.float64)
+        return cls(x, np.multiply.outer(x, x))
 
 
 @dataclass(frozen=True)
@@ -215,16 +222,25 @@ class ValidationResult:
     q_min: float | None = None
 
 
-def validate_spec(spec: ProblemSpec) -> ValidationResult:
-    """Check the standing assumptions on a time grid.
+def validate_spec(spec) -> ValidationResult:
+    """Check the standing assumptions of a ProblemSpec or a MatrixProblemSpec.
 
-    A1 (positive control weight) requires Q(t) > 0; it is checked at 256
-    equally spaced times including both endpoints, plus every time inside
-    (0, T) where Q can have its minimum: a table knot, or the real part of
-    a root of a polynomial's derivative.  The other coefficients are probed
+    A1 (positive control weight): a matrix Q must be symmetric positive
+    definite.  A scalar Q(t) must be > 0; it is checked at 256 equally
+    spaced times including both endpoints, plus every time inside (0, T)
+    where Q can have its minimum: a table knot, or the real part of a root
+    of a polynomial's derivative.  The other scalar coefficients are probed
     at the endpoints so tabulated data covering less than [0, T] is
     reported rather than raising later, mid-integration.
     """
+    if isinstance(spec, MatrixProblemSpec):
+        q = spec.Q
+        lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+        if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
+            return ValidationResult(False, "assumption A1: Q is not symmetric", None, lam)
+        return ValidationResult(lam > 0.0, "ok" if lam > 0.0 else (
+            f"assumption A1 (positive definite control weight) fails: min eig Q = "
+            f"{lam:.6g}"), None, lam)
     for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
                        ("Q", spec.Q)):
         for t in (0.0, spec.T):
@@ -267,6 +283,8 @@ class MatrixProblemSpec:
     D2: MatrixLike
     T: float
 
+    knots = ()  # constant coefficients have none
+
     def __post_init__(self):
         d = int(self.d)
         if d < 1:
@@ -294,20 +312,3 @@ class MatrixProblemSpec:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("A", "B", "sigma", "Q", "D1", "D2"))
 
-
-def validate_matrix_spec(spec: MatrixProblemSpec) -> ValidationResult:
-    """Matrix analogue of :func:`validate_spec`: Q must be symmetric positive
-    definite."""
-    q = spec.Q
-    lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-    if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
-        return ValidationResult(False, "assumption A1: Q is not symmetric",
-                                None, lam)
-    if not lam > 0.0:
-        return ValidationResult(
-            False,
-            f"assumption A1 (positive definite control weight) fails: "
-            f"min eig Q = {lam:.6g}",
-            None, lam,
-        )
-    return ValidationResult(True, "ok", None, lam)

@@ -16,7 +16,8 @@ and the optimal value is read off the reduced problem's Riccati solution:
     V = phi1(s) (x^2 + eta_hat^2 s) + phi2(s) x^2 + phi3(s) + D1 * P_T.
 
 Reduction holds that split once: the reduced problem, the initial variance
-eta_hat^2 s and the constant D1 * P_T; every command reads it.  The oracle
+eta_hat^2 s and the constant D1 * P_T; every command reads it (a fully
+observed problem, scalar or matrix, is its own reduction).  The oracle
 follows the split: a law's cost coefficients on the reduced problem, with
 D1 * P_T added to the constant term, priced at the moments
 (x, x^2 + eta_hat^2 s).  So does simulation: the prediction cloud is the
@@ -35,7 +36,7 @@ import numpy as np
 
 from .control import value_function
 from .errors import AssumptionError, DomainError
-from .model import MeasureMoments, ProblemSpec, _finite_float
+from .model import MatrixProblemSpec, MeasureMoments, ProblemSpec, _finite_float
 from .riccati import RiccatiSolution, _write_csv
 from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
                        SimConfig, cost_from_cloud)
@@ -77,14 +78,10 @@ class PartialObsSpec:
         for name in ("sigma_hat", "sigma_tilde", "eta_hat", "eta_tilde"):
             if getattr(self, name) < 0.0:
                 raise AssumptionError(f"{name} must be >= 0")
-        if abs(self.sigma_hat ** 2 + self.sigma_tilde ** 2 - 1.0) > 1e-12:
-            raise AssumptionError(
-                "noise split must satisfy sigma_hat^2 + sigma_tilde^2 = 1"
-            )
-        if abs(self.eta_hat ** 2 + self.eta_tilde ** 2 - 1.0) > 1e-12:
-            raise AssumptionError(
-                "initial split must satisfy eta_hat^2 + eta_tilde^2 = 1"
-            )
+        for split, hat, tilde in (("noise", "sigma_hat", "sigma_tilde"),
+                                  ("initial", "eta_hat", "eta_tilde")):
+            if abs(getattr(self, hat) ** 2 + getattr(self, tilde) ** 2 - 1.0) > 1e-12:
+                raise AssumptionError(f"{split} split must satisfy {hat}^2 + {tilde}^2 = 1")
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
         if not 0.0 <= self.s < self.T:
@@ -120,39 +117,46 @@ def reduced_problem(spec: PartialObsSpec) -> ProblemSpec:
 
 @dataclass(frozen=True)
 class Reduction:
-    """The fully observed scalar problem a command runs on.
+    """The fully observed problem a command runs on, in dimension d.
 
     A partially observed spec becomes its reduced problem for the prediction
     process: control starts from N(x, var0) with var0 = eta_hat^2 s, and the
     estimation error adds the constant comp = D1 P_T to every cost.  A fully
-    observed spec is its own reduction, with var0 = comp = 0.
+    observed spec is its own reduction, with var0 = comp = 0; a d = 1 matrix
+    spec becomes the scalar problem it is.  A state x is a number at d = 1.
     """
 
-    problem: ProblemSpec
+    problem: ProblemSpec | MatrixProblemSpec
     partial: PartialObsSpec | None = None
     var0: float = 0.0
     comp: float = 0.0
 
     @classmethod
     def of(cls, spec) -> "Reduction":
-        if isinstance(spec, ProblemSpec):
+        if isinstance(spec, MatrixProblemSpec) and spec.d == 1:
+            spec = ProblemSpec(*(float(np.ravel(getattr(spec, name))[0]) for name in
+                                 ("A", "B", "sigma", "Q", "D1", "D2")), T=spec.T)
+        if isinstance(spec, (ProblemSpec, MatrixProblemSpec)):
             return cls(spec)
         return cls(reduced_problem(spec), spec, spec.eta_hat ** 2 * spec.s,
                    spec.D1 * error_variance(spec, spec.T))
 
     @property
     def kind(self) -> str:
-        return "scalar" if self.partial is None else "partial_obs"
+        return ("partial_obs" if self.partial is not None
+                else "scalar" if self.problem.d == 1 else "matrix")
 
-    def moments(self, x: float) -> MeasureMoments:
-        """Moments of the law control starts from at the point estimate x."""
-        return MeasureMoments(x, x * x + self.var0)
+    def moments(self, x) -> MeasureMoments:
+        """Moments of the law control starts from at the point estimate x
+        (var0 > 0 only for a partially observed problem, where d = 1)."""
+        mu = MeasureMoments.dirac(x)
+        return MeasureMoments(mu.m1, mu.m2 + self.var0)
 
-    def value(self, sol: RiccatiSolution, x: float) -> float:
+    def value(self, sol: RiccatiSolution, x) -> float:
         """Optimal value from x, read off a Riccati solution of `problem`."""
         return value_function(sol, 0.0, self.moments(x)) + self.comp
 
-    def oracle(self, coefs: CostCoefficients, x: float) -> CostReport:
+    def oracle(self, coefs: CostCoefficients, x) -> CostReport:
         """Oracle cost from x of a law on `problem` with cost coefficients
         `coefs`, comp added to the terminal constant, as in value."""
         e1, e2, e0 = coefs.terminal

@@ -1,19 +1,20 @@
 """Backward integration of the Riccati system behind the quadratic value ansatz.
 
 The value of the control problem started at time t from a law with moments
-(m1, m2) is v(t) = phi1(t) * m2 + phi2(t) * m1^2 + phi3(t), where the phi
-solve, backwards from phi(T) = (D1, D2, 0),
+(m1, m2) is v(t) = tr(phi1 m2) + m1^T phi2 m1 + phi3 in dimension d, where
+the phi solve, backwards from phi(T) = (D1, D2, 0), with M = B Q^{-1} B^T,
+S = sigma sigma^T and Pi = phi1 + phi2,
 
-    phi1' = (B^2/Q) phi1^2 - 2 A phi1
-    phi2' = (B^2/Q) phi2^2 + 2 (B^2/Q) phi1 phi2 - 2 A phi2
-    phi3' = -sigma^2 phi1
+    phi1' = phi1 M phi1 - A^T phi1 - phi1 A    (scalar: (B^2/Q) phi1^2 - 2 A phi1)
+    Pi'   = Pi M Pi - A^T Pi - Pi A
+    phi3' = -tr(S phi1)                        (scalar: -sigma^2 phi1)
 
-and in dimension d the same system has d x d matrices (phi1' = phi1 M phi1 -
-A^T phi1 - phi1 A, M = B Q^{-1} B^T).  By Radon's lemma phi1 = Y X^{-1} for
-a linear system in [X; Y], and Pi = phi1 + phi2 likewise from D1 + D2, so
-solve_riccati steps one linear system for every d (a scalar problem is
-d = 1).  Where phi escapes in finite time, X turns singular; the solve
-raises FiniteEscapeError there, or where a component leaves [-1e12, 1e12].
+By Radon's lemma phi1 = Y X^{-1} for a linear system in [X; Y], and Pi
+likewise from D1 + D2, so solve_riccati steps one linear system.  A scalar
+problem is d = 1, with (k, 1, 1) tables like any other; _coefficients is
+the only code here that tells the spec types apart.  Where phi escapes in
+finite time, X turns singular; the solve raises FiniteEscapeError there, or
+where a component leaves [-1e12, 1e12].
 
 _linear_rk4, classical RK4 for y' = G(t) y as products of step matrices, is
 the package's one ODE integrator: the Riccati solve and the cost
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError, FiniteEscapeError
-from .model import MatrixProblemSpec, ProblemSpec
+from .model import MatrixProblemSpec
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -92,8 +93,8 @@ def _linear_rk4(tabulate, y, nodes: np.ndarray, restart=None):
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """phi = (phi1, phi2, phi3) tabulated on a uniform grid over [0, T]: one
-    number per node, or for a matrix problem a d x d phi1 and phi2 per node."""
+    """phi = (phi1, phi2, phi3) tabulated on a uniform grid of k nodes over
+    [0, T]: phi1 and phi2 as (k, d, d) arrays, phi3 as (k,)."""
 
     grid: np.ndarray
     phi1: np.ndarray
@@ -108,16 +109,13 @@ class RiccatiSolution:
         n = self.grid.size
         if n < 2:
             raise DomainError("solution grid needs at least two points")
-        if any(p.shape[:1] != (n,) for p in (self.phi1, self.phi2, self.phi3)):
-            raise DomainError("phi arrays must match the grid length")
-
-    @property
-    def T(self) -> float:
-        return float(self.grid[-1])
+        if self.phi1.ndim != 3 or self.phi2.shape != self.phi1.shape \
+                or (len(self.phi1), *self.phi3.shape) != (n, n):
+            raise DomainError("phi1 and phi2 must be (k, d, d) tables on the grid, phi3 (k,)")
 
     def at(self, t: float):
-        """Linear interpolation of phi at t in [0, T]; grid nodes are exact.
-        Floats for a scalar solution, (array, array, float) for a matrix one."""
+        """Linear interpolation of phi at t in [0, T], as (d x d array,
+        d x d array, float); grid nodes are exact."""
         grid = self.grid
         t = float(t)
         if t < grid[0] or t > grid[-1]:
@@ -129,24 +127,36 @@ class RiccatiSolution:
         else:
             w = (t - grid[i]) / (grid[i + 1] - grid[i])
             p1, p2, p3 = [v[i] + w * (v[i + 1] - v[i]) for v in tables]
-        if self.phi1.ndim == 1:
-            return float(p1), float(p2), float(p3)
         return np.array(p1), np.array(p2), float(p3)
 
 
+def _mm(a, b):
+    """Batched matrix product a @ b over the last two axes, each entry summed
+    from -0.0: at d = 1 it is the product of the two numbers, sign of a
+    zero included, where a matmul adds it to +0.0."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2, initial=-0.0)
+
+
+def _tr(a, b):
+    """tr(a b) over the last two axes, summed from -0.0 as in _mm."""
+    return (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1), initial=-0.0)
+
+
 def _coefficients(spec, times: np.ndarray):
-    """A, M = B Q^{-1} B^T, S = sigma sigma^T at `times`, (times.size, d, d)."""
+    """A, M = B Q^{-1} B^T, S = sigma sigma^T, B, Q and the gain factor
+    G = Q^{-1} B^T at `times`, each (times.size, d, d).  A scalar spec's M
+    and G are b b / q and b / q, q checked against assumption A1."""
+    n = times.size
     if isinstance(spec, MatrixProblemSpec):
         try:
-            m = spec.B @ np.linalg.solve(spec.Q, spec.B.T)
+            g = np.linalg.solve(spec.Q, spec.B.T)
         except np.linalg.LinAlgError as exc:
             raise AssumptionError("control weight Q is singular") from exc
-        return [np.broadcast_to(c, (times.size, spec.d, spec.d))
-                for c in (spec.A, m, spec.sigma @ spec.sigma.T)]
-    a, b = spec.A.on(times), spec.B.on(times)
-    m = b * b / spec.control_weight_on(times)
-    sig = spec.sigma.on(times)
-    return [c.reshape(-1, 1, 1) for c in (a, m, sig * sig)]
+        return [np.broadcast_to(c, (n, spec.d, spec.d)) for c in
+                (spec.A, spec.B @ g, spec.sigma @ spec.sigma.T, spec.B, spec.Q, g)]
+    a, b, sig = spec.A.on(times), spec.B.on(times), spec.sigma.on(times)
+    q = spec.control_weight_on(times)
+    return [c.reshape(n, 1, 1) for c in (a, b * b / q, sig * sig, b, q, b / q)]
 
 
 def _escape(values, names, times):
@@ -174,7 +184,7 @@ def solve_riccati(spec, steps: int = 1000) -> RiccatiSolution:
     """
     grid = _grid(spec.T, steps)
     nodes = grid[::-1]
-    a, m, ss = _coefficients(spec, stage_times(nodes))
+    a, m, ss = _coefficients(spec, stage_times(nodes))[:3]
     d = a.shape[-1]
     eye, hs = np.eye(d), np.diff(nodes)
     _escape([[spec.D1], [spec.D2]], ("phi1", "phi2"), nodes[:1])
@@ -239,14 +249,12 @@ def solve_riccati(spec, steps: int = 1000) -> RiccatiSolution:
     _escape([phi3], ("phi3",), nodes)
     phi1, phi2 = phi[::-1, 0], phi[::-1, 1] - phi[::-1, 0]
     phi2[-1] = spec.D2
-    if isinstance(spec, ProblemSpec):
-        phi1, phi2 = phi1[:, 0, 0], phi2[:, 0, 0]
     return RiccatiSolution(grid, phi1, phi2, phi3[::-1])
 
 
-def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
-    """Closed-form phi on the solve_riccati grid, for constant coefficients
-    with A = 0 and B != 0.
+def closed_form(spec, steps: int = 1000) -> RiccatiSolution:
+    """Closed-form phi on the solve_riccati grid, for a scalar problem with
+    constant coefficients, A = 0 and B != 0.
 
     With r = B^2/Q and tau = T - t, phi1 and Pi = phi1 + phi2 solve the same
     equation Pi' = r Pi^2 from D1 and D1 + D2, so
@@ -258,11 +266,11 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     Any other spec raises DomainError; a negative weight that makes a
     denominator vanish on [0, T] raises FiniteEscapeError.
     """
-    coefs = (spec.A, spec.B, spec.sigma, spec.Q)
-    if any(c.kind != "constant" for c in coefs) or spec.A(0.0) != 0.0 \
+    if spec.d != 1 or any(c.kind != "constant" for c in (
+            spec.A, spec.B, spec.sigma, spec.Q)) or spec.A(0.0) != 0.0 \
             or spec.B(0.0) == 0.0 or not spec.Q(0.0) > 0.0:
-        raise DomainError("closed form needs constant coefficients with "
-                          "A = 0, B != 0 and Q > 0")
+        raise DomainError("closed form needs d = 1 and constant coefficients "
+                          "with A = 0, B != 0 and Q > 0")
     r = spec.B(0.0) ** 2 / spec.Q(0.0)
     for weight, name in ((spec.D1, "phi1"), (spec.D1 + spec.D2, "phi2")):
         if 1.0 + r * weight * spec.T <= 0.0:
@@ -274,7 +282,8 @@ def closed_form(spec: ProblemSpec, steps: int = 1000) -> RiccatiSolution:
     phi1 = d1 / (1.0 + r * d1 * tau)
     phi2 = pi / (1.0 + r * pi * tau) - phi1
     phi3 = spec.sigma(0.0) ** 2 / r * np.log(1.0 + r * d1 * tau)
-    return RiccatiSolution(grid=grid, phi1=phi1, phi2=phi2, phi3=phi3)
+    return RiccatiSolution(grid=grid, phi1=phi1.reshape(-1, 1, 1),
+                           phi2=phi2.reshape(-1, 1, 1), phi3=phi3)
 
 
 def _write_csv(path, header, columns) -> None:
@@ -291,11 +300,10 @@ def _write_csv(path, header, columns) -> None:
 
 
 def solution_to_csv(sol: RiccatiSolution, path) -> None:
-    """Write columns t, phi1, phi2, phi3; a matrix solution writes phi1 and
-    phi2 as row-major entry columns phi1_ij and phi2_ij."""
-    k = sol.grid.size
-    d = sol.phi1.shape[1] if sol.phi1.ndim == 3 else 0
-    ij = [f"_{i}{j}" for i in range(d) for j in range(d)] or [""]
+    """Write columns t, phi1, phi2, phi3; in dimension d > 1, phi1 and phi2
+    as row-major entry columns phi1_ij and phi2_ij."""
+    k, d = sol.phi1.shape[:2]
+    ij = [f"_{i}{j}" for i in range(d) for j in range(d)] if d > 1 else [""]
     header = ["t", *("phi1" + e for e in ij), *("phi2" + e for e in ij), "phi3"]
     _write_csv(path, header, [sol.grid, *sol.phi1.reshape(k, -1).T,
                               *sol.phi2.reshape(k, -1).T, sol.phi3])

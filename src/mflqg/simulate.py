@@ -1,23 +1,26 @@
 """Cost verification: a deterministic cost oracle and Monte Carlo simulation.
 
-A feedback u = alpha(t) x + beta(t) m1 keeps a coupled system of mean-field
-particles inside the Gaussian family, and y = (m2, m1^2, 1) solves y' = L y,
-L = [[2 (A + B alpha), 2 B beta, sigma^2], [0, 2 (A + B (alpha + beta)), 0],
-[0, 0, 0]].  So the law's exact cost is J = c1 m2_0 + c2 m1_0^2 + c0 from
-every initial law (the "oracle"), with c = e + r solving, backwards from T,
+A feedback u = alpha(t) x + beta(t) m1 (d x d gains in dimension d) keeps a
+coupled system of mean-field particles inside the Gaussian family: with
+F = A + B alpha, G = A + B (alpha + beta) and S = sigma sigma^T, the moments
+m2 = E[X X^T] and P = m1 m1^T solve m2' = F m2 + m2 F^T + B beta P +
+P (B beta)^T + S and P' = G P + P G^T.  So a law's exact cost from every
+initial law (the "oracle") is J = tr(C1 m2_0) + tr(C2 P_0) + c0, with
 
-    e' = -L^T e,                                          e(T) = (D1, D2, 0)
-    r' = -(L^T r + Q (alpha^2, 2 alpha beta + beta^2, 0)),   r(T) = 0
+    C1' = -(F^T C1 + C1 F) - w alpha^T Q alpha
+    C2' = -(C1 B beta + (B beta)^T C1) - (G^T C2 + C2 G)
+          - w (alpha^T Q beta + beta^T Q alpha + beta^T Q beta)
+    c0' = -tr(C1 S)
 
-for the terminal and running parts, both linear: riccati's one RK4
-integrator steps them as one homogeneous system; c = (phi1, phi2, phi3)(0)
-for the optimal law.  The Monte Carlo route simulates n interacting particles with
-Euler-Maruyama, coupling each through the empirical mean of the same cloud,
-and estimates the cost with a left-endpoint quadrature of the running
-integrand; its normal increments come from SFC64 streams keyed by numpy's
-SeedSequence, one child key per block of steps (see evolve_cloud).  Both
-routes accept the same FeedbackLaw, which is what makes the cross-check
-meaningful.
+backwards from T, for the terminal part (w = 0, from (D1, D2, 0)) and the
+running part (w = 1, from 0): riccati's one RK4 integrator steps both as
+one homogeneous system, and C = phi(0) for the optimal law.  The Monte
+Carlo route simulates n interacting particles with Euler-Maruyama, coupling
+each through the empirical mean of the same cloud, and estimates the cost
+with a left-endpoint quadrature of the running integrand; its normal
+increments come from SFC64 streams keyed by numpy's SeedSequence, one child
+key per block of steps (see evolve_cloud).  Both routes accept the same
+FeedbackLaw, which is what makes the cross-check meaningful.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from . import _kernels
 from .control import FeedbackLaw
 from .errors import DomainError, FiniteEscapeError, SimulationDivergedError
 from .model import MeasureMoments, ProblemSpec
-from .riccati import _grid, _linear_rk4, _write_csv, stage_times
+from .riccati import (_coefficients, _grid, _linear_rk4, _mm, _tr, _write_csv,
+                      stage_times)
 
 __all__ = [
     "SimConfig",
@@ -133,28 +137,51 @@ def _steps_for(horizon: float, dt: float) -> int:
     return n
 
 
-def _coefficient_pass(spec: ProblemSpec, laws: list, steps: int) -> np.ndarray:
-    """One backward pass of the cost coefficients of every law: the terminal
-    and running triples at t = 0 as a (2, 3, n) array.  Each law steps
-    [c; w]' = [[-L^T, -Q u], [0, 0]] [c; w] on (c1, c2, c0, w), u = (alpha^2,
-    2 alpha beta + beta^2, 0), from the terminal column (D1, D2, 0, 0) and
-    the running one (0, 0, 0, 1); a law's coefficients are bit for bit those
-    of its own pass."""
+def _pairs(x, y):
+    """x_ij y_kl at axes (i, k, j, l) of batched d x d matrices: reshaped to
+    d^2 x d^2, the Kronecker product.  At d = 1 the product of the numbers."""
+    return x[..., :, None, :, None] * y[..., None, :, None, :]
+
+
+def _coefficient_pass(spec, laws: list, steps: int) -> np.ndarray:
+    """One backward pass of the cost coefficients of every law: y at t = 0,
+    (laws, 2 d^2 + 2, 2).  Each law steps the module docstring's system on
+    (vec C1, vec C2, c0, w), row-major, from the terminal column (vec D1,
+    vec D2, 0, 0) and the running one (0, 0, 0, 1); a law's coefficients are
+    bit for bit those of its own pass.  At d = 1 every entry is the scalar
+    4 x 4 system's, bit for bit, zeros' signs included."""
     nodes = _grid(spec.T, steps)[::-1]
     times = stage_times(nodes)
-    a, b, sig, q = (c.on(times) for c in (spec.A, spec.B, spec.sigma, spec.Q))
+    a, _, ss, b, q = (c[:, None] for c in _coefficients(spec, times)[:5])
+    n2, eye = spec.d * spec.d, np.eye(spec.d)
+    c1, c2, c0, w = slice(0, n2), slice(n2, 2 * n2), 2 * n2, 2 * n2 + 1
+
+    def kron_sum(x):
+        """K with vec(X^T C + C X) = K vec C."""
+        xt = np.swapaxes(x, -1, -2)
+        k = _pairs(xt, eye) + _pairs(eye, xt)
+        return k.reshape(*k.shape[:-4], n2, n2)
+
+    # Every law's gains at every stage time, (times, laws, d, d) each.
+    gains = [np.stack(g, axis=1) for g in zip(*(law.gains_on(times) for law in laws))]
 
     def g_at(sl):
-        al, be = np.array([law.gains_on(times[sl]) for law in laws]).transpose(1, 2, 0)
-        ak, bk, qk, z = a[sl, None], b[sl, None], q[sl, None], np.zeros_like(al)
-        rows = [[-2.0 * (ak + bk * al), z, z, -(qk * (al * al))],
-                [-2.0 * bk * be, -2.0 * (ak + bk * (al + be)), z,
-                 -(qk * (2.0 * al * be + be * be))],
-                [z - (sig[sl] * sig[sl])[:, None], z, z, z], [z, z, z, z]]
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        al, be = (g[sl] for g in gains)
+        ak, bk, qk = a[sl], b[sl], q[sl][..., None, None]
+        # sum_ij Q_ij u_ia v_jb: Q weighs the products of the gains.
+        r1, r2 = ((qk * p).sum(axis=(-4, -3), initial=-0.0) for p in (
+            _pairs(al, al), _pairs(al, be) + _pairs(be, al) + _pairs(be, be)))
+        g = np.zeros(al.shape[:2] + (w + 1, w + 1))
+        g[..., c1, c1] = -kron_sum(ak + _mm(bk, al))
+        g[..., c2, c1] = -kron_sum(_mm(bk, be))
+        g[..., c2, c2] = -kron_sum(ak + _mm(bk, al + be))
+        g[..., c0, c1] -= ss[sl].reshape(-1, 1, n2)  # S is symmetric
+        g[..., c1, w] = -r1.reshape(*r1.shape[:2], n2)
+        g[..., c2, w] = -r2.reshape(*r2.shape[:2], n2)
+        return g
 
-    y = np.zeros((len(laws), 4, 2))
-    y[:, 0, 0], y[:, 1, 0], y[:, 3, 1] = spec.D1, spec.D2, 1.0
+    y = np.zeros((len(laws), w + 1, 2))
+    y[:, c1, 0], y[:, c2, 0], y[:, w, 1] = np.ravel(spec.D1), np.ravel(spec.D2), 1.0
     # Only a non-finite coefficient stops the pass, as a FiniteEscapeError
     # and not as a numpy warning too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -163,34 +190,38 @@ def _coefficient_pass(spec: ProblemSpec, laws: list, steps: int) -> np.ndarray:
             if bad.any():
                 raise FiniteEscapeError(float(nodes[k0 + 1 + bad.argmax()]),
                                         "cost coefficients")
-    return ys[-1, :, :3].transpose(2, 1, 0)
+    return ys[-1]
 
 
 @dataclass(frozen=True)
 class CostCoefficients:
-    """A law's terminal and running cost coefficients on the basis
-    (m2_0, m1_0^2, 1); their sum is phi(0) for the optimal law."""
+    """A law's terminal and running cost coefficients (C1, C2, c0), C1 and
+    C2 d x d, on the basis (m2_0, m1_0 m1_0^T, 1); their sum is phi(0) for
+    the optimal law."""
 
-    terminal: tuple[float, float, float]
-    running: tuple[float, float, float]
+    terminal: tuple
+    running: tuple
 
     def cost(self, mu: MeasureMoments) -> CostReport:
         """The law's cost from an initial law with moments mu."""
-        sq = mu.m1 * mu.m1
-        terminal, running = (c1 * mu.m2 + c2 * sq + c0
+        m1 = np.reshape(mu.m1, -1)
+        m2 = np.reshape(mu.m2, (m1.size, m1.size))
+        sq = np.multiply.outer(m1, m1)
+        terminal, running = (float(_tr(c1, m2) + _tr(c2, sq) + c0)
                              for c1, c2, c0 in (self.terminal, self.running))
         return CostReport(running + terminal, running, terminal, 0.0, 0)
 
 
-def cost_coefficients(spec: ProblemSpec, laws, steps: int = 2000) -> list[CostCoefficients]:
+def cost_coefficients(spec, laws, steps: int = 2000) -> list[CostCoefficients]:
     """The cost coefficients of every law from one backward RK4 pass on a
     uniform grid of `steps` intervals over [0, T], each bit for bit those of
     its own pass; laws may differ in grid."""
     laws = list(laws)
     if not laws:
         return []
-    e, r = _coefficient_pass(spec, laws, steps).tolist()
-    return [CostCoefficients(te, ru) for te, ru in zip(zip(*e), zip(*r))]
+    d = spec.d
+    split = lambda c: (c[:d * d].reshape(d, d), c[d * d:-2].reshape(d, d), float(c[-2]))
+    return [CostCoefficients(*map(split, y.T)) for y in _coefficient_pass(spec, laws, steps)]
 
 
 def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:
@@ -243,7 +274,7 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     b_k = spec.B.on(left)
     s_sqdt = spec.sigma.on(left) * math.sqrt(dt)
     q_dt = spec.Q.on(left) * dt
-    al_k, be_k = law.gains_on(left)
+    al_k, be_k = (g[:, 0, 0] for g in law.gains_on(left))
 
     x = _resolve_initial(initial, n,
                          np.random.Generator(np.random.SFC64(config.seed)))

@@ -85,22 +85,16 @@ def test_criterion_03_closed_forms_and_convergence():
 
 
 def test_criterion_04_master_residual():
-    # Sampling box: t in [0.1T, 0.9T], m1 ~ U[-1,1], m2 = m1^2 + U[0, 0.25].
-    rng = np.random.Generator(np.random.Philox(2024))
+    # The box: t in [0.1T, 0.9T], |m1| <= 1, m2 = m1^2 + [0, 0.25]; the
+    # sweep bounds the residual over all of it at every node.
     worst = 0.0
     for name in ("example1", "example2"):
         spec = preset(name)
         sol = solve_riccati(spec, 1000)
-        points = []
-        for _ in range(100):
-            t = rng.uniform(0.1, 0.9)
-            m1 = rng.uniform(-1.0, 1.0)
-            m2 = m1 * m1 + rng.uniform(0.0, 0.25)
-            points.append((float(t), MeasureMoments(m1, m2)))
-        worst = max(worst, *(abs(r[3]) for r in residual_sweep(spec, sol, points)))
+        worst = max(worst, *(r[4] for r in residual_sweep(spec, sol)))
     ok = worst <= 1e-6
     _verdict(4, ok, f"master-equation residual: max {worst:.2e} "
-                    f"over 100 draws/preset (tol 1e-06)")
+                    f"over the moment box at 801 nodes/preset (tol 1e-06)")
     assert ok
 
 
@@ -272,8 +266,8 @@ def test_criterion_11_matrix_reduction():
                               D1=np.array([[D1]]), D2=np.array([[D2]]), T=T),
             400)
         worst = max(worst,
-                    float(np.abs(matrix.phi1[:, 0, 0] - scalar.phi1).max()),
-                    float(np.abs(matrix.phi2[:, 0, 0] - scalar.phi2).max()),
+                    float(np.abs(matrix.phi1 - scalar.phi1).max()),
+                    float(np.abs(matrix.phi2 - scalar.phi2).max()),
                     float(np.abs(matrix.phi3 - scalar.phi3).max()))
     d1_ok = worst <= 1e-9
 
@@ -288,10 +282,10 @@ def test_criterion_11_matrix_reduction():
     ref1 = closed_form(preset("example1"), 1000)
     ref2 = closed_form(preset("example2"), 1000)
     diag_gap = max(
-        float(np.abs(msol.phi1[:, 0, 0] - ref1.phi1).max()),
+        float(np.abs(msol.phi1[:, 0, 0] - ref1.phi1[:, 0, 0]).max()),
         float(np.abs(msol.phi1[:, 1, 1]).max()),
         float(np.abs(msol.phi2[:, 0, 0]).max()),
-        float(np.abs(msol.phi2[:, 1, 1] - ref2.phi2).max()),
+        float(np.abs(msol.phi2[:, 1, 1] - ref2.phi2[:, 0, 0]).max()),
         float(np.abs(msol.phi1[:, 0, 1]).max()),
         float(np.abs(msol.phi2[:, 0, 1]).max()),
         float(np.abs(msol.phi3 - ref1.phi3).max()),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -52,16 +53,18 @@ D1 = 0.8
 D2 = 0.4
 """
 
-# The check lists README.md documents for verify: every kind shares the
-# assumptions -> terminal-exactness prefix, then runs its own checks.  A
-# scalar problem that riccati.closed_form covers (constant coefficients,
-# A = 0, B != 0, Q > 0), as every one here is, adds analytic-phi.
+# The one check list README.md documents for verify: every dimension runs
+# it; a matrix problem (d > 1) adds symmetry after terminal-exactness, and
+# only d = 1 runs the particles (mc-vs-oracle, gaussianity).  A scalar
+# problem that riccati.closed_form covers (constant coefficients, A = 0,
+# B != 0, Q > 0), as every one here is, adds analytic-phi.
 PREFIX = ["assumptions", "terminal-exactness"]
-SCALAR_CHECKS = PREFIX + ["analytic-phi", "residual-sweep", "value-consistency",
-                          "oracle-vs-value", "perturbation-margin",
-                          "mc-vs-oracle", "gaussianity"]
+DETERMINISTIC = ["residual-sweep", "grid-refinement", "value-consistency",
+                 "oracle-vs-value", "perturbation-margin"]
+SCALAR_CHECKS = PREFIX + ["analytic-phi"] + DETERMINISTIC + ["mc-vs-oracle",
+                                                              "gaussianity"]
 PARTIAL_CHECKS = SCALAR_CHECKS + ["cost-decomposition"]
-MATRIX_CHECKS = PREFIX + ["symmetry", "grid-refinement"]
+MATRIX_CHECKS = PREFIX + ["symmetry"] + DETERMINISTIC
 
 SIM_CFG = SCALAR_CFG + """
 [simulation]
@@ -470,6 +473,29 @@ def test_verify_matrix_config(tmp_path, capsys):
     payload = read_json(tmp_path / "verify.json")
     assert payload["kind"] == "matrix"
     assert [c["name"] for c in payload["checks"]] == MATRIX_CHECKS
+    assert all(c["passed"] for c in payload["checks"])
+    # The residual sweep's rows, one per node of [0.1 T, 0.9 T], in place
+    # of a phi table; no particle run, so no stream layout.
+    lines = (tmp_path / "residual.csv").read_text().splitlines()
+    assert lines[0] == "t,l1,l2,l3,residual" and len(lines) == 802
+    assert not (tmp_path / "phi.csv").exists()
+    manifest = read_json(tmp_path / "manifest.json")
+    assert manifest["outputs"] == {"residual": "residual.csv", "verify": "verify.json"}
+
+
+def test_verify_matrix_runs_from_the_first_x(tmp_path, capsys):
+    # Every state-dependent check reads --x as a d-vector: two decoupled
+    # unit problems from x = (2, 0) have the value x^T phi1(0) x + phi3(0)
+    # = 4 / 2 + 2 log 2.
+    cfg = tmp_path / "matrix.ini"
+    cfg.write_text(MATRIX_CFG)
+    rc = main(["verify", "--config", str(cfg), "--x", "2,0", "--x", "1,1",
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    checks = {c["name"]: c for c in read_json(tmp_path / "verify.json")["checks"]}
+    value = float(checks["value-consistency"]["detail"].split()[1].rstrip(","))
+    assert value == pytest.approx(2.0 + 2.0 * math.log(2.0), abs=1e-8)
 
 
 def test_verify_reports_failed_assumptions(tmp_path, capsys):
@@ -689,7 +715,7 @@ def test_oracle_vs_value_catches_a_gain_missing_its_q(tmp_path, monkeypatch,
     def mutant(spec, sol):
         law = optimal_feedback(spec, sol)
         return FeedbackLaw(grid=law.grid, alpha=law.alpha,
-                           beta=-spec.B.on(sol.grid) * sol.phi2)
+                           beta=-spec.B.on(sol.grid)[:, None, None] * sol.phi2)
 
     monkeypatch.setattr(mflqg.checks, "optimal_feedback", mutant)
     cfg = tmp_path / "scalar.ini"
@@ -708,14 +734,15 @@ def test_oracle_vs_value_catches_a_flipped_riccati_sign(tmp_path, monkeypatch,
     # The Riccati system solved with -A for A (phi1' with +2 A phi1 for
     # -2 A phi1): on a problem with A = -0.3 the solution is no longer the
     # value of its own feedback law, which the cost coefficients of that
-    # law show.
-    original = mflqg.riccati._coefficients
+    # law show.  Only the solve sees the flip; the law and its cost
+    # coefficients read the problem as it is.
+    original = mflqg.riccati.solve_riccati
 
-    def mutant(spec, times):
-        a, m, ss = original(spec, times)
-        return -a, m, ss
+    def mutant(spec, steps):
+        return original(dataclasses.replace(spec, A=-spec.A(0.0)), steps)
 
-    monkeypatch.setattr(mflqg.riccati, "_coefficients", mutant)
+    for module in (mflqg.cli, mflqg.checks):
+        monkeypatch.setattr(module, "solve_riccati", mutant)
     cfg = tmp_path / "scalar.ini"
     cfg.write_text(TIME_VARYING_CFG)
     main(["verify", "--config", str(cfg), "--paths", "2000", "--dt", "0.05",

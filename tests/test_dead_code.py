@@ -91,3 +91,19 @@ def test_every_public_name_is_read_in_src():
               if stem != "__init__" for name in _exported(tree) - read}
     assert unread == READ_OUTSIDE_SRC, \
         f"public names nothing in src/ reads: {sorted(unread - READ_OUTSIDE_SRC)}"
+
+
+# The modules that may tell a matrix problem from a scalar one: the spec
+# types themselves, the INI schema, the coefficient table of the Riccati
+# system and the Reduction every command reads.  __init__ only re-exports.
+KIND_AWARE = {"model", "config", "riccati", "partial_obs", "__init__"}
+
+
+def test_only_the_kind_aware_modules_name_the_matrix_spec():
+    # Every other module runs one path for every dimension d; naming the
+    # matrix spec type there is a fork coming back.
+    trees = {path.stem: _parse(path) for path in MODULES}
+    naming = {stem for stem, tree in trees.items()
+              if "MatrixProblemSpec" in _loaded(tree) | set(_imported(tree))}
+    assert naming <= KIND_AWARE, \
+        f"modules forking on the spec type: {sorted(naming - KIND_AWARE)}"

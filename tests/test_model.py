@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mflqg import (AssumptionError, Coefficient, DomainError, MatrixProblemSpec,
-                   MeasureMoments, ProblemSpec, as_coefficient,
-                   validate_matrix_spec, validate_spec)
+                   MeasureMoments, ProblemSpec, as_coefficient, validate_spec)
 
 
 def test_constant_coefficient():
@@ -101,12 +100,20 @@ def test_matrix_spec_rejects_non_finite(field):
 def test_dirac_moments():
     mu = MeasureMoments.dirac(-3.0)
     assert (mu.m1, mu.m2) == (-3.0, 9.0)
-    assert mu.variance == 0.0
+    assert isinstance(mu.m1, float) and isinstance(mu.m2, float)
 
 
 def test_inconsistent_moments_raise():
     with pytest.raises(DomainError):
         MeasureMoments(1.0, 0.5)  # m2 < m1^2
+    # A vector state: m2 - m1 m1^T must be positive semidefinite.
+    with pytest.raises(DomainError, match="inconsistent"):
+        MeasureMoments([1.0, 0.0], [[1.0, 0.0], [0.0, -0.1]])
+
+
+def test_vector_dirac_moments():
+    mu = MeasureMoments.dirac([1.0, -2.0])
+    assert np.array_equal(mu.m2, [[1.0, -2.0], [-2.0, 4.0]])
 
 
 def test_moment_tolerance_absorbs_rounding():
@@ -164,20 +171,24 @@ def test_matrix_spec_time_dependent_callable():
                           D2=np.zeros((2, 2)), T=1.0)
 
 
-def test_validate_matrix_spec_flags_indefinite_q():
+def test_validate_spec_flags_indefinite_matrix_q():
+    # One validate_spec judges both spec types: a matrix Q must be
+    # symmetric positive definite, and q_min is its smallest eigenvalue.
     spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
                              sigma=np.eye(2), Q=np.diag([1.0, -1.0]),
                              D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
-    result = validate_matrix_spec(spec)
+    result = validate_spec(spec)
     assert not result.ok
     assert "A1" in result.message
+    assert result.q_min == -1.0
 
 
-def test_validate_matrix_spec_ok():
+def test_validate_spec_accepts_a_matrix_spec():
     spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                             sigma=np.eye(2), Q=np.eye(2), D1=np.eye(2),
+                             sigma=np.eye(2), Q=np.diag([3.0, 0.5]), D1=np.eye(2),
                              D2=np.zeros((2, 2)), T=1.0)
-    assert validate_matrix_spec(spec).ok
+    result = validate_spec(spec)
+    assert result.ok and result.q_min == 0.5
 
 
 @pytest.mark.parametrize("coef", [

@@ -215,8 +215,6 @@ def _step_matrix_loop(spec, steps):
     phi2 = np.array([o[1] for o in out[::-1]]) - phi1
     phi2[-1] = spec.D2
     phi3 = np.array([o[2] for o in out[::-1]])
-    if scalar:
-        phi1, phi2 = phi1[:, 0, 0], phi2[:, 0, 0]
     return phi1, phi2, phi3
 
 
@@ -243,8 +241,13 @@ def _exact_phi(spec, grid):
     return p1, pi - p1, s2 / r * np.log(den[0])
 
 
+def _scalar(sol):
+    """A scalar solution's (k, 1, 1) tables as one number per node."""
+    return sol.phi1[:, 0, 0], sol.phi2[:, 0, 0], sol.phi3
+
+
 def _gap(sol, ref):
-    return [float(np.abs(np.asarray(got) - want).max())
+    return [float(np.abs(np.reshape(got, np.shape(want)) - want).max())
             for got, want in zip((sol.phi1, sol.phi2, sol.phi3), ref)]
 
 
@@ -301,7 +304,7 @@ def test_large_terminal_weight_does_not_escape(d1, tmp_path, capsys):
     spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=d1, D2=0.0, T=1.0)
     sol = solve_riccati(spec, 1000)
     exact = _exact_phi(spec, sol.grid)
-    for got, want in zip((sol.phi1, sol.phi2, sol.phi3), exact):
+    for got, want in zip(_scalar(sol), exact):
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
     msol = solve_riccati(_matrix_unit(2, D1=d1 * np.eye(2)), 1000)
     for i in range(2):
@@ -366,7 +369,7 @@ def test_no_false_escape_at_large_a_t(a, T, steps):
     # phi1 <= 3.4e-8, phi2 <= 7.9e-8, phi3 <= 2.2e-7 (at A = -5, h |A| = 0.05).
     spec = ProblemSpec(A=a, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.5, T=T)
     sol = solve_riccati(spec, steps)
-    for got, want in zip((sol.phi1, sol.phi2, sol.phi3), _exact_phi(spec, sol.grid)):
+    for got, want in zip(_scalar(sol), _exact_phi(spec, sol.grid)):
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -395,10 +398,11 @@ def test_rhs_unit_coefficients():
     # phi2' = 0 and phi3' = -phi1 at its nodes.
     sol = solve_riccati(scalar_preset("example1"), 1000)
     h = sol.grid[1] - sol.grid[0]
-    p1 = sol.phi1[2:-2]
-    assert np.abs(_stencil(sol.phi1, h) - p1 * p1).max() <= 1e-9
-    assert not sol.phi2.any()
-    assert np.abs(_stencil(sol.phi3, h) + p1).max() <= 1e-9
+    phi1, phi2, phi3 = _scalar(sol)
+    p1 = phi1[2:-2]
+    assert np.abs(_stencil(phi1, h) - p1 * p1).max() <= 1e-9
+    assert not phi2.any()
+    assert np.abs(_stencil(phi3, h) + p1).max() <= 1e-9
 
 
 def test_rhs_cross_term():
@@ -483,8 +487,8 @@ def test_escape_closed_form_satisfies_ode():
 
 
 def test_sample_solution_interpolates_and_checks_domain():
-    # One interpolator for both layouts: floats from a scalar solution,
-    # (matrix, matrix, float) from a matrix one.
+    # One interpolator and one layout: (matrix, matrix, float), 1 x 1
+    # matrices from a scalar solution.
     for sol in (solve_riccati(scalar_preset("example1"), 10),
                 solve_riccati(MatrixProblemSpec(**MATRIX_D3), 10)):
         # node hits are exact
@@ -592,7 +596,7 @@ def test_matrix_rhs_matches_scalar_in_d1():
 
 def test_matrix_rhs_unit_case():
     # identity data: A = 0, M = I and sigma sigma^T = I at every time
-    a, m, ss = _coefficients(_matrix_unit(2), np.linspace(0.0, 1.0, 5))
+    a, m, ss = _coefficients(_matrix_unit(2), np.linspace(0.0, 1.0, 5))[:3]
     assert a.shape == m.shape == ss.shape == (5, 2, 2)
     assert not a.any()
     assert (m == np.eye(2)).all() and (ss == np.eye(2)).all()
@@ -612,8 +616,8 @@ def test_matrix_solve_diagonal_decouples():
     spec = _matrix_unit(2)
     msol = solve_riccati(spec, 1000)
     ref = closed_form(scalar_preset("example1"), 1000)
-    assert np.abs(msol.phi1[:, 0, 0] - ref.phi1).max() <= 1e-8
-    assert np.abs(msol.phi1[:, 1, 1] - ref.phi1).max() <= 1e-8
+    assert np.abs(msol.phi1[:, 0, 0] - ref.phi1[:, 0, 0]).max() <= 1e-8
+    assert np.abs(msol.phi1[:, 1, 1] - ref.phi1[:, 0, 0]).max() <= 1e-8
     assert np.abs(msol.phi1[:, 0, 1]).max() == 0.0
     assert np.abs(msol.phi2).max() == 0.0
     assert np.abs(msol.phi3 - 2.0 * ref.phi3).max() <= 1e-8

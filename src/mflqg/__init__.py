@@ -14,15 +14,14 @@ __version__ = "0.1.0"
 
 from .errors import (AssumptionError, ConfigError, DomainError,
                      FiniteEscapeError, SimulationDivergedError)
-from .model import (Coefficient, MatrixProblemSpec, MeasureMoments,
-                    ProblemSpec, ValidationResult, as_coefficient,
-                    validate_spec)
+from .model import (Coefficient, MeasureMoments, ProblemSpec,
+                    ValidationResult, as_coefficient, validate_spec)
 from .riccati import (DIVERGENCE_LIMIT, RiccatiSolution, closed_form,
                       solve_riccati)
 from .control import FeedbackLaw, optimal_feedback, residual_sweep, value_function
 from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
-                       GaussianityReport, SimConfig, cost_coefficients,
-                       cost_from_cloud, evolve_cloud, gaussianity_check)
+                       SimConfig, cost_coefficients, cost_from_cloud,
+                       evolve_cloud)
 from .partial_obs import (PartialObsSpec, Reduction, cost_decomposition_check,
                           error_variance, reduced_problem)
 from .checks import EM_BIAS_CONST, mc_tolerance
@@ -35,16 +34,16 @@ __all__ = [
     "AssumptionError", "ConfigError", "DomainError", "FiniteEscapeError",
     "SimulationDivergedError",
     # model
-    "Coefficient", "MatrixProblemSpec", "MeasureMoments", "ProblemSpec",
-    "ValidationResult", "as_coefficient", "validate_spec",
+    "Coefficient", "MeasureMoments", "ProblemSpec", "ValidationResult",
+    "as_coefficient", "validate_spec",
     # riccati
     "DIVERGENCE_LIMIT", "RiccatiSolution", "closed_form", "solve_riccati",
     # control
     "FeedbackLaw", "optimal_feedback", "residual_sweep", "value_function",
     # simulate
     "CloudTrajectory", "CostCoefficients", "CostReport", "EM_BIAS_CONST",
-    "GaussianityReport", "SimConfig", "cost_coefficients", "cost_from_cloud",
-    "evolve_cloud", "gaussianity_check", "mc_tolerance",
+    "SimConfig", "cost_coefficients", "cost_from_cloud", "evolve_cloud",
+    "mc_tolerance",
     # partial observation
     "PartialObsSpec", "Reduction", "cost_decomposition_check",
     "error_variance", "reduced_problem",

@@ -141,7 +141,7 @@ def _resolve(args):
         spec, source, config_sim = preset(args.preset), f"preset:{args.preset}", None
     else:
         resolved = load_config(args.config)
-        spec, source = resolved.the_problem(), f"config:{args.config}"
+        spec, source = resolved.problem, f"config:{args.config}"
         config_sim = resolved.simulation
     _ensure_outdir(args.out)
     sim = None

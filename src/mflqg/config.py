@@ -6,7 +6,7 @@ fields and the reader of each field, in the order they are read:
 
     [problem]          A, B, sigma, Q: coefficient; D1, D2, T: number
     [matrix_problem]   d: integer >= 1; A, B, sigma, Q, D1, D2: d x d matrix;
-                       T: number
+                       T: number (d only shapes the matrices)
     [partial_obs]      sigma_hat, sigma_tilde, eta_hat, eta_tilde, s, T, D1,
                        D2: number; x: number with a finite square
     [simulation]       n_paths: integer; dt: number; seed: integer
@@ -16,6 +16,8 @@ Numbers must be finite.  A coefficient is a bare number or `constant c`
 `table t0:v0 t1:v1 ...` (piecewise-linear knots t:value).  A matrix lists
 its rows separated by ';', as in `A = 0 1; 0 0`.
 
+[problem] and [matrix_problem] both build a ProblemSpec, so a
+[matrix_problem] with d = 1 is the scalar problem with the same numbers.
 Every field is required and no other is allowed.  Parsing errors raise
 ConfigError naming the section and field; violated model assumptions
 surface as AssumptionError from the constructed spec itself, and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Coefficient, MatrixProblemSpec, ProblemSpec
+from .model import Coefficient, ProblemSpec
 from .partial_obs import PartialObsSpec
 from .simulate import SimConfig
 
@@ -46,18 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """Parsed configuration: exactly one problem plus optional sim settings."""
+    """Parsed configuration: the one problem, fully or partially observed,
+    and the simulation settings if the file has them."""
 
-    problem: ProblemSpec | None = None
-    matrix_problem: MatrixProblemSpec | None = None
-    partial_obs: PartialObsSpec | None = None
+    problem: ProblemSpec | PartialObsSpec
     simulation: SimConfig | None = None
-
-    def the_problem(self):
-        for p in (self.problem, self.matrix_problem, self.partial_obs):
-            if p is not None:
-                return p
-        raise ConfigError("configuration contains no problem section")
 
 
 # Readers take a field's text and the fields of its section read so far, and
@@ -133,7 +128,7 @@ _SCHEMA = {
     "problem": (ProblemSpec, {
         "A": _coefficient, "B": _coefficient, "sigma": _coefficient,
         "Q": _coefficient, "D1": _real, "D2": _real, "T": _real}),
-    "matrix_problem": (MatrixProblemSpec, {
+    "matrix_problem": (lambda d, **fields: ProblemSpec(**fields), {
         "d": _dimension, "A": _matrix, "B": _matrix, "sigma": _matrix,
         "Q": _matrix, "D1": _matrix, "D2": _matrix, "T": _real}),
     "partial_obs": (PartialObsSpec, dict.fromkeys(
@@ -181,9 +176,11 @@ def parse_config(text: str) -> ResolvedConfig:
         )
     # A constructor's own errors (a violated assumption, simulation settings
     # the engine cannot run) pass through unwrapped.
-    return ResolvedConfig(**{
-        section: make(**_read_section(section, dict(parser.items(section)), readers))
-        for section, (make, readers) in _SCHEMA.items() if section in sections})
+    built = {section: make(**_read_section(section, dict(parser.items(section)), readers))
+             for section, (make, readers) in _SCHEMA.items() if section in sections}
+    simulation = built.pop("simulation", None)
+    problem, = built.values()
+    return ResolvedConfig(problem, simulation)
 
 
 def load_config(path) -> ResolvedConfig:

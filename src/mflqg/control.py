@@ -77,9 +77,9 @@ class FeedbackLaw:
                            self.beta + float(d_beta) * eye)
 
 
-def value_function(sol: RiccatiSolution, t: float, mu: MeasureMoments) -> float:
-    """tr(phi1 m2) + m1^T phi2 m1 + phi3 at t."""
-    p1, p2, p3 = sol.at(t)
+def value_function(sol: RiccatiSolution, mu: MeasureMoments) -> float:
+    """v(0, mu) = tr(phi1 m2) + m1^T phi2 m1 + phi3, phi at t = 0."""
+    p1, p2, p3 = sol.phi1[0], sol.phi2[0], sol.phi3[0]
     m1 = np.reshape(mu.m1, (1, -1))
     return float(_tr(p1, np.reshape(mu.m2, p1.shape))
                  + _mm(_mm(m1, p2), m1.T)[0, 0] + p3)

@@ -1,10 +1,10 @@
-"""Problem data: time-varying coefficients, problem definitions, and measures.
+"""Problem data: coefficients of time, the problem definition, and measures.
 
-The controlled state is a number (ProblemSpec, time-varying coefficients)
-or a vector in dimension d (MatrixProblemSpec, constant matrices); a scalar
-problem is the d = 1 case of every formula.  The cost is quadratic in the
-control, and the terminal cost depends on the state law through its first
-two moments:
+The controlled state is a vector in dimension d.  One ProblemSpec holds
+every problem: scalar coefficients of time at d = 1, constant d x d
+matrices at d > 1, so a scalar problem is the d = 1 case of every formula.
+The cost is quadratic in the control, and the terminal cost depends on the
+state law through its first two moments:
 
     g(mu) = tr(D1 m2(mu)) + m1(mu)^T D2 m1(mu)
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import AssumptionError, DomainError
 __all__ = [
     "Coefficient",
     "ProblemSpec",
-    "MatrixProblemSpec",
     "MeasureMoments",
     "ValidationResult",
     "as_coefficient",
@@ -34,9 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coefficient:
-    """A scalar function of time, restricted to three closed-under-parsing forms.
+    """A function of time, restricted to three closed-under-parsing forms.
 
-    kind = "constant": data = (c,), value c everywhere.
+    kind = "constant": data = (c,), value c everywhere; c is a number or a
+                       d x d matrix held as a tuple of row tuples.
     kind = "poly":     data = (c0, c1, ...), value sum(c_k * t**k).
     kind = "table":    data = (ts, vs) with strictly increasing knots; values
                        interpolate linearly and evaluation outside the knot
@@ -53,11 +53,22 @@ class Coefficient:
             _finite("table knots", *self.data[0])
             _finite("table values", *self.data[1])
         else:
-            _finite(f"{self.kind} coefficient", *self.data)
+            _finite(f"{self.kind} coefficient", *np.ravel(self.data).tolist())
 
     @staticmethod
-    def constant(c: float) -> "Coefficient":
-        return Coefficient("constant", (float(c),))
+    def constant(c) -> "Coefficient":
+        """c is a number or a square matrix; a 1 x 1 matrix is the number
+        it holds."""
+        try:
+            arr = np.array(c, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DomainError(f"cannot interpret {c!r} as a coefficient") from None
+        if arr.shape in ((), (1, 1)):
+            return Coefficient("constant", (arr.item(),))
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DomainError(f"a coefficient is a number or a square matrix, "
+                              f"got shape {arr.shape}")
+        return Coefficient("constant", (tuple(map(tuple, arr.tolist())),))
 
     @staticmethod
     def poly(coeffs: Sequence[float]) -> "Coefficient":
@@ -78,15 +89,20 @@ class Coefficient:
             raise DomainError("table knots must be strictly increasing")
         return Coefficient("table", (t, v))
 
+    @property
+    def shape(self) -> tuple:
+        """The shape of a value: () for a number, (d, d) for a matrix."""
+        return np.shape(self.data[0]) if self.kind == "constant" else ()
+
     def __call__(self, t: float) -> float:
         return float(self.on(t))
 
     def on(self, times) -> np.ndarray:
-        """Values at a time or an array of times; knot hits of a table
-        return the stored value exactly."""
+        """Values at a time or an array of times, times.shape + self.shape;
+        knot hits of a table return the stored value exactly."""
         t = np.asarray(times, dtype=np.float64)
         if self.kind == "constant":
-            return np.full(t.shape, self.data[0])
+            return np.full(t.shape + self.shape, self.data[0])
         if self.kind == "poly":
             acc = np.zeros(t.shape)
             for c in reversed(self.data):
@@ -104,9 +120,6 @@ class Coefficient:
         return np.where(t == ts[lo], vs[lo], vs[lo] + w * (vs[lo + 1] - vs[lo]))
 
 
-CoefficientLike = Union[Coefficient, float, int]
-
-
 def _finite(name: str, *values: float) -> None:
     """Refuse a non-finite number where it enters, naming its field; it
     would otherwise surface later as a misleading finite escape."""
@@ -121,46 +134,87 @@ def _finite_float(name: str, value) -> float:
     return value
 
 
-def as_coefficient(value: CoefficientLike) -> Coefficient:
-    """Coerce a bare number to a constant coefficient; pass Coefficients through."""
+def as_coefficient(value) -> Coefficient:
+    """Coerce a number or a square matrix to a constant coefficient; pass
+    Coefficients through."""
     if isinstance(value, Coefficient):
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Coefficient.constant(float(value))
-    raise DomainError(f"cannot interpret {value!r} as a coefficient")
+    if isinstance(value, (bool, str)):
+        raise DomainError(f"cannot interpret {value!r} as a coefficient")
+    return Coefficient.constant(value)
+
+
+def _smallest_eigenvalues(q: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of the symmetric part of each of a stack of
+    d x d matrices; at d = 1 the number itself.  Halved before the sum, so
+    the part of a finite matrix is finite."""
+    return np.linalg.eigvalsh(0.5 * q + 0.5 * q.swapaxes(1, 2))[:, 0]
+
+
+_FIELDS = ("A", "B", "sigma", "Q", "D1", "D2")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Scalar mean-field LQG problem data.
+    """Mean-field LQG problem data in dimension d.
 
-    Dynamics  dX = (A(t) X + B(t) u) dt + sigma(t) dW, control cost Q(t) u^2,
-    terminal cost D1 * m2 + D2 * m1^2 at time T.  Numbers passed for the
-    time-varying fields are coerced to constant coefficients.  A non-finite
-    number raises DomainError naming its field.
+    Dynamics  dX = (A(t) X + B(t) u) dt + sigma(t) dW, control cost
+    u^T Q(t) u, terminal cost tr(D1 m2) + m1^T D2 m1 at time T.  d is read
+    from the shapes: numbers, coefficients of time and 1 x 1 matrices make
+    d = 1, where A, B, sigma and Q are Coefficients and D1 and D2 floats; d x d
+    matrices everywhere make dimension d, where A, B, sigma and Q are
+    constant matrix Coefficients and D1 and D2 symmetric read-only arrays.
+    A mix raises DomainError, as does a non-finite number (naming its
+    field); a terminal weight that is not symmetric raises AssumptionError.
     """
 
     A: Coefficient
     B: Coefficient
     sigma: Coefficient
     Q: Coefficient
-    D1: float
-    D2: float
+    D1: float | np.ndarray
+    D2: float | np.ndarray
     T: float
 
     def __post_init__(self):
-        for name in ("A", "B", "sigma", "Q"):
-            try:
-                coef = as_coefficient(getattr(self, name))
+        for name in _FIELDS:
+            try:  # a terminal weight is a number or a matrix, never of time
+                coef = (Coefficient.constant if name[0] == "D" else as_coefficient)(
+                    getattr(self, name))
             except DomainError as exc:
                 raise DomainError(f"{name}: {exc}") from None
             object.__setattr__(self, name, coef)
-        for name in ("D1", "D2", "T"):
-            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
+        object.__setattr__(self, "T", _finite_float("T", self.T))
         if not self.T > 0.0:
             raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
+        # Each shape is () or (d, d) with d > 1, a 1 x 1 matrix being a number.
+        shapes = {name: getattr(self, name).shape for name in _FIELDS}
+        if len(set(shapes.values())) > 1:
+            raise DomainError("A, B, sigma, Q, D1 and D2 must all be numbers or all "
+                              "d x d matrices, got shapes " + ", ".join(
+                                  f"{name} {shape}" for name, shape in shapes.items()))
+        for name in ("D1", "D2"):
+            weight = getattr(self, name).data[0]
+            if shapes[name]:
+                weight = np.array(weight)
+                if not np.allclose(weight, weight.T, rtol=0.0, atol=1e-12):
+                    raise AssumptionError(f"terminal weight {name} must be symmetric")
+                weight = 0.5 * (weight + weight.T)
+                weight.setflags(write=False)
+            object.__setattr__(self, name, weight)
 
-    d = 1  # the dimension of the state
+    def __eq__(self, other):
+        if not isinstance(other, ProblemSpec):
+            return NotImplemented
+        return ((self.A, self.B, self.sigma, self.Q, self.T)
+                == (other.A, other.B, other.sigma, other.Q, other.T)
+                and np.array_equal(self.D1, other.D1)
+                and np.array_equal(self.D2, other.D2))
+
+    @property
+    def d(self) -> int:
+        """The dimension of the state."""
+        return 1 if isinstance(self.D1, float) else self.D1.shape[0]
 
     @property
     def knots(self) -> tuple:
@@ -169,15 +223,23 @@ class ProblemSpec:
                      if coef.kind == "table" for knot in coef.data[0])
 
     def control_weight_on(self, times) -> np.ndarray:
-        """Q at `times`, checked against assumption A1 (Q > 0); the
-        AssumptionError names the first of the times where it fails."""
-        q = self.Q.on(times)
-        bad = np.flatnonzero(~(q > 0.0))
+        """Q at each of `times`, (times.size, d, d), checked against
+        assumption A1: Q symmetric (to 1e-10) and the smallest eigenvalue of
+        its symmetric part > 0, which at d = 1 is Q > 0.  The AssumptionError
+        names the first of the times where A1 fails."""
+        times = np.ravel(times)
+        d = self.d
+        q = self.Q.on(times).reshape(-1, d, d)
+        lam = _smallest_eigenvalues(q)
+        skew = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10
+        bad = np.flatnonzero(skew | ~(lam > 0.0))
         if bad.size:
-            t, qt = float(np.ravel(times)[bad[0]]), float(np.ravel(q)[bad[0]])
-            raise AssumptionError(
-                f"assumption A1 (positive control weight) fails: Q({t:.6g}) = {qt:.6g}",
-                t)
+            k = bad[0]
+            t = float(times[k])
+            what = (f"Q({t:.6g}) is not symmetric" if skew[k] else
+                    f"{'' if d == 1 else 'min eig '}Q({t:.6g}) = {lam[k]:.6g}")
+            raise AssumptionError(f"assumption A1 (positive {'' if d == 1 else 'definite '}"
+                                  f"control weight) fails: {what}", t)
         return q
 
 
@@ -212,9 +274,9 @@ class MeasureMoments:
 @dataclass(frozen=True)
 class ValidationResult:
     """Verdict on the standing assumptions.  q_min is the smallest control
-    weight seen on the grid (for a matrix problem, the smallest eigenvalue of
-    the symmetric part of Q), up to the first violation; None if the grid
-    was not reached."""
+    weight over every sampled time (the smallest eigenvalue of the
+    symmetric part of Q, which at d = 1 is Q itself); None if no time was
+    sampled."""
 
     ok: bool
     message: str
@@ -222,93 +284,34 @@ class ValidationResult:
     q_min: float | None = None
 
 
-def validate_spec(spec) -> ValidationResult:
-    """Check the standing assumptions of a ProblemSpec or a MatrixProblemSpec.
+def validate_spec(spec: ProblemSpec) -> ValidationResult:
+    """Check the standing assumptions of a ProblemSpec.
 
-    A1 (positive control weight): a matrix Q must be symmetric positive
-    definite.  A scalar Q(t) must be > 0; it is checked at 256 equally
-    spaced times including both endpoints, plus every time inside (0, T)
-    where Q can have its minimum: a table knot, or the real part of a root
-    of a polynomial's derivative.  The other scalar coefficients are probed
-    at the endpoints so tabulated data covering less than [0, T] is
-    reported rather than raising later, mid-integration.
+    A1 (positive definite control weight, ProblemSpec.control_weight_on) is
+    checked at 256 equally spaced times including both endpoints, plus every
+    time inside (0, T) where a scalar Q can have its minimum: a table knot,
+    or the real part of a root of a polynomial's derivative.  The
+    coefficients are probed at the endpoints first, so tabulated data
+    covering less than [0, T] is reported rather than raising later,
+    mid-integration.
     """
-    if isinstance(spec, MatrixProblemSpec):
-        q = spec.Q
-        lam = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-        if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
-            return ValidationResult(False, "assumption A1: Q is not symmetric", None, lam)
-        return ValidationResult(lam > 0.0, "ok" if lam > 0.0 else (
-            f"assumption A1 (positive definite control weight) fails: min eig Q = "
-            f"{lam:.6g}"), None, lam)
-    for name, coef in (("A", spec.A), ("B", spec.B), ("sigma", spec.sigma),
-                       ("Q", spec.Q)):
+    for name in ("A", "B", "sigma", "Q"):
         for t in (0.0, spec.T):
             try:
-                coef(t)
+                getattr(spec, name).on(t)
             except DomainError as exc:
                 return ValidationResult(
                     False, f"coefficient {name} not evaluable: {exc}", t
                 )
-    extra = (np.array(spec.Q.data[0]) if spec.Q.kind == "table" else
-             np.roots([k * c for k, c in enumerate(spec.Q.data)][:0:-1]).real)
+    q = spec.Q
+    extra = (np.array(q.data[0]) if q.kind == "table" else
+             np.roots([k * c for k, c in enumerate(q.data)][:0:-1]).real
+             if q.kind == "poly" else np.empty(0))
     times = np.sort(np.concatenate([np.linspace(0.0, spec.T, 256),
                                     extra[(0.0 < extra) & (extra < spec.T)]]))
-    q_min = float(spec.Q.on(times).min())
+    q_min = float(_smallest_eigenvalues(q.on(times).reshape(-1, spec.d, spec.d)).min())
     try:
         spec.control_weight_on(times)
     except AssumptionError as exc:
         return ValidationResult(False, str(exc), exc.time, q_min)
     return ValidationResult(True, "ok", None, q_min)
-
-
-MatrixLike = Union[np.ndarray, Sequence[Sequence[float]]]
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixProblemSpec:
-    """Vector-state variant of :class:`ProblemSpec` in dimension d.
-
-    A, B, sigma, Q, D1 and D2 are constant d x d matrices of finite
-    numbers, copied and locked on construction.  D1 and D2 must be
-    symmetric.
-    """
-
-    d: int
-    A: MatrixLike
-    B: MatrixLike
-    sigma: MatrixLike
-    Q: MatrixLike
-    D1: MatrixLike
-    D2: MatrixLike
-    T: float
-
-    knots = ()  # constant coefficients have none
-
-    def __post_init__(self):
-        d = int(self.d)
-        if d < 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "T", _finite_float("T", self.T))
-        if not self.T > 0.0:
-            raise AssumptionError(f"horizon T must be positive, got {self.T:.6g}")
-        for name in ("A", "B", "sigma", "Q", "D1", "D2"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if arr.shape != (d, d):
-                raise DomainError(f"{name} must have shape ({d}, {d}), got {arr.shape}")
-            _finite(name, *arr.ravel().tolist())
-            if name in ("D1", "D2"):
-                if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12):
-                    raise AssumptionError(f"terminal weight {name} must be symmetric")
-                arr = 0.5 * (arr + arr.T)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixProblemSpec):
-            return NotImplemented
-        return self.d == other.d and self.T == other.T and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("A", "B", "sigma", "Q", "D1", "D2"))
-

@@ -17,7 +17,7 @@ and the optimal value is read off the reduced problem's Riccati solution:
 
 Reduction holds that split once: the reduced problem, the initial variance
 eta_hat^2 s and the constant D1 * P_T; every command reads it (a fully
-observed problem, scalar or matrix, is its own reduction).  The oracle
+observed problem, of any dimension d, is its own reduction).  The oracle
 follows the split: a law's cost coefficients on the reduced problem, with
 D1 * P_T added to the constant term, priced at the moments
 (x, x^2 + eta_hat^2 s).  So does simulation: the prediction cloud is the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .control import value_function
 from .errors import AssumptionError, DomainError
-from .model import MatrixProblemSpec, MeasureMoments, ProblemSpec, _finite_float
+from .model import MeasureMoments, ProblemSpec, _finite_float
 from .riccati import RiccatiSolution, _write_csv
 from .simulate import (CloudTrajectory, CostCoefficients, CostReport,
                        SimConfig, cost_from_cloud)
@@ -122,21 +122,18 @@ class Reduction:
     A partially observed spec becomes its reduced problem for the prediction
     process: control starts from N(x, var0) with var0 = eta_hat^2 s, and the
     estimation error adds the constant comp = D1 P_T to every cost.  A fully
-    observed spec is its own reduction, with var0 = comp = 0; a d = 1 matrix
-    spec becomes the scalar problem it is.  A state x is a number at d = 1.
+    observed spec is its own reduction, with var0 = comp = 0.  A state x is
+    a number at d = 1.
     """
 
-    problem: ProblemSpec | MatrixProblemSpec
+    problem: ProblemSpec
     partial: PartialObsSpec | None = None
     var0: float = 0.0
     comp: float = 0.0
 
     @classmethod
     def of(cls, spec) -> "Reduction":
-        if isinstance(spec, MatrixProblemSpec) and spec.d == 1:
-            spec = ProblemSpec(*(float(np.ravel(getattr(spec, name))[0]) for name in
-                                 ("A", "B", "sigma", "Q", "D1", "D2")), T=spec.T)
-        if isinstance(spec, (ProblemSpec, MatrixProblemSpec)):
+        if isinstance(spec, ProblemSpec):
             return cls(spec)
         return cls(reduced_problem(spec), spec, spec.eta_hat ** 2 * spec.s,
                    spec.D1 * error_variance(spec, spec.T))
@@ -153,8 +150,9 @@ class Reduction:
         return MeasureMoments(mu.m1, mu.m2 + self.var0)
 
     def value(self, sol: RiccatiSolution, x) -> float:
-        """Optimal value from x, read off a Riccati solution of `problem`."""
-        return value_function(sol, 0.0, self.moments(x)) + self.comp
+        """Optimal value from x, read off phi(0) of a Riccati solution of
+        `problem`."""
+        return value_function(sol, self.moments(x)) + self.comp
 
     def oracle(self, coefs: CostCoefficients, x) -> CostReport:
         """Oracle cost from x of a law on `problem` with cost coefficients

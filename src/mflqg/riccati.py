@@ -12,7 +12,8 @@ S = sigma sigma^T and Pi = phi1 + phi2,
 By Radon's lemma phi1 = Y X^{-1} for a linear system in [X; Y], and Pi
 likewise from D1 + D2, so solve_riccati steps one linear system.  A scalar
 problem is d = 1, with (k, 1, 1) tables like any other; _coefficients is
-the only code here that tells the spec types apart.  Where phi escapes in
+the one tabulation of the coefficients, with assumption A1 checked on the
+way, for every reader and every d.  Where phi escapes in
 finite time, X turns singular; the solve raises FiniteEscapeError there, or
 where a component leaves [-1e12, 1e12].
 
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, FiniteEscapeError
-from .model import MatrixProblemSpec
+from .errors import DomainError, FiniteEscapeError
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -113,22 +113,6 @@ class RiccatiSolution:
                 or (len(self.phi1), *self.phi3.shape) != (n, n):
             raise DomainError("phi1 and phi2 must be (k, d, d) tables on the grid, phi3 (k,)")
 
-    def at(self, t: float):
-        """Linear interpolation of phi at t in [0, T], as (d x d array,
-        d x d array, float); grid nodes are exact."""
-        grid = self.grid
-        t = float(t)
-        if t < grid[0] or t > grid[-1]:
-            raise DomainError(f"t = {t:.6g} outside [{grid[0]:.6g}, {grid[-1]:.6g}]")
-        i = int(np.searchsorted(grid, t, side="right")) - 1
-        tables = (self.phi1, self.phi2, self.phi3)
-        if i >= grid.size - 1:
-            p1, p2, p3 = [v[-1] for v in tables]
-        else:
-            w = (t - grid[i]) / (grid[i + 1] - grid[i])
-            p1, p2, p3 = [v[i] + w * (v[i + 1] - v[i]) for v in tables]
-        return np.array(p1), np.array(p2), float(p3)
-
 
 def _mm(a, b):
     """Batched matrix product a @ b over the last two axes, each entry summed
@@ -143,20 +127,17 @@ def _tr(a, b):
 
 
 def _coefficients(spec, times: np.ndarray):
-    """A, M = B Q^{-1} B^T, S = sigma sigma^T, B, Q and the gain factor
-    G = Q^{-1} B^T at `times`, each (times.size, d, d).  A scalar spec's M
-    and G are b b / q and b / q, q checked against assumption A1."""
-    n = times.size
-    if isinstance(spec, MatrixProblemSpec):
-        try:
-            g = np.linalg.solve(spec.Q, spec.B.T)
-        except np.linalg.LinAlgError as exc:
-            raise AssumptionError("control weight Q is singular") from exc
-        return [np.broadcast_to(c, (n, spec.d, spec.d)) for c in
-                (spec.A, spec.B @ g, spec.sigma @ spec.sigma.T, spec.B, spec.Q, g)]
-    a, b, sig = spec.A.on(times), spec.B.on(times), spec.sigma.on(times)
-    q = spec.control_weight_on(times)
-    return [c.reshape(n, 1, 1) for c in (a, b * b / q, sig * sig, b, q, b / q)]
+    """A, M = B G, S = sigma sigma^T, B, Q and the gain factor
+    G = Q^{-1} B^T at `times`, each (times.size, d, d), Q checked against
+    assumption A1.  A constant coefficient is worked out at times[0] alone
+    and broadcast."""
+    d = spec.d
+    at = lambda c: times if c.kind != "constant" else times[:1]
+    a, b, sig = (c.on(at(c)).reshape(-1, d, d) for c in (spec.A, spec.B, spec.sigma))
+    q = spec.control_weight_on(at(spec.Q))
+    g = np.linalg.solve(q, b.swapaxes(1, 2))
+    return [np.broadcast_to(c, (times.size, d, d)) for c in
+            (a, b @ g, sig @ sig.swapaxes(1, 2), b, q, g)]
 
 
 def _escape(values, names, times):
@@ -170,7 +151,7 @@ def _escape(values, names, times):
 
 def solve_riccati(spec, steps: int = 1000) -> RiccatiSolution:
     """phi on a uniform grid of `steps` intervals over [0, T], for a
-    ProblemSpec or a MatrixProblemSpec of any dimension d.
+    ProblemSpec of any dimension d.
 
     Steps [X; Y]' = G [X; Y], G = [[A, -M], [0, -A^T]], backwards with
     _linear_rk4 from [I, I; D1, D1 + D2] at T: phi1 = Y X^{-1} on the first

@@ -43,12 +43,10 @@ __all__ = [
     "CostReport",
     "CostCoefficients",
     "CloudTrajectory",
-    "GaussianityReport",
     "cost_coefficients",
     "evolve_cloud",
     "stream_layout",
     "cost_from_cloud",
-    "gaussianity_check",
     "trajectory_to_csv",
 ]
 
@@ -115,17 +113,6 @@ class CloudTrajectory:
     m2: np.ndarray
     states: np.ndarray
     run_costs: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussianityReport:
-    """Moments of a cloud; degenerate when variance < variance_floor."""
-
-    skewness: float
-    excess_kurtosis: float
-    degenerate: bool
-    variance: float
-    variance_floor: float
 
 
 def _steps_for(horizon: float, dt: float) -> int:
@@ -359,25 +346,6 @@ def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostRepo
     se = math.sqrt(run.var(ddof=1) / n + g.var(ddof=1) / n)
     return CostReport(total=running + terminal, running=running,
                       terminal=terminal, std_error=se, n_paths=n)
-
-
-def gaussianity_check(states: np.ndarray) -> GaussianityReport:
-    """Sample skewness and excess kurtosis of a particle cloud.
-
-    Under a linear law started from Gaussian or Dirac data both should vanish;
-    a degenerate (numerically zero-variance) cloud is flagged instead of
-    producing 0/0 noise.
-    """
-    x = states
-    m = x.mean()
-    c = x - m
-    v = float((c * c).mean())
-    floor = 1e-18 * max(1.0, float((x * x).mean()))
-    if v < floor:
-        return GaussianityReport(float("nan"), float("nan"), True, v, floor)
-    skew = float((c ** 3).mean()) / v ** 1.5
-    exk = float((c ** 4).mean()) / (v * v) - 3.0
-    return GaussianityReport(skew, exk, False, v, floor)
 
 
 def trajectory_to_csv(traj: CloudTrajectory, path) -> None:

@@ -171,6 +171,37 @@ T = 1
 """
 
 
+def test_matrix_problem_of_d1_runs_as_the_scalar_problem(tmp_path, capsys):
+    # One problem type: a [matrix_problem] with d = 1 and the [problem] with
+    # the same numbers write the same bytes from solve, simulate and verify,
+    # apart from the source label.
+    numbers = ("A = -0.3\nB = 1.2\nsigma = 0.5\nQ = 2\nD1 = 1\nD2 = 0.5\nT = 1\n"
+               "[simulation]\nn_paths = 2000\ndt = 0.05\nseed = 4\n")
+    texts = {"matrix": "[matrix_problem]\nd = 1\n" + numbers, "scalar": "[problem]\n" + numbers}
+    written = {}
+    for kind, text in texts.items():
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text)
+        for command in ("solve", "simulate", "verify"):
+            out = tmp_path / kind / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            written[kind, command] = capsys.readouterr().out
+            for f in sorted(out.iterdir()):
+                if f.suffix == ".json":
+                    doc = read_json(f)
+                    assert doc.pop("source") == f"config:{cfg}"
+                    written[kind, command, f.name] = doc
+                else:
+                    written[kind, command, f.name] = f.read_bytes()
+    for key, value in written.items():
+        if key[0] == "matrix":
+            assert value == written[("scalar",) + key[1:]], key
+    assert {key[2] for key in written if len(key) == 3} == {
+        "phi.csv", "gains.csv", "trajectory.csv", "residual.csv", "summary.json",
+        "verify.json", "manifest.json"}
+    assert written["matrix", "verify", "verify.json"]["kind"] == "scalar"
+
+
 def test_reruns_in_one_process_write_the_same_bytes(tmp_path, capsys):
     # Repeated main() calls in one interpreter must not leak state (a
     # stacked buffer, a tabulated factor) from one call into the next.

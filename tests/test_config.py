@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, ConfigError, MatrixProblemSpec,
+from mflqg import (AssumptionError, ConfigError, PartialObsSpec, ProblemSpec,
                    load_config, parse_config)
 from mflqg.config import ResolvedConfig
 from mflqg.model import Coefficient
@@ -69,8 +71,8 @@ def test_parse_bare_number_is_constant():
 
 def test_parse_partial_obs():
     cfg = parse_config(PARTIAL)
-    q = cfg.partial_obs
-    assert q is not None
+    q = cfg.problem
+    assert isinstance(q, PartialObsSpec)
     assert q.sigma_hat ** 2 == pytest.approx(0.5)
     assert q.eta_tilde == 0.0
     assert cfg.simulation is None
@@ -78,13 +80,25 @@ def test_parse_partial_obs():
 
 def test_parse_matrix_problem():
     cfg = parse_config(MATRIX)
-    mp = cfg.matrix_problem
-    assert mp is not None
+    mp = cfg.problem
     assert mp.d == 2
-    assert mp == MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                                   sigma=np.eye(2), Q=np.eye(2), D1=np.eye(2),
-                                   D2=np.zeros((2, 2)), T=1.0)
-    assert mp != parse_config(MATRIX.replace("D2 = 0 0", "D2 = 1 0")).matrix_problem
+    assert mp == ProblemSpec(A=np.zeros((2, 2)), B=np.eye(2), sigma=np.eye(2),
+                             Q=np.eye(2), D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
+    assert mp != parse_config(MATRIX.replace("D2 = 0 0", "D2 = 1 0")).problem
+    assert mp != parse_config(MATRIX.replace("A = 0 0", "A = 1 0")).problem
+
+
+def test_matrix_problem_of_d1_is_the_scalar_problem():
+    # One problem type: a 1 x 1 [matrix_problem] parses to the ProblemSpec
+    # of the [problem] section with the same numbers, field for field.
+    text = ("[matrix_problem]\nd = 1\nA = -0.3\nB = 1.2\nsigma = 0.5\nQ = 2\n"
+            "D1 = 1\nD2 = 0.5\nT = 1\n")
+    scalar = parse_config(text.replace("[matrix_problem]\nd = 1", "[problem]")).problem
+    mp = parse_config(text).problem
+    assert mp == scalar and mp.d == 1
+    assert all(getattr(mp, name) == getattr(scalar, name) for name in
+               ("A", "B", "sigma", "Q", "D1", "D2", "T"))
+    assert isinstance(mp.D1, float) and mp.Q.kind == "constant"
 
 
 def test_coefficient_text_forms():
@@ -197,8 +211,13 @@ def test_load_config_reads_files(tmp_path):
         load_config(tmp_path / "absent.ini")
 
 
-def test_the_problem_accessor():
-    cfg = parse_config(SCALAR)
-    assert cfg.the_problem() is cfg.problem
-    with pytest.raises(ConfigError):
-        ResolvedConfig().the_problem()
+def test_resolved_config_is_the_problem_and_the_simulation():
+    # Every problem section fills the one problem field; [simulation] is
+    # optional.
+    for text, kind in ((SCALAR, ProblemSpec), (MATRIX, ProblemSpec),
+                       (PARTIAL, PartialObsSpec)):
+        cfg = parse_config(text)
+        assert isinstance(cfg, ResolvedConfig) and isinstance(cfg.problem, kind)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["problem", "simulation"]
+    assert parse_config(SCALAR).simulation.n_paths == 5000
+    assert parse_config(MATRIX).simulation is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflqg import (AssumptionError, Coefficient, DomainError, FeedbackLaw,
-                   MatrixProblemSpec, MeasureMoments, ProblemSpec, closed_form,
+                   MeasureMoments, ProblemSpec, closed_form,
                    optimal_feedback, residual_sweep, scalar_preset, solve_riccati,
                    value_function)
 from mflqg.control import law_to_csv, residual_to_csv
@@ -15,14 +15,14 @@ def test_value_function_closed_form():
     # V(0, delta_x) = x^2/(1+T) + log(1+T) for the m2-terminal preset
     sol = solve_riccati(scalar_preset("example1"), 1000)
     for x in (0.0, 1.0, 2.0):
-        v = value_function(sol, 0.0, MeasureMoments.dirac(x))
+        v = value_function(sol, MeasureMoments.dirac(x))
         assert v == pytest.approx(x * x / 2.0 + math.log(2.0), abs=1e-6)
 
 
 def test_value_function_uses_both_moments():
     sol = closed_form(scalar_preset("example2"), 100)
     # phi = (0, 1/2, 0) at t = 0: value is m1^2 / 2 regardless of m2
-    v = value_function(sol, 0.0, MeasureMoments(1.0, 4.0))
+    v = value_function(sol, MeasureMoments(1.0, 4.0))
     assert v == pytest.approx(0.5)
 
 
@@ -39,13 +39,12 @@ def test_optimal_feedback_gains():
     law2 = optimal_feedback(spec2, sol2)
     assert np.allclose(law2.alpha, -2.0 / 4.0 * sol2.phi1)
     # d = 2 with a full Q: the gains are -Q^{-1} B^T phi, (k, d, d) tables
-    mspec = MatrixProblemSpec(d=2, A=[[0.1, -0.4], [0.3, -0.2]],
-                              B=[[1.0, 0.5], [0.0, 1.0]], sigma=np.eye(2),
-                              Q=[[2.0, 0.6], [0.6, 1.0]], D1=np.eye(2),
-                              D2=[[0.3, -0.1], [-0.1, 0.4]], T=1.0)
+    mspec = ProblemSpec(A=[[0.1, -0.4], [0.3, -0.2]], B=[[1.0, 0.5], [0.0, 1.0]],
+                        sigma=np.eye(2), Q=[[2.0, 0.6], [0.6, 1.0]], D1=np.eye(2),
+                        D2=[[0.3, -0.1], [-0.1, 0.4]], T=1.0)
     msol = solve_riccati(mspec, 50)
     mlaw = optimal_feedback(mspec, msol)
-    g = np.linalg.solve(mspec.Q, mspec.B.T)
+    g = np.linalg.solve(mspec.Q.on(0.0), mspec.B.on(0.0).T)
     assert mlaw.alpha.shape == mlaw.beta.shape == (51, 2, 2)
     np.testing.assert_allclose(mlaw.alpha, -g @ msol.phi1, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(mlaw.beta, -g @ msol.phi2, rtol=1e-13, atol=1e-15)
@@ -183,7 +182,7 @@ def _node_operators(spec, sol, k):
     tk = float(g[k])
     p1, p2 = float(sol.phi1[k, 0, 0]), float(sol.phi2[k, 0, 0])
     a, b, q, sig = spec.A(tk), spec.B(tk), spec.Q(tk), spec.sigma(tk)
-    r = b * b / q
+    r = b * (b / q)
     l1 = deriv(sol.phi1) - p1 * r * p1 + (a * p1 + p1 * a)
     l2 = (deriv(sol.phi2) - p2 * r * p2 - (p1 * r * p2 + p2 * r * p1)
           + (a * p2 + p2 * a))

@@ -93,17 +93,25 @@ def test_every_public_name_is_read_in_src():
         f"public names nothing in src/ reads: {sorted(unread - READ_OUTSIDE_SRC)}"
 
 
-# The modules that may tell a matrix problem from a scalar one: the spec
-# types themselves, the INI schema, the coefficient table of the Riccati
-# system and the Reduction every command reads.  __init__ only re-exports.
-KIND_AWARE = {"model", "config", "riccati", "partial_obs", "__init__"}
+# The fields of a fully observed problem.  ProblemSpec holds them for every
+# dimension d: numbers and coefficients of time at d = 1, d x d matrices
+# above.
+PROBLEM_FIELDS = {"A", "B", "sigma", "Q", "D1", "D2"}
 
 
-def test_only_the_kind_aware_modules_name_the_matrix_spec():
-    # Every other module runs one path for every dimension d; naming the
-    # matrix spec type there is a fork coming back.
-    trees = {path.stem: _parse(path) for path in MODULES}
-    naming = {stem for stem, tree in trees.items()
-              if "MatrixProblemSpec" in _loaded(tree) | set(_imported(tree))}
-    assert naming <= KIND_AWARE, \
-        f"modules forking on the spec type: {sorted(naming - KIND_AWARE)}"
+def test_one_class_holds_the_problem_fields():
+    # A second class with these fields is a second problem type, and with
+    # it the fork on the spec type that every reader would have to make.
+    holders = [f"{path.stem}.{node.name}" for path in MODULES
+               for node in ast.walk(_parse(path)) if isinstance(node, ast.ClassDef)
+               and PROBLEM_FIELDS <= {item.target.id for item in node.body
+                                      if isinstance(item, ast.AnnAssign)
+                                      and isinstance(item.target, ast.Name)}]
+    assert holders == ["model.ProblemSpec"], f"problem types: {holders}"
+    # The one isinstance on a spec type that decides a path is Reduction.of's
+    # full-versus-partial test; model's is ProblemSpec.__eq__.
+    tests = sorted(path.stem for path in MODULES for node in ast.walk(_parse(path))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "isinstance" and len(node.args) == 2
+                   and {"ProblemSpec", "PartialObsSpec"} & _loaded(node.args[1]))
+    assert tests == ["model", "partial_obs"], f"spec-type tests in {tests}"

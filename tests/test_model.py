@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, Coefficient, DomainError, MatrixProblemSpec,
-                   MeasureMoments, ProblemSpec, as_coefficient, validate_spec)
+from mflqg import (AssumptionError, Coefficient, DomainError, MeasureMoments,
+                   ProblemSpec, as_coefficient, validate_spec)
 
 
 def test_constant_coefficient():
@@ -66,7 +66,7 @@ def test_problem_spec_rejects_nonpositive_horizon():
 NAN = float("nan")
 INF = float("inf")
 UNIT = dict(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
-MATRIX_UNIT = dict(d=2, A=np.zeros((2, 2)), B=np.eye(2), sigma=np.eye(2),
+MATRIX_UNIT = dict(A=np.zeros((2, 2)), B=np.eye(2), sigma=np.eye(2),
                    Q=np.eye(2), D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
 
 
@@ -92,9 +92,10 @@ def test_problem_spec_rejects_non_finite(field, value):
 
 @pytest.mark.parametrize("field", ["A", "B", "sigma", "Q", "D1", "D2", "T"])
 def test_matrix_spec_rejects_non_finite(field):
+    # A, B, sigma and Q are constant matrix coefficients, D1 and D2 arrays.
     value = NAN if field == "T" else [[1.0, 0.0], [0.0, NAN]]
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        MatrixProblemSpec(**{**MATRIX_UNIT, field: value})
+    with pytest.raises(DomainError, match=f"^{field}(: constant coefficient)? must be finite"):
+        ProblemSpec(**{**MATRIX_UNIT, field: value})
 
 
 def test_dirac_moments():
@@ -125,6 +126,10 @@ def test_validate_spec_accepts_positive_q():
     spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
     result = validate_spec(spec)
     assert result.ok, result.message
+    # The largest weights too: the symmetric part of Q does not overflow.
+    huge = validate_spec(ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.7e308, D1=1.0,
+                                     D2=0.0, T=1.0))
+    assert huge.ok and huge.q_min == 1.7e308
 
 
 def test_validate_spec_catches_q_sign_change():
@@ -147,46 +152,70 @@ def test_validate_spec_reports_short_table():
 
 
 def test_matrix_spec_rejects_asymmetric_terminal_weight():
-    with pytest.raises(AssumptionError):
-        MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2), sigma=np.eye(2),
-                          Q=np.eye(2), D1=[[1.0, 0.5], [0.0, 1.0]],
-                          D2=np.zeros((2, 2)), T=1.0)
+    with pytest.raises(AssumptionError, match="D1 must be symmetric"):
+        ProblemSpec(**{**MATRIX_UNIT, "D1": [[1.0, 0.5], [0.0, 1.0]]})
 
 
 def test_matrix_spec_shape_checks():
-    with pytest.raises(DomainError):
-        MatrixProblemSpec(d=2, A=np.zeros((2, 3)), B=np.eye(2), sigma=np.eye(2),
-                          Q=np.eye(2), D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
-    with pytest.raises(DomainError):
-        MatrixProblemSpec(d=0, A=np.zeros((0, 0)), B=np.zeros((0, 0)),
-                          sigma=np.zeros((0, 0)), Q=np.zeros((0, 0)),
-                          D1=np.zeros((0, 0)), D2=np.zeros((0, 0)), T=1.0)
+    # d is read from the shapes: all d x d, or all numbers and 1 x 1.
+    with pytest.raises(DomainError, match=r"shape \(2, 3\)"):
+        ProblemSpec(**{**MATRIX_UNIT, "A": np.zeros((2, 3))})
+    with pytest.raises(DomainError, match=r"D2 \(3, 3\)"):
+        ProblemSpec(**{**MATRIX_UNIT, "D2": np.zeros((3, 3))})
+    with pytest.raises(DomainError, match=r"A \(\), B \(2, 2\)"):
+        ProblemSpec(**{**MATRIX_UNIT, "A": 0.0})
+    with pytest.raises(DomainError, match=r"^D1: .*shape \(2,\)"):
+        ProblemSpec(**{**UNIT, "D1": [1.0, 1.0]})
+    with pytest.raises(DomainError, match=r"shape \(0, 0\)"):
+        ProblemSpec(**{name: np.zeros((0, 0)) for name in MATRIX_UNIT if name != "T"},
+                    T=1.0)
+    with pytest.raises(DomainError, match=r"^D1: .*shape \(0, 0\)"):
+        ProblemSpec(**{**UNIT, "D1": np.zeros((0, 0))})
 
 
 def test_matrix_spec_time_dependent_callable():
-    # Matrix fields are constant; a callable of time is refused.
-    with pytest.raises(TypeError):
-        MatrixProblemSpec(d=2, A=lambda t: t * np.eye(2), B=np.eye(2),
-                          sigma=np.eye(2), Q=np.eye(2), D1=np.eye(2),
-                          D2=np.zeros((2, 2)), T=1.0)
+    # Matrix fields are constant; a callable of time is no coefficient.
+    with pytest.raises(DomainError, match="^A: cannot interpret"):
+        ProblemSpec(**{**MATRIX_UNIT, "A": lambda t: t * np.eye(2)})
+
+
+def test_d1_matrices_are_the_scalar_problem():
+    # A 1 x 1 matrix is the number it holds, so the spec is the scalar one.
+    spec = ProblemSpec(A=[[-0.3]], B=np.array([[1.2]]), sigma=0.5, Q=[[2.0]],
+                       D1=[[1.0]], D2=0.5, T=1.0)
+    assert spec == ProblemSpec(A=-0.3, B=1.2, sigma=0.5, Q=2.0, D1=1.0, D2=0.5, T=1.0)
+    assert spec.d == 1 and spec.B(0.3) == 1.2 and isinstance(spec.D1, float)
+
+
+def test_matrix_spec_holds_constant_matrix_coefficients():
+    spec = ProblemSpec(**{**MATRIX_UNIT, "A": [[0.0, 1.0], [-1.0, 0.0]],
+                          "D2": [[0.5, 0.1], [0.1, 0.3]]})
+    assert spec.d == 2 and spec.A.kind == "constant" and spec.A.shape == (2, 2)
+    assert spec.A.on(np.zeros(3)).shape == (3, 2, 2)
+    assert np.array_equal(spec.A.on(0.7), [[0.0, 1.0], [-1.0, 0.0]])
+    assert not spec.D2.flags.writeable
+    # Value equality over every field, D1 and D2 included.
+    assert spec == ProblemSpec(**{**MATRIX_UNIT, "A": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                  "D2": np.array([[0.5, 0.1], [0.1, 0.3]])})
+    assert spec != ProblemSpec(**{**MATRIX_UNIT, "A": [[0.0, 1.0], [-1.0, 0.0]]})
+    assert spec != ProblemSpec(**UNIT)
 
 
 def test_validate_spec_flags_indefinite_matrix_q():
-    # One validate_spec judges both spec types: a matrix Q must be
-    # symmetric positive definite, and q_min is its smallest eigenvalue.
-    spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                             sigma=np.eye(2), Q=np.diag([1.0, -1.0]),
-                             D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
+    # One validate_spec for every d: a matrix Q must be symmetric positive
+    # definite, and q_min is its smallest eigenvalue.
+    spec = ProblemSpec(**{**MATRIX_UNIT, "Q": np.diag([1.0, -1.0])})
     result = validate_spec(spec)
     assert not result.ok
-    assert "A1" in result.message
-    assert result.q_min == -1.0
+    assert "A1" in result.message and "min eig Q(0) = -1" in result.message
+    assert result.q_min == -1.0 and result.t_violation == 0.0
+    skew = validate_spec(ProblemSpec(**{**MATRIX_UNIT, "Q": [[1.0, 0.5], [0.0, 1.0]]}))
+    assert not skew.ok and "Q(0) is not symmetric" in skew.message
+    assert skew.q_min == pytest.approx(0.75)
 
 
 def test_validate_spec_accepts_a_matrix_spec():
-    spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                             sigma=np.eye(2), Q=np.diag([3.0, 0.5]), D1=np.eye(2),
-                             D2=np.zeros((2, 2)), T=1.0)
+    spec = ProblemSpec(**{**MATRIX_UNIT, "Q": np.diag([3.0, 0.5])})
     result = validate_spec(spec)
     assert result.ok and result.q_min == 0.5
 

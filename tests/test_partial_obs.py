@@ -145,16 +145,16 @@ def test_example4_value_ignores_observability():
 def test_analytic_partial_phi():
     # the partial closed form is the scalar one on the reduced problem
     spec = partial_preset("example3", sigma_hat2=0.5)
-    p1, p2, p3 = closed_form(reduced_problem(spec)).at(0.0)
+    sol = closed_form(reduced_problem(spec))
+    p1, p2, p3 = sol.phi1[0, 0, 0], sol.phi2[0, 0, 0], sol.phi3[0]
     assert p1 == pytest.approx(0.5)
     assert p2 == 0.0
     assert p3 == pytest.approx(0.5 * math.log(2.0))
-    spec4 = partial_preset("example4")
-    assert closed_form(reduced_problem(spec4)).at(1.0) == (0.0, 1.0, 0.0)
+    sol4 = closed_form(reduced_problem(partial_preset("example4")))
+    assert sol4.grid[-1] == 1.0
+    assert (sol4.phi1[-1, 0, 0], sol4.phi2[-1, 0, 0], sol4.phi3[-1]) == (0.0, 1.0, 0.0)
     full = closed_form(reduced_problem(partial_preset("example3", sigma_hat2=1.0)))
     assert np.array_equal(full.phi3, closed_form(scalar_preset("example1")).phi3)
-    with pytest.raises(DomainError):
-        closed_form(reduced_problem(spec)).at(1.5)
 
 
 def test_numeric_solution_matches_analytic_solution():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mflqg import (AssumptionError, Coefficient, DomainError,
-                   FiniteEscapeError, MatrixProblemSpec, ProblemSpec,
-                   closed_form, scalar_preset, solve_riccati)
+from mflqg import (AssumptionError, Coefficient, DomainError, FeedbackLaw,
+                   FiniteEscapeError, ProblemSpec, closed_form,
+                   cost_coefficients, optimal_feedback, scalar_preset,
+                   solve_riccati)
 from mflqg.cli import main
 from mflqg.riccati import (_BLOCK, DIVERGENCE_LIMIT, _coefficients,
                            solution_to_csv)
@@ -17,7 +18,7 @@ TIME_VARYING = ProblemSpec(A=-0.3, B=Coefficient.poly([1.0, 0.5]),
 
 # d = 3 with a non-symmetric A, Q = diag(1, 2, 1) and D2 != 0.
 MATRIX_D3 = dict(
-    d=3, A=[[-0.2, 0.5, 0.0], [0.1, -0.3, 0.4], [0.0, -0.2, 0.1]],
+    A=[[-0.2, 0.5, 0.0], [0.1, -0.3, 0.4], [0.0, -0.2, 0.1]],
     B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]],
     sigma=[[0.6, 0.0, 0.0], [0.1, 0.5, 0.0], [0.0, 0.2, 0.4]],
     Q=np.diag([1.0, 2.0, 1.0]), D1=np.eye(3),
@@ -25,12 +26,12 @@ MATRIX_D3 = dict(
 
 # d = 2 with a Q that is not diagonal, so M = B Q^{-1} B^T mixes both rows.
 FULL_Q = dict(
-    d=2, A=[[0.1, -0.4], [0.3, -0.2]], B=[[1.0, 0.5], [0.0, 1.0]],
+    A=[[0.1, -0.4], [0.3, -0.2]], B=[[1.0, 0.5], [0.0, 1.0]],
     sigma=[[0.5, 0.0], [0.2, 0.3]], Q=[[2.0, 0.6], [0.6, 1.0]],
     D1=[[1.0, 0.2], [0.2, 0.5]], D2=[[0.3, -0.1], [-0.1, 0.4]], T=0.8)
 
-# d = 1, so phi1 and phi2 are stepped as a (2, 1, 1) stack.
-MATRIX_D1 = dict(d=1, A=[[-0.3]], B=[[1.2]], sigma=[[0.5]], Q=[[2.0]],
+# d = 1 given as 1 x 1 matrices: the scalar problem with these numbers.
+MATRIX_D1 = dict(A=[[-0.3]], B=[[1.2]], sigma=[[0.5]], Q=[[2.0]],
                  D1=[[1.0]], D2=[[0.5]], T=1.0)
 
 
@@ -89,9 +90,15 @@ def _sym_ref(m):
     return 0.5 * (m + m.T)
 
 
+def _matrices(spec, t=0.0):
+    """A, B, Q and sigma at t as d x d arrays."""
+    return [np.reshape(c.on(t), (spec.d, spec.d))
+            for c in (spec.A, spec.B, spec.Q, spec.sigma)]
+
+
 def _matrix_rhs_ref(spec, t, phi):
     p1, p2, _ = phi
-    a, b, q, sig = spec.A, spec.B, spec.Q, spec.sigma
+    a, b, q, sig = _matrices(spec, t)
     m = b @ np.linalg.solve(q, b.T)
     d1 = p1.T @ m @ p1 - 2.0 * (a.T @ p1)
     d2 = 2.0 * (p2.T @ m @ p1) + p2.T @ m @ p2 - 2.0 * (a.T @ p2)
@@ -103,7 +110,8 @@ def _solve_matrix_riccati_loop(spec, steps):
     phi1 = np.empty((steps + 1, spec.d, spec.d))
     phi2 = np.empty((steps + 1, spec.d, spec.d))
     phi3 = np.empty(steps + 1)
-    p1, p2, p3 = np.array(spec.D1), np.array(spec.D2), 0.0
+    p1, p2 = (np.reshape(w, (spec.d, spec.d)) for w in (spec.D1, spec.D2))
+    p3 = 0.0
     phi1[steps], phi2[steps], phi3[steps] = p1, p2, p3
 
     def guard(q1, q2, q3, t):
@@ -132,18 +140,17 @@ def _solve_matrix_riccati_loop(spec, steps):
 
 
 def _step_matrix_loop(spec, steps):
-    scalar = isinstance(spec, ProblemSpec)
-    d = 1 if scalar else spec.d
+    d = spec.d
     eye, eye2 = np.eye(d), np.eye(2 * d)
 
     def coefs(t):
-        if not scalar:
-            m = spec.B @ np.linalg.solve(spec.Q, spec.B.T)
-            return spec.A, m, spec.sigma @ spec.sigma.T
+        if d > 1:
+            a, b, q, sig = _matrices(spec, t)
+            return a, b @ np.linalg.solve(q, b.T), sig @ sig.T
         a, b, q, sig = spec.A(t), spec.B(t), spec.Q(t), spec.sigma(t)
         if not q > 0.0:
             raise AssumptionError(f"Q({t}) = {q}")
-        return np.array([[a]]), np.array([[b * b / q]]), np.array([[sig * sig]])
+        return np.array([[a]]), np.array([[b * (b / q)]]), np.array([[sig * sig]])
 
     def g_at(t):
         a, m, _ = coefs(t)
@@ -267,7 +274,7 @@ def test_solve_riccati_matches_unrolled_loop(spec):
 def test_solve_matrix_riccati_matches_unrolled_loop(fields):
     # The solve for every d; a non-symmetric A (constant) makes A^T for A
     # in either the step matrices or the phi1 slopes fail the second half.
-    spec = MatrixProblemSpec(**fields)
+    spec = ProblemSpec(**fields)
     sol = solve_riccati(spec, 400)
     for got, want in zip((sol.phi1, sol.phi2, sol.phi3), _step_matrix_loop(spec, 400)):
         assert (got == want).all()
@@ -314,9 +321,8 @@ def test_large_terminal_weight_does_not_escape(d1, tmp_path, capsys):
     # sigma_11^2 log(1 + D1 tau) + sigma_22^2 log(1 + tau), measured within
     # 1.7e-6 relative at D1 = 1e5 (the log det X correction of Simpson's
     # rule assumes the error of tr(S phi1) follows the step's change).
-    aniso = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                              sigma=np.diag([1.0, 2.0]), Q=np.eye(2),
-                              D1=np.diag([d1, 1.0]), D2=np.zeros((2, 2)), T=1.0)
+    aniso = ProblemSpec(A=np.zeros((2, 2)), B=np.eye(2), sigma=np.diag([1.0, 2.0]),
+                        Q=np.eye(2), D1=np.diag([d1, 1.0]), D2=np.zeros((2, 2)), T=1.0)
     asol = solve_riccati(aniso, 1000)
     np.testing.assert_allclose(asol.phi1[:, 0, 0], exact[0], rtol=1e-8)
     want = exact[2] + 4.0 * np.log1p(1.0 - asol.grid)
@@ -381,11 +387,29 @@ def test_solvers_reject_non_positive_or_singular_q():
     crossing = Coefficient.table([0.0, 0.5, 1.0], [-1.0, 0.0, 1.0])
     with pytest.raises(AssumptionError, match=r"Q\(0\.5\) = 0"):
         solve_riccati(ProblemSpec(Q=crossing, **unit), 100)
-    singular = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                                 sigma=np.eye(2), Q=np.zeros((2, 2)),
-                                 D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
-    with pytest.raises(AssumptionError, match="singular"):
+    # A singular Q fails A1 before any solve, at the first stage time T.
+    singular = _matrix_unit(2, Q=np.zeros((2, 2)))
+    with pytest.raises(AssumptionError, match=r"A1.*min eig Q\(1\) = 0"):
         solve_riccati(singular, 100)
+
+
+@pytest.mark.parametrize("q, d1, T, what", [
+    (np.diag([1.0, -0.01]), 0.1, 0.1, r"min eig Q\([.\d]+\) = -0\.01"),
+    ([[1.0, 0.5], [0.0, 1.0]], 1.0, 1.0, r"Q\([.\d]+\) is not symmetric"),
+], ids=["indefinite", "non-symmetric"])
+def test_every_solver_enforces_a1_on_a_matrix_q(q, d1, T, what):
+    # Assumption A1 at the API boundary, d = 2 with A = 0, B = sigma = I and
+    # D2 = 0: an indefinite Q came out of solve_riccati as a finite escape
+    # near t = 0, and a Q that is not symmetric was solved as it was.
+    spec = _matrix_unit(2, D1=d1 * np.eye(2), T=T, Q=q)
+    with pytest.raises(AssumptionError, match="assumption A1.*" + what):
+        solve_riccati(spec, 100)
+    sol = solve_riccati(_matrix_unit(2, D1=d1 * np.eye(2), T=T), 100)
+    law = FeedbackLaw(sol.grid, np.zeros((101, 2, 2)), np.zeros((101, 2, 2)))
+    for call in (lambda: optimal_feedback(spec, sol),
+                 lambda: cost_coefficients(spec, [law], 100)):
+        with pytest.raises(AssumptionError, match="assumption A1.*" + what):
+            call()
 
 
 def _stencil(f, h):
@@ -486,41 +510,22 @@ def test_escape_closed_form_satisfies_ode():
     assert 1.0 + d1 * (T - 0.5) == 0.0
 
 
-def test_sample_solution_interpolates_and_checks_domain():
-    # One interpolator and one layout: (matrix, matrix, float), 1 x 1
-    # matrices from a scalar solution.
-    for sol in (solve_riccati(scalar_preset("example1"), 10),
-                solve_riccati(MatrixProblemSpec(**MATRIX_D3), 10)):
-        # node hits are exact
-        p = sol.at(float(sol.grid[3]))
-        for got, table in zip(p, (sol.phi1, sol.phi2, sol.phi3)):
-            assert np.array_equal(got, table[3])
-        assert np.shape(p[0]) == np.shape(p[1]) == sol.phi1.shape[1:]
-        assert isinstance(p[2], float)
-        # midpoints are averages on a uniform grid
-        mid = sol.at(float(0.5 * (sol.grid[3] + sol.grid[4])))
-        for got, table in zip(mid, (sol.phi1, sol.phi2, sol.phi3)):
-            np.testing.assert_allclose(got, 0.5 * (table[3] + table[4]),
-                                       rtol=1e-12, atol=1e-15)
-        with pytest.raises(DomainError):
-            sol.at(-0.01)
-        with pytest.raises(DomainError):
-            sol.at(1.01)
+def _phi_node(sol, k):
+    """phi at grid node k, a scalar solution's tables read as numbers."""
+    return (float(sol.phi1[k, 0, 0]), float(sol.phi2[k, 0, 0]), float(sol.phi3[k]))
 
 
 def test_solution_at_terminal_time():
     sol = solve_riccati(scalar_preset("example1"), 10)
-    assert sol.at(1.0) == (1.0, 0.0, 0.0)
+    assert sol.grid[-1] == 1.0 and _phi_node(sol, -1) == (1.0, 0.0, 0.0)
 
 
 def test_analytic_riccati_values_and_errors():
-    p1, p2, p3 = closed_form(scalar_preset("example1")).at(0.0)
+    p1, p2, p3 = _phi_node(closed_form(scalar_preset("example1")), 0)
     assert p1 == pytest.approx(0.5)
     assert p2 == 0.0
     assert p3 == pytest.approx(math.log(2.0))
-    assert closed_form(scalar_preset("example2")).at(0.0) == (0.0, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        closed_form(scalar_preset("example1")).at(2.0)
+    assert _phi_node(closed_form(scalar_preset("example2")), 0) == (0.0, 0.5, 0.0)
     # outside the closed form's domain: A != 0, B = 0, time-varying data
     unit = dict(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
     for bad in (dict(A=0.5), dict(B=0.0), dict(sigma=Coefficient.poly([1.0, 1.0]))):
@@ -570,28 +575,30 @@ def test_time_varying_coefficients_integrate():
 # matrix system
 
 
-def _matrix_unit(d=2, D1=None, D2=None, T=1.0):
+def _matrix_unit(d=2, D1=None, D2=None, T=1.0, Q=None):
     ey = np.eye(d)
     z = np.zeros((d, d))
-    return MatrixProblemSpec(d=d, A=z, B=ey, sigma=ey, Q=ey,
-                             D1=ey if D1 is None else D1,
-                             D2=z if D2 is None else D2, T=T)
+    return ProblemSpec(A=z, B=ey, sigma=ey, Q=ey if Q is None else Q,
+                       D1=ey if D1 is None else D1, D2=z if D2 is None else D2, T=T)
 
 
 def test_matrix_rhs_matches_scalar_in_d1():
-    # One solve for both kinds: a d = 1 matrix spec has the coefficients of
-    # the scalar spec with the same numbers, M = B^2/Q and S = sigma^2.
+    # One problem type: 1 x 1 matrices make the scalar spec with the same
+    # numbers, whose coefficients are A, M = B (B / Q), S = sigma^2, B, Q
+    # and G = B / Q bit for bit, where a 1 x 1 solve and eigvalsh run.
     rng = np.random.default_rng(5)
     times = np.array([0.0, 0.5, 1.0])
     for _ in range(20):
-        a, b, sig, q = rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0), \
+        a, b, sig, q = rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0), \
             rng.uniform(0.0, 1.5), rng.uniform(0.2, 2.0)
-        mspec = MatrixProblemSpec(d=1, A=[[a]], B=[[b]], sigma=[[sig]],
-                                  Q=[[q]], D1=[[1.0]], D2=[[0.0]], T=1.0)
+        mspec = ProblemSpec(A=[[a]], B=[[b]], sigma=[[sig]], Q=[[q]],
+                            D1=[[1.0]], D2=[[0.0]], T=1.0)
         spec = ProblemSpec(A=a, B=b, sigma=sig, Q=q, D1=1.0, D2=0.0, T=1.0)
-        for got, want in zip(_coefficients(mspec, times), _coefficients(spec, times)):
-            assert got.shape == want.shape == (3, 1, 1)
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert mspec == spec
+        want = [a, b * (b / q), sig * sig, b, q, b / q]
+        for got, w in zip(_coefficients(mspec, times), want):
+            assert got.shape == (3, 1, 1)
+            assert (got == w).all()
 
 
 def test_matrix_rhs_unit_case():
@@ -603,10 +610,8 @@ def test_matrix_rhs_unit_case():
 
 
 def test_matrix_rhs_singular_q():
-    spec = MatrixProblemSpec(d=2, A=np.zeros((2, 2)), B=np.eye(2),
-                             sigma=np.eye(2), Q=np.zeros((2, 2)),
-                             D1=np.eye(2), D2=np.zeros((2, 2)), T=1.0)
-    with pytest.raises(AssumptionError):
+    spec = _matrix_unit(2, Q=np.zeros((2, 2)))
+    with pytest.raises(AssumptionError, match="A1"):
         _coefficients(spec, np.array([0.0, 1.0]))
 
 
@@ -628,8 +633,8 @@ def test_matrix_solve_stays_symmetric():
     a = rng.uniform(-1.0, 1.0, (2, 2))
     d1 = rng.uniform(0.0, 1.0, (2, 2))
     d1 = 0.5 * (d1 + d1.T)
-    spec = MatrixProblemSpec(d=2, A=a, B=np.eye(2), sigma=np.eye(2),
-                             Q=2.0 * np.eye(2), D1=d1, D2=np.zeros((2, 2)), T=1.0)
+    spec = ProblemSpec(A=a, B=np.eye(2), sigma=np.eye(2), Q=2.0 * np.eye(2),
+                       D1=d1, D2=np.zeros((2, 2)), T=1.0)
     sol = solve_riccati(spec, 400)
     asym = np.abs(sol.phi1 - sol.phi1.transpose(0, 2, 1)).max()
     assert asym <= 1e-12, f"asymmetry {asym:.3e}"

@@ -10,11 +10,12 @@ import pytest
 from mflqg import (Coefficient, CostReport, DomainError, FeedbackLaw, FiniteEscapeError,
                    MeasureMoments, ProblemSpec, Reduction, SimConfig,
                    cost_coefficients, cost_from_cloud, evolve_cloud,
-                   gaussianity_check, mc_tolerance, optimal_feedback,
+                   mc_tolerance, optimal_feedback,
                    partial_preset, scalar_preset, solve_riccati, value_function)
 from mflqg import _kernels
 from mflqg import simulate as simulate_module
 from mflqg.errors import SimulationDivergedError
+from mflqg.checks import _gaussianity_entry
 from mflqg.simulate import trajectory_to_csv
 
 
@@ -175,7 +176,7 @@ def test_oracle_matches_ansatz_value_at_optimum():
     for name in ("example1", "example2"):
         spec, sol, law = _optimal(name, 2000)
         for x in (0.0, 1.0, -2.0):
-            v = value_function(sol, 0.0, MeasureMoments.dirac(x))
+            v = value_function(sol, MeasureMoments.dirac(x))
             o = _oracle(spec, law, x, x * x, 2000)
             assert abs(o.total - v) <= 1e-5, f"{name}, x={x}"
 
@@ -570,19 +571,19 @@ def test_t_stop_cuts_horizon():
 
 
 def test_gaussianity_check_normal_cloud():
+    # |skew| < 0.05 and |excess kurtosis| < 0.1, the decisive one recorded
     spec, _, law = _optimal()
-    g = gaussianity_check(evolve_cloud(spec, law, 1.0, SimConfig(50_000, 2e-3, 21)).states)
-    assert not g.degenerate
-    assert abs(g.skewness) < 0.05
-    assert abs(g.excess_kurtosis) < 0.1
+    g = _gaussianity_entry(evolve_cloud(spec, law, 1.0, SimConfig(50_000, 2e-3, 21)).states)
+    assert g.passed and g.detail.startswith("skew ")
+    assert g.threshold in (0.05, 0.1) and 0.0 <= g.measured < g.threshold
 
 
 def test_gaussianity_check_degenerate_cloud():
     # no noise, no control: the cloud stays a Dirac and moments are undefined
     spec = ProblemSpec(A=0.0, B=1.0, sigma=0.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
-    g = gaussianity_check(evolve_cloud(spec, _zero_law(), 1.0, SimConfig(100, 1e-2, 0)).states)
-    assert g.degenerate
-    assert math.isnan(g.skewness)
+    g = _gaussianity_entry(evolve_cloud(spec, _zero_law(), 1.0, SimConfig(100, 1e-2, 0)).states)
+    assert g.passed and g.detail.startswith("degenerate cloud")
+    assert g.measured == 0.0 and g.threshold == 1e-18
 
 
 def test_perturbation_sweep_margins_positive_and_quadratic():

@@ -1,9 +1,10 @@
 """The per-step particle update kernel, vectorized with numpy.
 
 The kernel consumes pre-drawn standard-normal increments, one row per step;
-all random number generation stays outside this module.  Each call allocates
-one per-particle work array once and steps in place, so a step makes no
-allocation.  The Euler update is fused into one affine map of x per step,
+all random number generation stays outside this module.  evolve_cloud calls
+it once per keyed block of steps.  Each call allocates one per-particle work
+array and steps in place, so a step within a call makes no allocation.  The
+Euler update is fused into one affine map of x per step,
 
     x <- (1 + (a + b al) dt) x + b be m1 dt + s_sqdt z,
 

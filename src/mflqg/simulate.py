@@ -26,6 +26,7 @@ FeedbackLaw, which is what makes the cross-check meaningful.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,17 +51,21 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Element count of the two increment buffers together.  Each buffer holds
-# half of it, whole blocks only; the run allocates both once, and while the
-# kernel steps over one, both threads refill the other.  That caps the
-# increments at ~16 MB of float64 without changing results.
-_CHUNK_ELEMENTS = 2_000_000
-
 # Element count of one block of increments: the steps of block b come from
 # their own SFC64 stream, keyed as child b + 1 of the seed's SeedSequence, so
-# a block's bytes do not depend on which thread draws it or on the buffer
-# shape.
+# a block's bytes do not depend on which thread draws it or on the slot it
+# is drawn into.
 _BLOCK_ELEMENTS = 50_000
+
+# Slots in the ring of increment blocks: a run holds at most this many
+# blocks, each of at most max(n_paths, _BLOCK_ELEMENTS) floats, so the
+# increments take at most 1.6 MB at 50 000 paths and 3.2 MB at 1e5.  Four
+# let the drawing thread run up to three blocks ahead of the kernel.
+_RING_SLOTS = 4
+
+# Element count stepped between two divergence checks (stream_layout's
+# chunk_rows); it decides where a divergence is reported, not the memory.
+_CHECK_ELEMENTS = 1_000_000
 
 InitialLaw = Union[float, int, tuple]
 
@@ -226,11 +231,19 @@ def _resolve_initial(initial: InitialLaw, n_paths: int, rng) -> np.ndarray:
     raise DomainError(f"cannot interpret {initial!r} as an initial law")
 
 
+def _scalar_engine(spec) -> None:
+    """The particle engine steps d = 1 only: refuse a d x d spec by its
+    dimension, not by a numpy broadcast error."""
+    if np.ndim(spec.D1):
+        raise DomainError(
+            f"the particle engine runs d = 1 only, got d = {len(spec.D1)}")
+
+
 def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
                  config: SimConfig, t_stop: float | None = None) -> CloudTrajectory:
     """Euler-Maruyama for the interacting particle system up to t_stop (default T).
 
-    For a fixed config the result is bit-identical across runs, chunk sizes
+    For a fixed config the result is bit-identical across runs, ring sizes
     and thread timing.  Streams, all SFC64 keyed by numpy's SeedSequence:
     the initial cloud draws from SFC64(seed), the root key; the increments
     of steps [b S, (b + 1) S) come from child b + 1,
@@ -238,14 +251,13 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
     S = max(1, _BLOCK_ELEMENTS // n_paths) (stream_layout's block_rows);
     partial_obs draws its estimation error from child 0.  Distinct keys hash
     to unrelated states, which is how SeedSequence keeps parallel streams
-    apart for a generator with no jump.  The run is stepped in chunks of
-    whole blocks through two buffers: while this thread steps the kernel
-    over chunk i in one buffer, one helper thread claims the blocks of chunk
-    i + 1 from a shared iterator and fills them into the other, and this
-    thread claims the rest once its kernel call returns.
+    apart for a generator with no jump.  The blocks pass through a ring of
+    _RING_SLOTS one-block slots (see _Ring): this thread steps the kernel
+    over each block in order as soon as it is drawn, and one helper thread
+    draws the blocks ahead of it.  The state is checked for divergence every
+    chunk_rows steps.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
+    _scalar_engine(spec)
     T = spec.T
     t_stop = T if t_stop is None else float(t_stop)
     if not 0.0 < t_stop <= T + 1e-12 * max(1.0, T):
@@ -271,33 +283,17 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
 
     layout = stream_layout(n)
     block, chunk = layout["block_rows"], layout["chunk_rows"]
-    bounds = [(k0, min(n_steps, k0 + chunk)) for k0 in range(0, n_steps, chunk)]
-    claims = [iter(range(k0 // block, -(-k1 // block))) for k0, k1 in bounds]
-    # Chunk i goes to buffer i % 2; the second buffer is only as large as
-    # its largest chunk.
-    rows = min(chunk, n_steps)
-    buffers = (np.empty((rows, n)), np.empty((min(rows, n_steps - rows), n)))
-
-    def fill(i):
-        _fill_blocks(claims[i], config.seed, block, n_steps, bounds[i][0],
-                     buffers[i % 2])
-
-    with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(fill, 0)
-        fill(0)
-        for i, (k0, k1) in enumerate(bounds):
-            pending.result()
-            if i + 1 < len(bounds):
-                pending = helper.submit(fill, i + 1)
-            _kernels.mc_chunk(x, run, buffers[i % 2][:k1 - k0], a_k[k0:k1],
-                              b_k[k0:k1], s_sqdt[k0:k1], q_dt[k0:k1],
-                              al_k[k0:k1], be_k[k0:k1], dt, m1[k0:k1], m2[k0:k1])
-            if not np.isfinite(x).all():
+    with _Ring(config.seed, block, n_steps, n) as ring:
+        for b in range(ring.n_blocks):
+            k0, k1 = b * block, min((b + 1) * block, n_steps)
+            _kernels.mc_chunk(x, run, ring.take(b), a_k[k0:k1], b_k[k0:k1],
+                              s_sqdt[k0:k1], q_dt[k0:k1], al_k[k0:k1],
+                              be_k[k0:k1], dt, m1[k0:k1], m2[k0:k1])
+            ring.stepped_through(b)
+            if (k1 % chunk == 0 or k1 == n_steps) and not np.isfinite(x).all():
                 raise SimulationDivergedError(
                     f"particle state became non-finite before t = {times[k1]:.6g}"
                 )
-            if i + 1 < len(bounds):
-                fill(i + 1)
     m1[n_steps] = x.sum() / n
     m2[n_steps] = (x * x).sum() / n
     return CloudTrajectory(times=times, m1=m1, m2=m2, states=x, run_costs=run)
@@ -306,26 +302,112 @@ def evolve_cloud(spec: ProblemSpec, law: FeedbackLaw, initial: InitialLaw,
 def stream_layout(n_paths: int) -> dict:
     """What a run with n_paths particles depends on besides its problem and
     seed: the bit generator and the steps per keyed block (the streams),
-    the steps per increment buffer (where a divergence is detected) and the
-    numpy version (its normal sampler)."""
+    the steps between divergence checks (where a divergence is reported)
+    and the numpy version (its normal sampler)."""
     block = max(1, _BLOCK_ELEMENTS // n_paths)
-    chunk = block * max(1, _CHUNK_ELEMENTS // 2 // n_paths // block)
+    chunk = block * max(1, _CHECK_ELEMENTS // n_paths // block)
     return {"bit_generator": "SFC64", "block_rows": block,
             "chunk_rows": chunk, "numpy": np.__version__}
 
 
-def _fill_blocks(claims, seed, block, n_steps, k_start, out) -> None:
-    """Draw every block claimed from the shared iterator `claims` into its
-    rows of `out`, whose first row is step k_start; block b from child
-    b + 1 of SeedSequence(seed).  Both threads call this on the same
-    iterator; next() on it is one C call under the interpreter lock, so
-    each block is claimed once."""
-    for b in claims:
-        k0 = b * block
-        k1 = min(k0 + block, n_steps)
-        key = np.random.SeedSequence(seed, spawn_key=(b + 1,))
-        np.random.Generator(np.random.SFC64(key)).standard_normal(
-            out=out[k0 - k_start:k1 - k_start])
+class _Ring:
+    """The increments of one run, block by block, through a ring of one-block
+    slots that two threads fill.
+
+    Block b is drawn whole by one thread from child b + 1 of
+    SeedSequence(seed) into slot b % R, and only once block b - R's kernel
+    call has returned.  Claims go in block order under one lock: the helper
+    claims the lowest unclaimed block and waits for its slot; the stepping
+    thread, while its next block is not drawn, claims the lowest unclaimed
+    block whose slot is free, or waits.  As a context manager the ring runs
+    the helper thread: on exit, also by an exception, close() stops it
+    before its next claim and it is joined.
+    """
+
+    def __init__(self, seed: int, block: int, n_steps: int, n_paths: int):
+        self.seed, self.block, self.n_steps = seed, block, n_steps
+        self.n_blocks = -(-n_steps // block)
+        rows = min(block, n_steps)
+        self.slots = [np.empty((rows, n_paths))
+                      for _ in range(min(_RING_SLOTS, self.n_blocks))]
+        self.held = [-1] * len(self.slots)  # the block each slot holds
+        self.claimed = 0                    # the lowest unclaimed block
+        self.stepped = 0                    # blocks whose kernel call returned
+        self.stop = False
+        self.error = None                   # what the helper raised
+        self.cond = threading.Condition()
+
+    def _rows(self, b: int) -> np.ndarray:
+        k0 = b * self.block
+        return self.slots[b % len(self.slots)][:min(self.block, self.n_steps - k0)]
+
+    def _claim_free(self):
+        """The lowest unclaimed block if its slot is free, claimed; else
+        None.  Called with the lock held."""
+        b = self.claimed
+        if b == self.n_blocks or b >= self.stepped + len(self.slots):
+            return None
+        self.claimed += 1
+        return b
+
+    def _draw(self, b: int) -> None:
+        key = np.random.SeedSequence(self.seed, spawn_key=(b + 1,))
+        np.random.Generator(np.random.SFC64(key)).standard_normal(out=self._rows(b))
+        with self.cond:
+            self.held[b % len(self.slots)] = b
+            self.cond.notify_all()
+
+    def helper(self) -> None:
+        try:
+            while True:
+                with self.cond:
+                    if self.stop or self.claimed == self.n_blocks:
+                        return
+                    b = self.claimed
+                    self.claimed += 1
+                    while not self.stop and b >= self.stepped + len(self.slots):
+                        self.cond.wait()
+                    if self.stop:
+                        return
+                self._draw(b)
+        except BaseException as exc:
+            with self.cond:
+                self.error = exc
+                self.cond.notify_all()
+
+    def take(self, b: int) -> np.ndarray:
+        """Block b's increments, once drawn; until then this thread draws."""
+        while True:
+            with self.cond:
+                if self.held[b % len(self.slots)] == b:
+                    return self._rows(b)
+                if self.error is not None:
+                    raise self.error
+                c = self._claim_free()
+                if c is None:
+                    self.cond.wait()
+                    continue
+            self._draw(c)
+
+    def stepped_through(self, b: int) -> None:
+        """Block b's kernel call has returned: its slot may be refilled."""
+        with self.cond:
+            self.stepped = b + 1
+            self.cond.notify_all()
+
+    def close(self) -> None:
+        with self.cond:
+            self.stop = True
+            self.cond.notify_all()
+
+    def __enter__(self) -> "_Ring":
+        self._thread = threading.Thread(target=self.helper)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+        self._thread.join()
 
 
 def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostReport:
@@ -335,6 +417,7 @@ def cost_from_cloud(spec, states: np.ndarray, run_costs: np.ndarray) -> CostRepo
     delta-method estimate: D1 m2 + D2 m1^2 has influence function
     D1 x^2 + 2 D2 m1 x.
     """
+    _scalar_engine(spec)
     x = states
     run = run_costs
     n = x.size

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -292,46 +293,84 @@ def test_different_seeds_differ():
     assert a.total != b.total
 
 
+def _within(seconds, fn):
+    # fn() on a daemon thread, so that a ring that deadlocks fails the test
+    # rather than hanging the suite.
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
 def test_chunk_size_does_not_change_results(monkeypatch):
-    # 500 paths: 100 steps per block, 1000 steps in one chunk by default and
-    # in ten chunks of one block each after the patch.
+    # 3000 paths: blocks of 16 steps, so 1000 steps make 62.5 blocks and the
+    # last is partial.  Rings of one to three slots wrap every one to three
+    # blocks, and a divergence check every block in place of every 320
+    # steps reads the same state: none of it changes a byte.
     spec, _, law = _optimal(steps=200)
-    cfg = SimConfig(500, 1e-3, 9)
-    r1 = _mc(spec, law, 1.0, cfg)
-    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 1000)
-    assert simulate_module.stream_layout(500)["chunk_rows"] == 100
-    r2 = _mc(spec, law, 1.0, cfg)
-    assert r1 == r2
+    cfg = SimConfig(3000, 1e-3, 9)
+    layout = simulate_module.stream_layout(3000)
+    assert (layout["block_rows"], layout["chunk_rows"]) == (16, 320)
+    r1 = _within(30, lambda: _mc(spec, law, 1.0, cfg))
+    monkeypatch.setattr(simulate_module, "_CHECK_ELEMENTS", 3000 * 16)
+    assert simulate_module.stream_layout(3000)["chunk_rows"] == 16
+    for slots in (1, 2, 3):
+        monkeypatch.setattr(simulate_module, "_RING_SLOTS", slots)
+        assert _within(30, lambda: _mc(spec, law, 1.0, cfg)) == r1
 
 
-def test_one_increment_block_per_run(monkeypatch):
-    # Every chunk refills one of two buffers that together hold one block,
-    # so a run holds one block of increments at a time.  Each run goes once
-    # untraced first: the one-time set-up of the thread pool and the
-    # generators (about 0.4 blocks here) is no part of what a run holds,
-    # and in a fresh process the first traced run would count it.
+def _traced_peak(run) -> int:
+    # The run goes once untraced first: the one-time set-up of the thread
+    # and the generators is no part of what a run holds, and in a fresh
+    # process the first traced run would count it.
     import tracemalloc
 
-    from mflqg import Reduction, partial_preset
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 400_000)
-    cfg = SimConfig(2000, 1e-3, 4)
-    block_bytes = 400_000 * 8
+
+@pytest.mark.parametrize("n,dt", [(100_000, 0.05), (2000, 1e-3)],
+                         ids=["wide", "narrow"])
+def test_a_run_holds_at_most_the_ring_of_increments(n, dt):
+    # Default constants.  At most _RING_SLOTS blocks of block_rows x n
+    # increments, three per-path work arrays (x, the running costs and the
+    # kernel's), 16 floats per step for the coefficient, gain and moment
+    # tables, and 4096 floats of interpreter objects (the helper thread,
+    # the lock, a block's generator).  Wide: 4 slots of one step at 1e5
+    # paths, 7.0e5 floats; narrow: 4 slots of 25 steps at 2000 paths,
+    # 2.3e5 floats.  Two buffers of whole chunks held 2e6 floats here.
+    # The partially observed run adds its estimation error, drawn after
+    # the cloud.
+    cfg = SimConfig(n, dt, 4)
     spec, _, law = _optimal()
     pspec = partial_preset("example3")
     red = Reduction.of(pspec)
     plaw = optimal_feedback(red.problem, solve_riccati(red.problem, 1000))
+    steps = int(round(spec.T / dt))
+    block = simulate_module.stream_layout(n)["block_rows"]
+    floats = (simulate_module._RING_SLOTS * block * n + 3 * n
+              + 16 * (steps + 1) + 4096)
     for run in (lambda: evolve_cloud(spec, law, 1.0, cfg),
                 lambda: (evolve_cloud(red.problem, plaw, red.initial(pspec.x),
                                       cfg), red.error(cfg))):
-        run()
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert block_bytes <= peak < 1.25 * block_bytes
+        peak = _within(30, lambda: _traced_peak(run))
+        assert peak <= 8 * floats, f"{peak} B traced, bound {8 * floats} B"
 
 
 def _serial_reference(spec, law, initial, cfg):
@@ -363,7 +402,7 @@ def _serial_reference(spec, law, initial, cfg):
 
 
 def _assert_matches_reference(spec, law, initial, cfg):
-    traj = evolve_cloud(spec, law, initial, cfg)
+    traj = _within(30, lambda: evolve_cloud(spec, law, initial, cfg))
     times, m1, m2, x, run = _serial_reference(spec, law, initial, cfg)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.m1, m1)
@@ -372,22 +411,21 @@ def _assert_matches_reference(spec, law, initial, cfg):
     assert np.array_equal(traj.run_costs, run)
 
 
-@pytest.mark.parametrize("steps_per_buffer,steps_per_block",
-                         [(1, 1), (7, 3), (None, None)],
+@pytest.mark.parametrize("slots,steps_per_block",
+                         [(1, 1), (3, 7), (None, None)],
                          ids=["one-step", "non-dividing", "default"])
 @pytest.mark.parametrize("initial", [1.0, (0.5, 0.25)], ids=["dirac", "gaussian"])
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
-                                                steps_per_buffer, steps_per_block):
-    # 2000 paths x 1000 steps: the default fills 500 steps per buffer in 20
-    # blocks of 25 steps, so every variant runs at least two chunks through
-    # both buffers.  Blocks of 3 steps make chunks of 6, and neither divides
-    # the 1000 steps.
+                                                slots, steps_per_block):
+    # 2000 paths x 1000 steps.  The default draws 40 blocks of 25 steps
+    # through 4 slots; one slot of one-step blocks is refilled 1000 times;
+    # blocks of 7 steps do not divide the 1000 steps, so the 143rd is
+    # partial, and 3 slots wrap 47 times.
     spec, _, law = _optimal(name)
     cfg = SimConfig(2000, 1e-3, 13)
-    if steps_per_buffer is not None:
-        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
-                            2 * cfg.n_paths * steps_per_buffer)
+    if slots is not None:
+        monkeypatch.setattr(simulate_module, "_RING_SLOTS", slots)
         monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS",
                             cfg.n_paths * steps_per_block)
     _assert_matches_reference(spec, law, initial, cfg)
@@ -395,30 +433,70 @@ def test_pipelined_draws_match_serial_reference(monkeypatch, name, initial,
 
 @pytest.mark.parametrize("drawer", ["helper", "main"])
 def test_block_draws_do_not_depend_on_the_drawing_thread(monkeypatch, drawer):
-    # Only the named thread may claim blocks; the other's fill calls return
-    # at once.  The bytes must still be the reference's.
-    fill = simulate_module._fill_blocks
-    caller = threading.get_ident()
-    drew = set()
+    # Only the named thread may draw: the helper returns at once, or the
+    # calling thread never claims and only waits.  3000 paths x 1000 steps:
+    # 62.5 blocks of 16 steps through 4 slots.  The bytes must still be the
+    # reference's.
+    ring = simulate_module._Ring
+    draw, take = ring._draw, ring.take
+    drew, stepper = set(), set()
 
-    def one_thread_fills(*args):
-        if (threading.get_ident() == caller) == (drawer == "main"):
-            drew.add(threading.get_ident())
-            fill(*args)
+    def recording_draw(self, b):
+        drew.add(threading.get_ident())
+        draw(self, b)
 
-    monkeypatch.setattr(simulate_module, "_fill_blocks", one_thread_fills)
-    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 2 * 2000 * 100)
+    def recording_take(self, b):
+        stepper.add(threading.get_ident())
+        return take(self, b)
+
+    monkeypatch.setattr(ring, "_draw", recording_draw)
+    monkeypatch.setattr(ring, "take", recording_take)
+    if drawer == "main":
+        monkeypatch.setattr(ring, "helper", lambda self: None)
+    else:
+        monkeypatch.setattr(ring, "_claim_free", lambda self: None)
     spec, _, law = _optimal("example2")
-    _assert_matches_reference(spec, law, (0.5, 0.25), SimConfig(2000, 1e-3, 5))
-    assert len(drew) == 1 and (caller in drew) == (drawer == "main")
+    _assert_matches_reference(spec, law, (0.5, 0.25), SimConfig(3000, 1e-3, 5))
+    assert len(drew) == len(stepper) == 1
+    assert (drew == stepper) == (drawer == "main")
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_a_slot_is_not_refilled_while_the_kernel_reads_it(monkeypatch, slots):
+    # The kernel sleeps 1 ms on each block before stepping it, so the helper,
+    # which draws ahead, would overwrite the slot under it if block b + R
+    # were drawn before block b's kernel call returned.
+    kernel = _kernels.mc_chunk
+    changed = []
+
+    def sleepy_kernel(x, run, z, *args):
+        before = z.copy()
+        time.sleep(1e-3)
+        changed.append(not np.array_equal(z, before))
+        kernel(x, run, z, *args)
+
+    spec, _, law = _optimal("example2", steps=200)
+    cfg = SimConfig(300, 1e-2, 3)
+    monkeypatch.setattr(simulate_module, "_RING_SLOTS", slots)
+    monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * cfg.n_paths)
+    monkeypatch.setattr(_kernels, "mc_chunk", sleepy_kernel)
+    traj = _within(30, lambda: evolve_cloud(spec, law, 1.0, cfg))
+    monkeypatch.setattr(_kernels, "mc_chunk", kernel)
+    assert len(changed) == 50 and not any(changed)
+    _, m1, _, x, run = _serial_reference(spec, law, 1.0, cfg)
+    assert np.array_equal(traj.m1, m1)
+    assert np.array_equal(traj.states, x)
 
 
 def _block_fill(seed, n_paths, n_blocks):
     # The increments evolve_cloud draws at block_rows = 1 (n_paths >= 50 000,
     # the CLI default): one keyed block per step, so every row boundary is a
-    # block boundary.
+    # block boundary.  This thread draws every block through the ring.
+    ring = simulate_module._Ring(seed, 1, n_blocks, n_paths)
     out = np.empty((n_blocks, n_paths))
-    simulate_module._fill_blocks(iter(range(n_blocks)), seed, 1, n_blocks, 0, out)
+    for b in range(n_blocks):
+        out[b] = ring.take(b)[0]
+        ring.stepped_through(b)
     return out
 
 
@@ -474,23 +552,32 @@ def test_block_streams_are_independent_normals():
 
 def test_concurrent_runs_keep_their_streams(monkeypatch):
     # Four runs on a two-core machine, each with its own helper thread, with
-    # thread switches forced every microsecond: a buffer handed over before
-    # its fill completed, or a draw taken from another run's stream, would
-    # break bit-equality with the serial reference.
-    from concurrent.futures import ThreadPoolExecutor
-
+    # thread switches forced every microsecond and rings of two one-step
+    # slots, refilled 100 times each: a slot handed over before its draw
+    # completed, or a draw taken from another run's stream, would break
+    # bit-equality with the serial reference.
     spec, _, law = _optimal("example2", steps=200)
     cfgs = [SimConfig(300, 1e-2, seed) for seed in range(4)]
-    monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS", 2 * 300)
+    monkeypatch.setattr(simulate_module, "_RING_SLOTS", 2)
     monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 300)
+    trajs = [None] * len(cfgs)
+
+    def run(i):
+        trajs[i] = evolve_cloud(spec, law, 1.0, cfgs[i])
+
+    runs = [threading.Thread(target=run, args=(i,), daemon=True)
+            for i in range(len(cfgs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(len(cfgs)) as pool:
-            runs = [pool.submit(evolve_cloud, spec, law, 1.0, cfg) for cfg in cfgs]
-            trajs = [run.result(timeout=120) for run in runs]
+        for thread in runs:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in runs:
+            thread.join(max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in runs)
     for cfg, traj in zip(cfgs, trajs):
         _, m1, _, x, run = _serial_reference(spec, law, 1.0, cfg)
         assert np.array_equal(traj.m1, m1)
@@ -498,31 +585,131 @@ def test_concurrent_runs_keep_their_streams(monkeypatch):
         assert np.array_equal(traj.run_costs, run)
 
 
-@pytest.mark.parametrize("steps_per_buffer,t_detected",
+def _helper_threads(monkeypatch) -> set:
+    # The idents of the threads that run _Ring.helper from now on.
+    ring = simulate_module._Ring
+    helper = ring.helper
+    idents = set()
+
+    def marking_helper(self):
+        idents.add(threading.get_ident())
+        helper(self)
+
+    monkeypatch.setattr(ring, "helper", marking_helper)
+    return idents
+
+
+@pytest.mark.parametrize("steps_per_check,t_detected",
                          [(None, "1"), (10, "0.8")], ids=["default", "10-steps"])
-def test_divergence_raises_and_stops_the_helper(monkeypatch, steps_per_buffer,
+def test_divergence_raises_and_stops_the_helper(monkeypatch, steps_per_check,
                                                 t_detected):
     # x grows by 1e4 per step and overflows near step 77; the check runs
-    # after each chunk and names the end of the chunk it failed in.
+    # every chunk_rows steps and names the end of the stretch it failed in.
+    # By default the run is one block of 100 steps, checked at its end; the
+    # patched run has 50 blocks of 2 steps, checked every 10.  Once the run
+    # has raised, the helper claims and draws nothing more, and it is gone
+    # when the run returns.  The patched run goes twice: with the helper
+    # waiting for a free slot when the run raises (the run pauses 50 ms
+    # before it stops the ring), and with the helper in the middle of a
+    # draw (the helper alone draws, 10 ms a block).
     spec = ProblemSpec(A=1e6, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)
     cfg = SimConfig(100, 1e-2, 0)
-    if steps_per_buffer is not None:
-        monkeypatch.setattr(simulate_module, "_CHUNK_ELEMENTS",
-                            2 * cfg.n_paths * steps_per_buffer)
-        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS",
-                            cfg.n_paths * steps_per_buffer)
+    if steps_per_check is not None:
+        monkeypatch.setattr(simulate_module, "_CHECK_ELEMENTS",
+                            cfg.n_paths * steps_per_check)
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * cfg.n_paths)
+    ring = simulate_module._Ring
+    draw, close, claim_free = ring._draw, ring.close, ring._claim_free
+    helpers = _helper_threads(monkeypatch)
+    pause = {}
+    drawn, closed = [], []
+
+    def recording_draw(self, b):
+        drawn.append((b, self.stop))
+        if threading.get_ident() in helpers:
+            time.sleep(pause["draw"])
+        draw(self, b)
+
+    def recording_close(self):
+        time.sleep(pause["close"])
+        close(self)
+        closed.append((self, self.claimed))
+
+    monkeypatch.setattr(ring, "_draw", recording_draw)
+    monkeypatch.setattr(ring, "close", recording_close)
     baseline = threading.active_count()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationDivergedError) as err:
-            evolve_cloud(spec, _zero_law(), 1.0, cfg)
-    assert str(err.value) == \
-        f"particle state became non-finite before t = {t_detected}"
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergedError) as err:
+                evolve_cloud(spec, _zero_law(), 1.0, cfg)
+        return err
+
+    waits = [(0.0, 0.05)] if steps_per_check is None else [(0.0, 0.05), (0.01, 0.0)]
+    for pause["draw"], pause["close"] in waits:
+        monkeypatch.setattr(ring, "_claim_free", claim_free if pause["draw"] == 0.0
+                            else lambda self: None)
+        drawn.clear()
+        closed.clear()
+        err = _within(30, run)
+        assert str(err.value) == \
+            f"particle state became non-finite before t = {t_detected}"
+        assert threading.active_count() == baseline
+        assert not any(stop for _, stop in drawn)
+        (stopped, claimed), = closed
+        assert stopped.claimed == claimed
+        if steps_per_check is not None:
+            # 40 blocks stepped when the check fails: blocks 0-43 may be
+            # drawn, and block 44 claimed, waiting for its slot.
+            slots = simulate_module._RING_SLOTS
+            assert max(b for b, _ in drawn) < 40 + slots
+            assert claimed <= 40 + slots + 1 < stopped.n_blocks
+
+
+def test_a_failed_draw_raises_and_stops_the_helper(monkeypatch):
+    # The helper's first draw raises: the run raises that error when it
+    # reaches the block the helper claimed, and the helper is gone.
+    ring = simulate_module._Ring
+    draw = ring._draw
+    helpers = _helper_threads(monkeypatch)
+
+    def failing_draw(self, b):
+        if threading.get_ident() in helpers:
+            raise MemoryError(f"block {b}")
+        draw(self, b)
+
+    monkeypatch.setattr(ring, "_draw", failing_draw)
+    spec, _, law = _optimal("example2", steps=200)
+    baseline = threading.active_count()
+    with pytest.raises(MemoryError, match="^block "):
+        _within(30, lambda: evolve_cloud(spec, law, 1.0, SimConfig(3000, 1e-3, 2)))
     assert threading.active_count() == baseline
+    assert helpers
+
+
+def test_particle_engine_refuses_d_above_one():
+    # The particle engine is scalar; a d = 2 spec is refused by name.
+    eye = np.eye(2)
+    spec = ProblemSpec(A=0.0 * eye, B=eye, sigma=eye, Q=eye, D1=eye,
+                       D2=0.0 * eye, T=1.0)
+    law = FeedbackLaw(grid=np.array([0.0, 1.0]), alpha=np.zeros((2, 2, 2)),
+                      beta=np.zeros((2, 2, 2)))
+    with pytest.raises(DomainError, match="d = 1 only, got d = 2$"):
+        evolve_cloud(spec, law, 1.0, SimConfig(10, 0.1, 0))
+    with pytest.raises(DomainError, match="d = 1 only, got d = 2$"):
+        cost_from_cloud(spec, np.zeros(10), np.zeros(10))
 
 
 def test_cli_import_does_not_load_thread_pool():
-    # evolve_cloud imports the thread pool itself; importing the CLI does not
-    code = "import sys, mflqg.cli; print('concurrent.futures' in sys.modules)"
+    # No module of the package loads the thread pool: neither importing
+    # the CLI nor running the particles, whose helper is a plain thread.
+    code = ("import sys, mflqg.cli\n"
+            "from mflqg import ProblemSpec, SimConfig, evolve_cloud\n"
+            "from mflqg import optimal_feedback, solve_riccati\n"
+            "spec = ProblemSpec(A=0.0, B=1.0, sigma=1.0, Q=1.0, D1=1.0, D2=0.0, T=1.0)\n"
+            "law = optimal_feedback(spec, solve_riccati(spec, 10))\n"
+            "evolve_cloud(spec, law, 1.0, SimConfig(1000, 0.1, 0))\n"
+            "print('concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(simulate_module.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
